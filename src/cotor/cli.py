@@ -299,14 +299,13 @@ def cmd_spectral(args) -> int:
               + [(r["p"], r["n"], r["dim"]) for r in rows])
         return 0
     report = run_scheme_checks(engine, args.scheme, n_max)
-    ss = SpectralSequence(engine, args.scheme)
     payload = {
         "scheme": report.scheme,
         "page": args.page,
         "max_degree": report.n_max,
         "filtration_compatible": report.filtration_compatible,
         "active_pages": report.active_pages,
-        "collapsed_at": ss.collapsed_at(n_max),
+        "collapsed_at": report.collapsed_at,
         "mismatches": {k: [list(map(str, x)) for x in v]
                        for k, v in report.checks.items()},
         "ok": report.ok,

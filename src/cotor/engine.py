@@ -159,6 +159,23 @@ class Engine:
             cols = self._class_columns[n] = (classes, mat)
         return cols
 
+    def split_solver(self, n: int):
+        """(solver, monomial index, classes) over the word-free basis
+        classes of degree n, in S-coordinates."""
+        cached = self._split_solvers.get(n)
+        if cached is None:
+            classes = [c for c in self.additive_basis(n).classes
+                       if c.side == "C"]
+            reps = [class_element(c, self.named) for c in classes]
+            monos = sorted({m for rep in reps for m in rep.terms})
+            idx = {m: i for i, m in enumerate(monos)}
+            a = np.zeros((len(monos), len(classes)), dtype=np.uint8)
+            for j, rep in enumerate(reps):
+                for m, coeff in rep.terms.items():
+                    a[idx[m], j] = coeff
+            cached = self._split_solvers[n] = (GF3Solver(a), idx, classes)
+        return cached
+
     def check_additive_basis(self, n: int) -> bool:
         """Count == dim H^n and representatives independent mod im(d)."""
         classes, mat = self.class_columns(n)
@@ -199,13 +216,16 @@ class Engine:
                 if c:
                     witness = witness + Element.monomial(
                         bprev.monomials[j - k], c)
-        # reconstruction identity, checked on every call
+        # reconstruction identity, checked on every call (also under -O)
         recon = Element.zero()
         for j in range(k):
             c = int(res.solution[j])
             if c:
                 recon = recon + class_element(classes[j], self.named).scaled(c)
-        assert z - recon == self.d(witness)
+        if z - recon != self.d(witness):
+            raise RuntimeError(
+                f"decompose: reconstruction failed in degree {n}: input minus "
+                "class combination is not d(witness)")
         return ClassDecomposition(n, coeffs, witness)
 
     # -- misc -----------------------------------------------------------------

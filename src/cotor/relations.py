@@ -397,17 +397,8 @@ def discover_relation(support, degree, engine, paper_vector=None):
     return result
 
 
-def _in_span(vec, rows) -> bool:
-    vec = [int(v) % 3 for v in vec]
-    if not rows:
-        return not any(vec)
-    a = np.array(rows, dtype=np.uint8).T
-    return GF3Solver(a).solve(np.array(vec, dtype=np.uint8)).in_image
-
-
-def _support_flip_mask(support_mono: str | dict, flips: dict) -> int:
-    poly = parse_poly(support_mono) if isinstance(support_mono, str) else support_mono
-    ((mono, _),) = poly.items()
+def _support_flip_mask(mono: tuple, flips: dict) -> int:
+    """Sign that the generator flips ``{name: -1}`` put on one monomial."""
     s = 1
     for name, e in mono:
         if name in flips and e % 2:
@@ -416,20 +407,49 @@ def _support_flip_mask(support_mono: str | dict, flips: dict) -> int:
 
 
 def _match_vector(support, paper_vector, solutions):
-    """Is the printed vector in the solution span, up to generator flips?"""
+    """Is the printed vector in the solution span, up to generator flips?
+
+    Membership is one product with a parity-check matrix ``check`` of the
+    span (its rows span the kernel of the solution rows, so v is in the
+    span iff check @ v = 0).  Flip subsets are walked by size, then in
+    lexicographic order; a flip only changes the vector through the sign
+    pattern it puts on the support, so each pattern is tested once.
+    """
     from itertools import combinations
 
-    if _in_span(paper_vector, solutions):
+    width = len(paper_vector)
+    if solutions:
+        kernel = GF3Solver(np.array(solutions, dtype=np.uint8)).kernel_basis()
+        check = np.array(kernel, dtype=np.int64).reshape(-1, width)
+    else:
+        check = np.eye(width, dtype=np.int64)
+    vec = np.array(paper_vector, dtype=np.int64)
+
+    def in_span(v) -> bool:
+        return not (check @ v % 3).any()
+
+    if in_span(vec):
         return "exact", ()
-    names = sorted({n for s in support
-                    for mono in parse_poly(s)
-                    for n, _ in mono if n in NAMED_GENERATOR_NAMES})
+    monos = []
+    for s in support:
+        ((mono, _),) = parse_poly(s).items()
+        monos.append(dict(mono))
+    names = sorted({n for mono in monos for n in mono
+                    if n in NAMED_GENERATOR_NAMES})
+    # bit j of odd[n]: generator n has an odd exponent in support monomial j
+    odd = {n: sum(1 << j for j, mono in enumerate(monos)
+                  if mono.get(n, 0) % 2) for n in names}
+    tried = {0}
     for r in range(1, len(names) + 1):
         for subset in combinations(names, r):
-            flips = {n: -1 for n in subset}
-            flipped = [c * _support_flip_mask(s, flips)
-                       for c, s in zip(paper_vector, support)]
-            if _in_span(flipped, solutions):
+            pattern = 0
+            for n in subset:
+                pattern ^= odd[n]
+            if pattern in tried:
+                continue
+            tried.add(pattern)
+            signs = [-1 if pattern >> j & 1 else 1 for j in range(width)]
+            if in_span(vec * signs):
                 return "sign_flips", subset
     return "absent", ()
 
@@ -488,34 +508,11 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
     return RelationVerdict(record, "FAIL", note="degree beyond cap")
 
 
-_C_SOLVERS: dict = {}
-
-
-def _c_class_solver(engine, degree: int):
-    """Cached solver over the word-free basis classes of one degree."""
-    key = (id(engine), degree)
-    cached = _C_SOLVERS.get(key)
-    if cached is None:
-        from .cohomology import class_element
-
-        classes = [c for c in engine.additive_basis(degree).classes
-                   if c.side == "C"]
-        monos = sorted({m for c in classes
-                        for m in class_element(c, engine.named).terms})
-        idx = {m: i for i, m in enumerate(monos)}
-        a = np.zeros((len(monos), len(classes)), dtype=np.uint8)
-        for j, c in enumerate(classes):
-            for m, coeff in class_element(c, engine.named).terms.items():
-                a[idx[m], j] = coeff
-        cached = _C_SOLVERS[key] = (GF3Solver(a), idx, classes)
-    return cached
-
-
 def express_in_c_classes(element: Element, degree: int, engine) -> str | None:
     """Exact expansion of a word-free cocycle in basis-class coordinates."""
     if not element.in_commutative_subalgebra():
         return None
-    solver, idx, classes = _c_class_solver(engine, degree)
+    solver, idx, classes = engine.split_solver(degree)
     vec = np.zeros(len(idx), dtype=np.uint8)
     for m, c in element.terms.items():
         if m not in idx:
@@ -672,7 +669,7 @@ def verify_all(engine, groups=("i", "ii", "iii")) -> VerificationReport:
                 flips = {n: s for n, s in assignment.items() if s == -1}
                 flipped = Element.zero()
                 for mono, c in v.record.paper_poly.items():
-                    s = c * _support_flip_mask({mono: 1}, flips)
+                    s = c * _support_flip_mask(mono, flips)
                     flipped = flipped + engine.named_evaluator.monomial(
                         mono).scaled(s)
                 if flipped.is_zero():

@@ -290,6 +290,7 @@ class SpectralReport:
     n_max: int
     filtration_compatible: bool
     active_pages: list
+    collapsed_at: int | None = None
     checks: dict = field(default_factory=dict)
 
     @property
@@ -303,7 +304,7 @@ def run_scheme_checks(engine, scheme: str, n_max: int) -> SpectralReport:
     ss = SpectralSequence(engine, scheme)
     report = SpectralReport(scheme, n_max,
                             ss.check_filtration_compatibility(n_max),
-                            ss.active_pages(n_max))
+                            ss.active_pages(n_max), ss.collapsed_at(n_max))
     if scheme == "weight_s3":
         report.checks["pages_1_to_3_equal"] = ss.page_equality_check(1, 3, n_max)
         report.checks["pages_4_to_6_equal"] = ss.page_equality_check(4, 6, n_max)

@@ -89,6 +89,21 @@ def test_spectral_subcommand(capsys):
     assert payload["collapsed_at"] == 3
 
 
+def test_spectral_builds_each_profile_once(capsys, monkeypatch):
+    from cotor.gf3 import PrefixRankTable
+
+    builds = []
+    of = PrefixRankTable.of.__func__
+    monkeypatch.setattr(PrefixRankTable, "of", classmethod(
+        lambda cls, dense: builds.append(1) or of(cls, dense)))
+    code, out, _ = run_cli(capsys, "spectral", "--scheme", "may_s5",
+                           "--max-degree", "20", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    # one weight profile and one rank of d per degree 0..20
+    assert len(builds) == 2 * 21
+
+
 def test_spectral_page_grid_csv(capsys):
     code, out, _ = run_cli(capsys, "spectral", "--scheme", "trivial",
                            "--page", "1", "--max-degree", "10",

@@ -4,6 +4,7 @@ from cotor.cohomology import (
     additive_basis_classes, class_element, expand_rational, poincare_coeffs,
 )
 from cotor.dga import gen
+from cotor.gf3 import GF3Solver, SolveResult
 
 
 def test_series_first_coefficients():
@@ -100,6 +101,24 @@ def test_decompose_reconstruction(engine):
         total = total + class_element(cls, engine.named).scaled(c)
     assert total == z
     assert dec.coefficients            # the class part is nonzero
+
+
+def test_decompose_rejects_a_wrong_reconstruction(engine, monkeypatch):
+    # plant a wrong class coefficient behind the solver: the explicit
+    # reconstruction check must catch it (it is not an assert, so it also
+    # runs under python -O)
+    solve = GF3Solver.solve
+
+    def planted(self, v):
+        res = solve(self, v)
+        x = res.solution.copy()
+        x[0] = (x[0] + 1) % 3
+        return SolveResult(x, res.residual)
+
+    y20 = engine.named["y20"].element
+    monkeypatch.setattr(GF3Solver, "solve", planted)
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        engine.decompose(y20, 20)
 
 
 def test_rank_nullity_bookkeeping(engine):

@@ -1,12 +1,18 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+from cotor import relations
 from cotor.dga import Element, gen
+from cotor.engine import Engine
 from cotor.formal import parse_poly, monomial_degree
-from cotor.derivation import NAMED_DEGREES
+from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
+from cotor.gf3 import GF3Solver
 from cotor.relations import (
-    GROUP_I, GROUP_II, GROUP_III, discover_relation, express_in_c_classes,
-    ideal_and_split_check, relation_catalog, verify_all, verify_relation,
-    verify_witness,
+    GROUP_I, GROUP_II, GROUP_III, _match_vector, discover_relation,
+    express_in_c_classes, ideal_and_split_check, relation_catalog,
+    verify_all, verify_relation, verify_witness,
 )
 
 
@@ -195,6 +201,16 @@ def test_verify_all_summary(engine):
     for entry in report.errata:
         if entry["verdict"] == "CORRECTED":
             assert entry["engine_coeffs"]
+    # the group-i outcome, down to the reported flip subsets
+    group_i = {v.record.rid: (v.verdict, list(v.sign_flips))
+               for v in report.verdicts if v.record.group == "i"}
+    pinned = {"i.01": ("SIGNED", ["a8"]), "i.04": ("SIGNED", ["a10"]),
+              "i.05": ("SIGNED", ["a4"]), "i.14": ("SIGNED", ["a10"]),
+              "i.10": ("EXACT", [])}
+    for rid, outcome in group_i.items():
+        assert outcome == pinned.get(rid, ("CORRECTED", [])), rid
+    assert len(group_i) == 35
+    assert len(report.errata) == 40
 
 
 def test_express_in_c_classes(engine):
@@ -219,3 +235,105 @@ def test_ideal_spot_products(engine):
     assert set(dec.coefficients) == {"x26*y20"}
     dec = engine.decompose(named["y20"].element * named["y22"].element, 42)
     assert set(dec.coefficients) == {"y20*y22"}
+
+
+# -- the sign-flip search ------------------------------------------------------
+
+
+def _brute_force_match(support, paper_vector, solutions):
+    """Reference search: every flip subset, by size, each tested by a solve."""
+
+    def in_span(vec):
+        vec = np.array([int(v) % 3 for v in vec], dtype=np.uint8)
+        if not solutions:
+            return not vec.any()
+        a = np.array(solutions, dtype=np.uint8).T
+        return GF3Solver(a).solve(vec).in_image
+
+    def flip_sign(text, subset):
+        ((mono, _),) = parse_poly(text).items()
+        return (-1) ** sum(e for n, e in mono if n in subset)
+
+    if in_span(paper_vector):
+        return "exact", ()
+    names = sorted({n for s in support for mono in parse_poly(s)
+                    for n, _ in mono if n in NAMED_GENERATOR_NAMES})
+    for r in range(1, len(names) + 1):
+        for subset in combinations(names, r):
+            flipped = [c * flip_sign(s, subset)
+                       for c, s in zip(paper_vector, support)]
+            if in_span(flipped):
+                return "sign_flips", subset
+    return "absent", ()
+
+
+MATCH_CASES = {
+    "exact": (["a4*y26", "a8*y22", "a10*y20"], (1, -1, -1),
+              ((1, 2, 2),), ("exact", ())),
+    # a4 and y20 put the same sign pattern on the support as a10, which
+    # fails; they are skipped and a8 is the first subset that matches
+    "repeated_pattern": (["a10*a4*y20", "a8", "y22"], (1, -1, 1),
+                         ((1, 1, 1),), ("sign_flips", ("a8",))),
+    "two_generators": (["a4", "a8", "a10", "a4^2"], (1, -1, -1, 1),
+                       ((1, 1, 1, 1),), ("sign_flips", ("a10", "a8"))),
+    "absent": (["a4*y20", "a8*y22", "a10*y26"], (1, 1, 0),
+               ((1, 1, 1),), ("absent", ())),
+    "no_solutions": (["y20*a4", "y22*a8"], (1, -1), (), ("absent", ())),
+    "no_solutions_zero": (["y20*a4", "y22*a8"], (0, 0), (), ("exact", ())),
+    "two_solutions": (["a4*y20", "a8*y22", "a10*y26", "y20*y22"],
+                      (1, 1, 2, 1), ((1, 0, 1, 0), (0, 1, 0, 1)),
+                      ("sign_flips", ("a10",))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATCH_CASES))
+def test_match_vector_against_brute_force(case):
+    support, paper_vector, solutions, expected = MATCH_CASES[case]
+    assert _brute_force_match(support, paper_vector, solutions) == expected
+    assert _match_vector(support, paper_vector, solutions) == expected
+
+
+def test_match_vector_random_cases_against_brute_force():
+    rng = np.random.default_rng(7)
+    names = ["a4", "a8", "a10", "y20", "y22"]
+    outcomes = set()
+    for trial in range(80):
+        k = int(rng.integers(2, 6))
+        support = sorted({"*".join(f"{n}^{e}" for n, e in
+                                   zip(names, rng.integers(1, 4, 5)))
+                          for _ in range(k)})
+        rows = rng.integers(0, 3, (int(rng.integers(0, 3)), len(support)))
+        solutions = tuple(tuple(int(x) for x in r) for r in rows if r.any())
+        if trial % 2 and solutions:
+            # a span vector with random signs: often a sign_flips hit
+            vec = rng.integers(0, 3, len(solutions)) @ np.array(solutions)
+            vec = vec * rng.choice([-1, 1], len(support))
+        else:
+            vec = rng.integers(-1, 2, len(support))
+        paper_vector = tuple(int(x) for x in vec)
+        expected = _brute_force_match(support, paper_vector, solutions)
+        assert _match_vector(support, paper_vector, solutions) == expected
+        outcomes.add(expected[0])
+    assert outcomes == {"exact", "sign_flips", "absent"}
+
+
+def test_class_solver_is_engine_owned(engine):
+    y20 = engine.named["y20"].element
+    solver = engine.split_solver(20)
+    assert engine.split_solver(20) is solver
+    twin = Engine(convention="parity")
+    assert express_in_c_classes(y20, 20, twin) == "+y20"
+    assert twin.split_solver(20) is not solver
+    # the plus rule has no cocycle representatives, so it cannot build a
+    # class solver of its own; it must fail rather than borrow one
+    plus = Engine(convention="plus")
+    with pytest.raises(RuntimeError, match="not a cocycle"):
+        express_in_c_classes(y20, 20, plus)
+    assert 20 not in plus._split_solvers
+    # nothing in the relations module holds solvers across engines
+    held = [name for name, value in vars(relations).items()
+            if isinstance(value, (dict, list, set))
+            and any(isinstance(x, (GF3Solver, tuple))
+                    for x in (value.values() if isinstance(value, dict)
+                              else value))]
+    assert held == []
