@@ -1,13 +1,16 @@
 """On-disk cache for differential matrices.
 
 Files live under ``<cache_dir>/<fingerprint>/d_<n>.gf3mat`` in the
-canonical GF3MAT v1 text format.  The fingerprint encodes engine version
-and sign convention, so a stale cache is simply never found; a corrupted
-file is rebuilt with a warning, never silently reused.
+canonical GF3MAT v1 text format.  The fingerprint encodes engine version,
+sign convention and a hash of the source of the modules that build the
+matrices, so a stale cache (also one written by an edited differential)
+is simply never found; a corrupted file is rebuilt with a warning, never
+silently reused.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -18,10 +21,25 @@ log = logging.getLogger("cotor.cache")
 
 ENGINE_VERSION = "1.0.0"
 
+# the modules whose code determines the cached matrices, and where they are
+CONSTRUCTION_SOURCES = ("dga.py", "differential.py")
+SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+@functools.cache
+def construction_digest(source_dir: str) -> str:
+    """sha256 of the construction modules' source, read once per process."""
+    digest = hashlib.sha256()
+    for name in CONSTRUCTION_SOURCES:
+        with open(os.path.join(source_dir, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
 
 def fingerprint(convention: str) -> str:
+    code = construction_digest(SOURCE_DIR)
     digest = hashlib.sha256(
-        f"cotor/{ENGINE_VERSION}/leibniz={convention}".encode())
+        f"cotor/{ENGINE_VERSION}/leibniz={convention}/code={code}".encode())
     return digest.hexdigest()[:12]
 
 

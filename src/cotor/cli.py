@@ -39,7 +39,6 @@ def _add_common(p, suppress: bool):
                    default=d("all"))
     p.add_argument("--convention", default=d("audit"),
                    help="audit | force:parity | force:plus | force:minus")
-    p.add_argument("--jobs", type=int, default=d(1))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -83,8 +82,7 @@ def _engine(args) -> Engine:
     return Engine(max_degree=(args.max_degree if args.max_degree is not None
                               else DEFAULT_MAX_DEGREE),
                   convention=conv,
-                  cache_dir=args.cache_dir,
-                  jobs=args.jobs)
+                  cache_dir=args.cache_dir)
 
 
 def _default_degree(args, fallback: int) -> int:
@@ -124,7 +122,6 @@ def _header(args, engine: Engine):
             "page": args.page,
             "group": args.group,
             "convention": args.convention,
-            "jobs": args.jobs,
         },
     }
     print(json.dumps(header, sort_keys=True), file=sys.stderr)

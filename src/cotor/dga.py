@@ -132,6 +132,24 @@ def mono_mul(m1: Monomial, m2: Monomial) -> dict:
     return out
 
 
+def times_a9(m: Monomial) -> dict:
+    """m * a9 in normal form, as Monomial -> coeff.
+
+    Pushing the commutative part E of m through a9 rewrites each b_j factor
+    once, and the c17 it leaves behind commutes with everything, so
+    E * a9 = a9 * E + c17 * sum_j e_j * a_{j-8} * E / b_j.
+    """
+    out = {Monomial(m.word + (A9,), m.exps): 1}
+    for b, a in _B_TO_A.items():
+        e = m.exps[b] % 3
+        if e:
+            exps = list(m.exps)
+            exps[b] -= 1
+            exps[a] += 1
+            out[Monomial(m.word + (C17,), tuple(exps))] = e
+    return out
+
+
 class Element:
     """Finite GF(3)-linear combination of normal-form monomials."""
 

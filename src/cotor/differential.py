@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import random
 
 from .dga import (
-    A9, C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, ZERO_EXPS,
-    DegreeBasis, Element, Monomial, enumerate_basis, gen, mono_mul,
+    _B_TO_A, A9, C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, ZERO_EXPS,
+    DegreeBasis, Element, Monomial, _merge, enumerate_basis, gen, times_a9,
 )
 from .gf3 import SparseMatrixF3
 
@@ -40,60 +40,21 @@ def _eps_factor(convention: str, factor_degree: int) -> int:
     raise KeyError(f"unknown sign convention {convention!r}")
 
 
-# d on single generators: word letter -> Element (a9 -> 0, c17 -> a9^2),
-# commutative index -> Element (b_j -> -a9 a_{j-8}, a_i -> 0)
-_D_WORD = {C17: Element({Monomial((A9, A9), ZERO_EXPS): 1})}
-
-
-def _d_comm(g: int) -> Element | None:
-    if g < 3:
-        return None
-    exps = list(ZERO_EXPS)
-    exps[g - 3] = 1
-    return Element({Monomial((A9,), tuple(exps)): -1})
-
-
-def _factors(m: Monomial):
-    """Canonical factor sequence: word letters, then commutative generators."""
+def _eps_mono(convention: str, m: Monomial) -> int:
+    """Leibniz sign of a monomial: the product over its canonical factors."""
+    s = 1
     for x in m.word:
-        yield ("w", x, WORD_DEGREES[x])
+        s *= _eps_factor(convention, WORD_DEGREES[x])
     for g, e in enumerate(m.exps):
-        for _ in range(e):
-            yield ("c", g, COMM_DEGREES[g])
+        if e % 2:
+            s *= _eps_factor(convention, COMM_DEGREES[g])
+    return s
 
 
-def d_mono(m: Monomial, convention: str = DEFAULT_CONVENTION) -> Element:
-    """Differential of one normal-form monomial via the factor Leibniz rule."""
-    factors = list(_factors(m))
-    out = {}
-    sign = 1
-    for i, (kind, g, deg) in enumerate(factors):
-        dg = _D_WORD.get(g) if kind == "w" else _d_comm(g)
-        if dg is not None:
-            # prefix and suffix are themselves normal-form monomials
-            wsplit = i if kind == "w" else len(m.word)
-            prefix = Monomial(m.word[:wsplit], _exps_of(factors[len(m.word):i]))
-            suffix = Monomial(m.word[wsplit + 1:] if kind == "w" else (),
-                              _exps_of(factors[i + 1:]))
-            for dm, dc in dg.terms.items():
-                for m1, c1 in mono_mul(prefix, dm).items():
-                    for m2, c2 in mono_mul(m1, suffix).items():
-                        c = (sign * dc * c1 * c2) % 3
-                        cc = (out.get(m2, 0) + c) % 3
-                        if cc:
-                            out[m2] = cc
-                        else:
-                            out.pop(m2, None)
-        sign *= _eps_factor(convention, deg)
-    return Element(out)
-
-
-def _exps_of(factors) -> tuple:
-    exps = [0] * 6
-    for kind, g, _ in factors:
-        if kind == "c":
-            exps[g] += 1
-    return tuple(exps)
+def _times_gen(m: Monomial, g: int) -> Monomial:
+    """m * g for a commutative generator g: g lands right of the word,
+    so no rewrite fires and only an exponent moves."""
+    return Monomial(m.word, m.exps[:g] + (m.exps[g] + 1,) + m.exps[g + 1:])
 
 
 class Differential:
@@ -106,12 +67,49 @@ class Differential:
         self._mono_cache: dict[Monomial, Element] = {}
 
     def of_mono(self, m: Monomial) -> Element:
-        try:
-            return self._mono_cache[m]
-        except KeyError:
-            v = d_mono(m, self.convention)
-            self._mono_cache[m] = v
+        """d of one normal-form monomial, memoized.
+
+        Peels off the last canonical factor f of m = m'*f and applies
+        d(m) = d(m')*f + eps(m')*m'*d(f).  A prefix of the canonical factor
+        sequence is itself the normal form m', so this is the factor-by-
+        factor Leibniz rule regrouped; d(m') comes from the memo (an
+        ascending build has made it already).  Since f is the last
+        commutative generator, or the last letter of a word-only m,
+        d(m')*f is an exponent shift or an appended letter.  d(f) is
+        nonzero only for b12, b16, b18 (-a9*a_{j-8}) and c17 (a9^2), and
+        m'*d(f) has a closed form: ``times_a9`` for b_j, and for c17 the
+        prefix is word-only, so a9^2 is appended.
+        """
+        v = self._mono_cache.get(m)
+        if v is not None:
             return v
+        g = 5
+        while g >= 0 and not m.exps[g]:
+            g -= 1
+        if g >= 0:
+            prefix = Monomial(m.word,
+                              m.exps[:g] + (m.exps[g] - 1,) + m.exps[g + 1:])
+            out = {_times_gen(t, g): c
+                   for t, c in self.of_mono(prefix).terms.items()}
+            if g in _B_TO_A:
+                # eps(m') * m' * d(b_g) = -eps(m') * (m' * a9) * a_{g-8}
+                sign = -_eps_mono(self.convention, prefix)
+                for t, c in times_a9(prefix).items():
+                    _merge(out, _times_gen(t, _B_TO_A[g]), sign * c)
+        elif m.word:
+            # word-only m: d(m') is word-only too, so f = x is appended
+            x = m.word[-1]
+            prefix = Monomial(m.word[:-1], ZERO_EXPS)
+            out = {Monomial(t.word + (x,), ZERO_EXPS): c
+                   for t, c in self.of_mono(prefix).terms.items()}
+            if x == C17:
+                # eps(m') * m' * d(c17) = eps(m') * m' * a9^2
+                _merge(out, Monomial(prefix.word + (A9, A9), ZERO_EXPS),
+                       _eps_mono(self.convention, prefix))
+        else:
+            out = {}
+        v = self._mono_cache[m] = Element(out)
+        return v
 
     def __call__(self, x: Element) -> Element:
         out = Element.zero()
@@ -128,10 +126,7 @@ class Differential:
         # "minus" is per-factor and need not be constant on a degree; it is
         # well-defined on single monomials only
         (m, _), = x.terms.items()
-        s = 1
-        for _ in _factors(m):
-            s = -s
-        return s
+        return _eps_mono("minus", m)
 
     def leibniz(self, x: Element, y: Element) -> Element:
         """d(x*y) computed through the product rule (for the audit)."""
@@ -142,11 +137,12 @@ class Differential:
         """Matrix of d from degree n to degree n+1 in basis coordinates."""
         bn = basis_n or enumerate_basis(n)
         bn1 = basis_n1 or enumerate_basis(n + 1)
-        triples = []
+        index = bn1.index
+        entries = {}
         for j, m in enumerate(bn.monomials):
             for t, c in self.of_mono(m).terms.items():
-                triples.append((bn1.index[t], j, c))
-        return SparseMatrixF3.from_triples(len(bn1), len(bn), triples)
+                entries[(index[t], j)] = c
+        return SparseMatrixF3(len(bn1), len(bn), entries)
 
 
 # -- audit ----------------------------------------------------------------

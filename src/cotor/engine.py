@@ -2,14 +2,13 @@
 
 Everything downstream of the differential (matrices, ranks, cohomology
 dimensions, class solvers) is memoized here; all cached values are
-immutable after construction, so read access from parallel workers is
-safe.  The degree cap only bounds what the *matrix-backed* operations may
-touch; identity checks by direct evaluation are uncapped.
+immutable after construction.  The degree cap only bounds what the
+*matrix-backed* operations may touch; identity checks by direct
+evaluation are uncapped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +36,9 @@ class ClassDecomposition:
 
 class Engine:
     def __init__(self, max_degree: int = DEFAULT_MAX_DEGREE,
-                 convention: str = "audit", cache_dir=None, jobs: int = 1,
+                 convention: str = "audit", cache_dir=None,
                  audit_kwargs: dict | None = None):
         self.max_degree = max_degree
-        self.jobs = max(1, jobs)
         self.audit_report: AuditReport | None = None
         if convention == "audit":
             # selection audit: small bounds suffice to reject the bad rules;
@@ -97,14 +95,10 @@ class Engine:
         return a
 
     def build_range(self, n_max: int):
-        """Materialize matrices for all degrees <= n_max (optionally parallel)."""
-        degrees = [n for n in range(n_max + 1) if n not in self._matrices]
-        if self.jobs > 1 and len(degrees) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                list(pool.map(self.d_matrix, degrees))
-        else:
-            for n in degrees:
-                self.d_matrix(n)
+        """Materialize matrices for all degrees <= n_max, in ascending order
+        (so each monomial's prefix already has its differential memoized)."""
+        for n in range(n_max + 1):
+            self.d_matrix(n)
 
     def rank(self, n: int) -> int:
         if n < 0:
@@ -236,5 +230,4 @@ class Engine:
             "convention": self.convention,
             "fingerprint": self.fingerprint,
             "max_degree": self.max_degree,
-            "jobs": self.jobs,
         }

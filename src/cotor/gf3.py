@@ -73,13 +73,6 @@ class SparseMatrixF3:
             ent[(int(r), int(c))] = int(a[r, c]) % 3
         return cls(a.shape[0], a.shape[1], ent)
 
-    @classmethod
-    def from_triples(cls, n_rows, n_cols, triples) -> "SparseMatrixF3":
-        ent = {}
-        for r, c, v in triples:
-            ent[(r, c)] = (ent.get((r, c), 0) + v) % 3
-        return cls(n_rows, n_cols, ent)
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
         for (r, c), v in self.entries.items():
@@ -158,15 +151,18 @@ class RrefResult:
 def rref(m: SparseMatrixF3) -> RrefResult:
     """Reduced row-echelon form over GF(3), with rank and pivot columns."""
     r, rank, pivots = _backend.rref(m.to_dense())
-    # rank-nullity sanity check, per computation
-    assert rank + (m.n_cols - rank) == m.n_cols
+    # checked on every call (also under -O): row i has its pivot in column
+    # pivots[i], and that column is zero elsewhere
+    if rank != len(pivots) or not np.array_equal(
+            r[:, list(pivots)], np.eye(m.n_rows, rank, dtype=np.uint8)):
+        raise RuntimeError("rref: a pivot column is not a unit vector")
     return RrefResult(SparseMatrixF3.from_dense(r), rank, list(pivots))
 
 
 def kernel_basis(m: SparseMatrixF3) -> list:
     """Basis of the right kernel, as uint8 column vectors."""
-    r, rank, pivots = _backend.rref(m.to_dense())
-    assert m.n_cols - rank == m.n_cols - len(pivots)
+    a = m.to_dense()
+    r, rank, pivots = _backend.rref(a)
     pivset = set(pivots)
     free = [c for c in range(m.n_cols) if c not in pivset]
     basis = []
@@ -176,6 +172,9 @@ def kernel_basis(m: SparseMatrixF3) -> list:
         for i, p in enumerate(pivots):
             v[p] = (-int(r[i, f])) % 3
         basis.append(v)
+    # checked on every call (also under -O): A K = 0 (mod 3)
+    if basis and _backend.matmul(a, np.stack(basis, axis=1)).any():
+        raise RuntimeError("kernel_basis: a basis vector is not in the kernel")
     return basis
 
 
@@ -211,7 +210,8 @@ def solve_in_image(m: SparseMatrixF3, v) -> SolveResult:
     residual = (v.astype(np.int64) - m.matvec(x).astype(np.int64)) % 3
     residual = residual.astype(np.uint8)
     if consistent:
-        assert not residual.any()
+        if residual.any():
+            raise RuntimeError("solve_in_image: solution leaves a residual")
         return SolveResult(x, residual)
     return SolveResult(None, residual)
 

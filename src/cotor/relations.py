@@ -647,11 +647,13 @@ def verify_all(engine, groups=("i", "ii", "iii")) -> VerificationReport:
     group-i prints) is attempted first; it is provably inconsistent for
     the printed catalogs, in which case the assignment is solved from the
     witness identities alone (yielding all +1) and the group-i slips stay
-    in the errata as per-record findings.
+    in the errata as per-record findings.  The system is always solved
+    over the whole catalog; ``groups`` only selects the records reported,
+    so a group's verdicts do not depend on which other groups are asked
+    for.
     """
-    records = [r for r in relation_catalog(engine) if r.group in groups]
     verdicts = []
-    for rec in records:
+    for rec in relation_catalog(engine):
         if rec.group == "i":
             verdicts.append(verify_relation(rec, engine))
         else:
@@ -675,6 +677,7 @@ def verify_all(engine, groups=("i", "ii", "iii")) -> VerificationReport:
                 if flipped.is_zero():
                     v.verdict = "SIGNED"
                     v.sign_flips = tuple(sorted(flips))
+    verdicts = [v for v in verdicts if v.record.group in groups]
     errata = [v.as_json() for v in verdicts
               if v.verdict in ("SIGNED", "CORRECTED")
               or v.witness_sign == -1]

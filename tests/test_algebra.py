@@ -4,7 +4,7 @@ import pytest
 
 from cotor.dga import (
     COMM_NAMES, GEN_NAMES, Element, Monomial, comm_monomial, element_vector,
-    enumerate_basis, gen, parse_monomial,
+    enumerate_basis, gen, mono_mul, parse_monomial, times_a9,
 )
 
 
@@ -33,6 +33,13 @@ def test_iterated_rewrite():
     rhs = (E("a9") * E("b12") * E("b12")
            + (E("c17") * E("a4") * E("b12")).scaled(2))
     assert lhs == rhs
+
+
+def test_times_a9_closed_form_matches_the_rewrite():
+    a9 = parse_monomial("a9")
+    for n in range(49):
+        for m in enumerate_basis(n).monomials:
+            assert times_a9(m) == mono_mul(m, a9), m.text()
 
 
 def test_word_letters_multiply_freely():

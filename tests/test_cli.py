@@ -1,8 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
-from cotor.cache import MatrixCache, fingerprint
+import cotor
+from cotor import cache as cache_mod
+from cotor.cache import CONSTRUCTION_SOURCES, MatrixCache, fingerprint
 from cotor.cli import main
 from cotor.engine import Engine
 
@@ -176,6 +182,36 @@ def test_cache_fingerprint_mismatch_is_a_miss(tmp_path, engine):
     other = MatrixCache(tmp_path, "plus")
     assert fingerprint("parity") != fingerprint("plus")
     assert other.load(17) is None
+
+
+def test_cache_fingerprint_sees_construction_source(tmp_path, monkeypatch):
+    # an unchanged copy of the construction modules keeps the fingerprint,
+    # an edited one moves it, so old matrices are never read back
+    for name in CONSTRUCTION_SOURCES:
+        shutil.copy(os.path.join(cache_mod.SOURCE_DIR, name), tmp_path)
+    before = fingerprint("parity")
+    monkeypatch.setattr(cache_mod, "SOURCE_DIR", str(tmp_path))
+    assert fingerprint("parity") == before
+    source = tmp_path / "differential.py"
+    source.write_text(source.read_text() + "\nDEFAULT_CONVENTION = 'plus'\n")
+    cache_mod.construction_digest.cache_clear()
+    assert fingerprint("parity") != before
+
+
+def test_cache_fingerprint_same_in_two_processes():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
+    code = "from cotor.cache import fingerprint; print(fingerprint('parity'))"
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, check=True).stdout.strip()
+            for _ in range(2)]
+    assert outs == [fingerprint("parity")] * 2
+
+
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["homology", "--max-degree", "4", "--jobs", "2"])
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_cache_corruption_rebuilds(tmp_path, engine, caplog):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cotor
+from cotor import gf3
 from cotor.gf3 import (
     GF3Solver, PrefixRankTable, SparseMatrixF3, backends, inv3,
     kernel_basis, rref, solve_in_image,
@@ -183,3 +189,55 @@ def test_prefix_rank_table_matches_direct_ranks():
     for r, c in [(0, 0), (5, 7), (12, 3), (30, 30), (17, 29)]:
         direct = rref(SparseMatrixF3.from_dense(a[:r, :c])).rank
         assert table.rank(rows=r, cols=c) == direct
+
+
+class _PlantedBackend:
+    """The active backend, with one entry of rref's output overwritten."""
+
+    def __init__(self, real, entry, value):
+        self.real, self.entry, self.value = real, entry, value
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def rref(self, a):
+        r, rank, pivots = self.real.rref(a)
+        r = r.copy()
+        r[self.entry] = self.value
+        return r, rank, pivots
+
+
+# (call, matrix, planted rref entry and value); each plant breaks what the
+# call returns without touching rank or pivots
+_PLANTED = {
+    # pivot column 1 of rref([[1, 1], [0, 1]]) = I gets a second nonzero
+    "rref": (lambda m: rref(m), [[1, 1], [0, 1]], (0, 1), 1),
+    # free column 1 of [[1, 1, 0], [0, 0, 1]]: the kernel vector goes wrong
+    "kernel_basis": (lambda m: kernel_basis(m), [[1, 1, 0], [0, 0, 1]],
+                     (0, 1), 2),
+    # the solution read off the augmented column no longer solves
+    "solve_in_image": (lambda m: solve_in_image(m, [2, 1]),
+                       [[1, 0], [0, 1]], (0, 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED))
+def test_planted_backend_fault_raises(name, monkeypatch):
+    call, rows, entry, value = _PLANTED[name]
+    call(M(rows))           # the honest backend passes the check
+    monkeypatch.setattr(gf3, "_backend",
+                        _PlantedBackend(gf3._backend, entry, value))
+    with pytest.raises(RuntimeError, match=name):
+        call(M(rows))
+
+
+def test_planted_backend_faults_raise_under_python_O():
+    # the checks are not asserts: they must survive python -O
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "test_planted_backend_fault_raises"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert f"{len(_PLANTED)} passed" in proc.stdout
