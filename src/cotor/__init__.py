@@ -7,14 +7,10 @@ from .cache import ENGINE_VERSION as __version__
 from .dga import Element, Monomial, enumerate_basis, gen
 from .differential import Differential, audit_conventions
 from .engine import Engine
-from .gf3 import (
-    BACKEND_NAME, HAVE_COMPILED_CORE, SparseMatrixF3, kernel_basis, rref,
-    solve_in_image,
-)
+from .gf3 import SparseMatrixF3, kernel_basis, rref, solve_in_image
 
 __all__ = [
-    "BACKEND_NAME", "Differential", "Element", "Engine",
-    "HAVE_COMPILED_CORE", "Monomial", "SparseMatrixF3",
+    "Differential", "Element", "Engine", "Monomial", "SparseMatrixF3",
     "audit_conventions", "enumerate_basis", "gen", "kernel_basis",
     "rref", "solve_in_image", "__version__",
 ]

@@ -21,7 +21,14 @@ import time
 from .cache import ENGINE_VERSION
 from .engine import Engine
 
-MAX_SUPPORTED_DEGREE = 160
+# Largest --max-degree a cold `cotor homology` run completes within a
+# 6,000,000 KB address-space limit (`ulimit -v 6000000`).  Measured on
+# 2 vCPUs / 8 GB, Python 3.11, cold cache, peak RSS of the process:
+#   N = 100: 1.6 s, 89 MB     N = 130: 18 s, 520 MB
+#   N = 110: 3.4 s, 146 MB    N = 140: 39 s, 1.05 GB
+#   N = 120: 7.3 s, 267 MB    N = 150: 94 s, 2.2 GB
+# Memory doubles every 10 degrees, so 160 would need about 4.6 GB.
+MAX_SUPPORTED_DEGREE = 150
 
 
 def _add_common(p, suppress: bool):

@@ -19,7 +19,7 @@ from .cohomology import CotorBasis, additive_basis_classes, class_element
 from .derivation import build_named_generators, named_evaluator
 from .dga import DegreeBasis, Element, element_vector, enumerate_basis
 from .differential import AuditReport, Differential, audit_conventions
-from .gf3 import GF3Solver, SparseMatrixF3
+from .gf3 import Echelon, SparseMatrixF3
 
 DEFAULT_MAX_DEGREE = 80
 
@@ -57,7 +57,7 @@ class Engine:
         self._named = None
         self._named_ev = None
         self._class_columns: dict[int, tuple] = {}
-        self._decompose_solvers: dict[int, GF3Solver] = {}
+        self._decompose_solvers: dict[int, Echelon] = {}
         self._split_solvers: dict[int, object] = {}
 
     # -- bases and matrices -------------------------------------------------
@@ -105,8 +105,8 @@ class Engine:
             return 0
         r = self._ranks.get(n)
         if r is None:
-            from .gf3 import PrefixRankTable
-            r = self._ranks[n] = PrefixRankTable.of(self.d_dense(n)).rank()
+            r = self._ranks[n] = Echelon(self.d_matrix(n),
+                                         transform=False).rank
         return r
 
     # -- cohomology ----------------------------------------------------------
@@ -167,7 +167,7 @@ class Engine:
             for j, rep in enumerate(reps):
                 for m, coeff in rep.terms.items():
                     a[idx[m], j] = coeff
-            cached = self._split_solvers[n] = (GF3Solver(a), idx, classes)
+            cached = self._split_solvers[n] = (Echelon(a), idx, classes)
         return cached
 
     def check_additive_basis(self, n: int) -> bool:
@@ -177,8 +177,7 @@ class Engine:
             return False
         combined = np.concatenate([mat, self.d_dense(n - 1)], axis=1) \
             if n >= 1 else mat
-        from .gf3 import PrefixRankTable
-        rank = PrefixRankTable.of(combined).rank()
+        rank = Echelon(combined, transform=False).rank
         return rank == len(classes) + self.rank(n - 1)
 
     def decompose(self, z: Element, n: int | None = None) -> ClassDecomposition:
@@ -192,7 +191,7 @@ class Engine:
         if solver is None:
             a = np.concatenate([mat, self.d_dense(n - 1)], axis=1) \
                 if n >= 1 else mat
-            solver = self._decompose_solvers[n] = GF3Solver(a)
+            solver = self._decompose_solvers[n] = Echelon(a)
         v = element_vector(z, self.basis(n))
         res = solver.solve(v)
         if res.solution is None:

@@ -1,48 +1,23 @@
 """Exact linear algebra over the field with three elements.
 
 Scalars are canonical residues in {0, 1, 2}; every operation reduces
-eagerly, so equality of values is equality of representations.  The heavy
-kernels (row reduction, column-echelon profiles) live in a compiled
-extension when available and in a numpy fallback otherwise; both expose
-the same contract and the benchmark suite compares them.
+eagerly, so equality of values is equality of representations.
 
 The public matrix type is sparse-by-triples (the per-degree differential
-matrices are tall, thin and very sparse), but elimination densifies: at
-the degree caps this engine targets, dense uint8 working copies are far
-below memory limits and are what both backends operate on.
+matrices are tall, thin and very sparse).  All elimination goes through
+one primitive, `Echelon`: a greedy column-echelon pass that reads rank,
+prefix ranks, kernels and solves off the same reduction.  It works on
+bitsliced vectors (after Boothby and Bradshaw, arXiv:0901.1413): a
+vector is a pair of Python integers ``(pos, neg)`` whose bit ``i`` says
+that entry ``i`` is +1, respectively -1 (= 2), so one vector addition is
+a handful of word-parallel bit operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-try:  # compiled core, optional
-    from . import _gf3core as _backend
-    HAVE_COMPILED_CORE = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _gf3numpy as _backend
-    HAVE_COMPILED_CORE = False
-
-from . import _gf3numpy
-
-BACKEND_NAME = _backend.BACKEND_NAME
-
-
-def backends():
-    """All importable backends, name -> module (for tests/benchmarks)."""
-    out = {"numpy": _gf3numpy}
-    if HAVE_COMPILED_CORE:
-        out["cython"] = _backend
-    return out
-
-
-def inv3(a: int) -> int:
-    """Multiplicative inverse mod 3; every nonzero scalar is its own inverse."""
-    if a % 3 == 0:
-        raise ZeroDivisionError("0 is not invertible in GF(3)")
-    return a % 3
 
 
 class SparseMatrixF3:
@@ -141,6 +116,240 @@ class SparseMatrixF3:
         return cls(n_rows, n_cols, ent)
 
 
+def _add(ap, an, bp, bn):
+    """(a + b) mod 3 on bit-plane pairs."""
+    x = ap ^ bp
+    y = an ^ bn
+    z = x & y
+    return (x ^ z) | (an & bn), (y ^ z) | (ap & bp)
+
+
+def _planes(a):
+    """Columns of a dense 2-D array or a `SparseMatrixF3` as bit-plane
+    pairs: ``(n_rows, n_cols, pos, neg)``."""
+    if isinstance(a, SparseMatrixF3):
+        pos, neg = [0] * a.n_cols, [0] * a.n_cols
+        for (r, c), v in a.entries.items():
+            if v == 1:
+                pos[c] |= 1 << r
+            else:
+                neg[c] |= 1 << r
+        return a.n_rows, a.n_cols, pos, neg
+    m, n = np.shape(a)
+    cols = np.ascontiguousarray(np.asarray(a).T) % 3
+    return m, n, _ints(cols == 1), _ints(cols == 2)
+
+
+def _ints(mask) -> list:
+    """Each row of a 2-D boolean array as an int: bit i is column i."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _combination(cp, cq, pos, neg, index=None):
+    """The sum of c_i times column i (or column ``index[i]``) over the
+    nonzero entries i of the bit-plane vector c."""
+    sp = sq = 0
+    bits = cp | cq
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        i = low.bit_length() - 1
+        if index is not None:
+            i = index[i]
+        if cp & low:
+            sp, sq = _add(sp, sq, pos[i], neg[i])
+        else:
+            sp, sq = _add(sp, sq, neg[i], pos[i])
+    return sp, sq
+
+
+def _vector(p, q, length) -> np.ndarray:
+    """A bit-plane pair as a uint8 vector with entries in {0, 1, 2}."""
+    size = (length + 7) // 8
+
+    def bits(x):
+        raw = np.frombuffer(x.to_bytes(size, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")[:length]
+
+    return bits(p) + 2 * bits(q)
+
+
+class Echelon:
+    """One greedy column-echelon pass over a GF(3) matrix.
+
+    Columns are reduced left to right against the earlier pivot columns,
+    always at their topmost nonzero row, so the pivots ``(lead_row, col)``
+    form the rank profile: ``rank(a[:r, :c])`` is the number of pivots
+    with ``lead_row < r`` and ``col < c``.  With ``transform`` the pass
+    also records, for every column, the combination of original columns
+    it reduced to; the columns that reduce to zero give the kernel, and
+    the pivot columns (back-reduced once, on the first solve, to unit
+    vectors at the lead rows) give ``x = T v[leads]``.  Without it only
+    the pivot list is kept.
+
+    Every kernel vector and every solution is checked against the
+    original columns before it is returned (``RuntimeError`` on failure,
+    also under ``python -O``).
+    """
+
+    def __init__(self, a, transform: bool = True):
+        m, n, pos, neg = _planes(a)
+        self.n_rows, self.n_cols = m, n
+        lead_of = [-1] * m          # lead row -> pivot index
+        red_pos, red_neg = [], []   # reduced pivot columns
+        tr_pos, tr_neg = [], []     # their transforms
+        kernel = []                 # (free column, transform)
+        pivots = []
+        for j in range(n):
+            p, q = pos[j], neg[j]
+            tp, tn = 1 << j, 0
+            while True:
+                nz = p | q
+                if not nz:
+                    if transform:
+                        kernel.append((j, tp, tn))
+                    break
+                low = nz & -nz
+                lead = low.bit_length() - 1
+                k = lead_of[lead]
+                if k < 0:
+                    if q & low:             # scale so the lead entry is 1
+                        p, q, tp, tn = q, p, tn, tp
+                    lead_of[lead] = len(pivots)
+                    pivots.append((lead, j))
+                    red_pos.append(p)
+                    red_neg.append(q)
+                    if transform:
+                        tr_pos.append(tp)
+                        tr_neg.append(tn)
+                    break
+                # subtract v[lead] times the pivot column (lead entry 1)
+                if p & low:
+                    p, q = _add(p, q, red_neg[k], red_pos[k])
+                    if transform:
+                        tp, tn = _add(tp, tn, tr_neg[k], tr_pos[k])
+                else:
+                    p, q = _add(p, q, red_pos[k], red_neg[k])
+                    if transform:
+                        tp, tn = _add(tp, tn, tr_pos[k], tr_neg[k])
+        self.pivots = pivots
+        self.rank = len(pivots)
+        self.pivot_columns = [c for _, c in pivots]
+        self.transform = transform
+        if transform:
+            self._cols = (pos, neg)
+            self._lead_of = lead_of
+            self._reduced = (red_pos, red_neg)
+            self._trans = (tr_pos, tr_neg)
+            self._kernel = kernel
+            self._back_reduced = False
+
+    def prefix_rank(self, rows: int | None = None,
+                    cols: int | None = None) -> int:
+        """Rank of the top-left ``rows`` x ``cols`` submatrix."""
+        rows = self.n_rows if rows is None else rows
+        cols = self.n_cols if cols is None else cols
+        return sum(1 for (r, c) in self.pivots if r < rows and c < cols)
+
+    # -- reading the transform ------------------------------------------
+
+    def _need_transform(self):
+        if not self.transform:
+            raise ValueError("Echelon built without transform")
+
+    def _apply(self, xp, xq):
+        """A x on bit planes, from the original columns."""
+        return _combination(xp, xq, *self._cols)
+
+    def _at_leads(self, vp, vq, cols):
+        """The sum of v[lead_k] times ``cols[k]`` over the pivots k."""
+        mask = self._lead_mask
+        return _combination(vp & mask, vq & mask, *cols, self._lead_of)
+
+    def kernel(self, start: int = 0) -> list:
+        """Kernel vectors (uint8, length ``n_cols``) of the free columns
+        ``>= start``, in column order; A K = 0 is checked."""
+        self._need_transform()
+        out = []
+        for j, tp, tn in self._kernel:
+            if j < start:
+                continue
+            if self._apply(tp, tn) != (0, 0):
+                raise RuntimeError(
+                    f"Echelon.kernel: the vector of free column {j} is not "
+                    "in the kernel")
+            out.append(_vector(tp, tn, self.n_cols))
+        return out
+
+    def rref(self) -> np.ndarray:
+        """The reduced row-echelon form, as a dense ``n_rows x n_cols``
+        array: row i is e_i on the pivot columns and, on a free column j,
+        minus the pivot part of j's (checked) kernel vector."""
+        self._need_transform()
+        r = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
+        r[np.arange(self.rank), self.pivot_columns] = 1
+        kernel = self.kernel()
+        if kernel:
+            free = [j for j, _, _ in self._kernel]
+            k = np.stack(kernel, axis=1)[self.pivot_columns]
+            r[np.ix_(np.arange(self.rank), free)] = (3 - k) % 3
+        return r
+
+    def _back_reduce(self):
+        """Clear every reduced pivot column at the other pivots' leads.
+
+        A pivot column is zero above its lead, so only leads below it need
+        clearing; going by descending lead, the columns subtracted are
+        already unit vectors at the leads."""
+        red_pos, red_neg = self._reduced
+        tr_pos, tr_neg = self._trans
+        lead_of = self._lead_of
+        mask = 0
+        for lead, _ in self.pivots:
+            mask |= 1 << lead
+        for lead, _ in sorted(self.pivots, reverse=True):
+            k = lead_of[lead]
+            # minus the entries at the other leads (swapped planes); the
+            # columns they pick are zero at every lead but their own
+            other = mask & ~(1 << lead)
+            cp, cq = red_neg[k] & other, red_pos[k] & other
+            red_pos[k], red_neg[k] = _add(red_pos[k], red_neg[k], *_combination(
+                cp, cq, red_pos, red_neg, lead_of))
+            tr_pos[k], tr_neg[k] = _add(tr_pos[k], tr_neg[k], *_combination(
+                cp, cq, tr_pos, tr_neg, lead_of))
+        self._lead_mask = mask
+        self._back_reduced = True
+
+    def solve(self, v) -> "SolveResult":
+        """Solve A x = v with x supported on the pivot columns, or report
+        the residual v - A x of that candidate.
+
+        A x = v is checked for the returned solution; a vector that the
+        reduced columns place in the column span but whose candidate does
+        not solve is a fault (``RuntimeError``), not a verdict.
+        """
+        self._need_transform()
+        v = np.asarray(v, dtype=np.int64) % 3
+        if v.shape != (self.n_rows,):
+            raise ValueError(
+                f"right-hand side has length {v.shape}, expected {self.n_rows}")
+        if not self._back_reduced:
+            self._back_reduce()
+        vp, vq = _ints(np.stack([v == 1, v == 2]))
+        xp, xq = self._at_leads(vp, vq, self._trans)
+        ap, aq = self._apply(xp, xq)
+        if (ap, aq) == (vp, vq):
+            return SolveResult(_vector(xp, xq, self.n_cols),
+                               np.zeros(self.n_rows, dtype=np.uint8))
+        if self._at_leads(vp, vq, self._reduced) == (vp, vq):
+            raise RuntimeError(
+                "Echelon.solve: v is in the column span but the solution "
+                "read off the transform does not solve")
+        rp, rq = _add(vp, vq, aq, ap)
+        return SolveResult(None, _vector(rp, rq, self.n_rows))
+
+
 @dataclass(frozen=True)
 class RrefResult:
     matrix: SparseMatrixF3
@@ -150,32 +359,14 @@ class RrefResult:
 
 def rref(m: SparseMatrixF3) -> RrefResult:
     """Reduced row-echelon form over GF(3), with rank and pivot columns."""
-    r, rank, pivots = _backend.rref(m.to_dense())
-    # checked on every call (also under -O): row i has its pivot in column
-    # pivots[i], and that column is zero elsewhere
-    if rank != len(pivots) or not np.array_equal(
-            r[:, list(pivots)], np.eye(m.n_rows, rank, dtype=np.uint8)):
-        raise RuntimeError("rref: a pivot column is not a unit vector")
-    return RrefResult(SparseMatrixF3.from_dense(r), rank, list(pivots))
+    ech = Echelon(m)
+    return RrefResult(SparseMatrixF3.from_dense(ech.rref()), ech.rank,
+                      ech.pivot_columns)
 
 
 def kernel_basis(m: SparseMatrixF3) -> list:
     """Basis of the right kernel, as uint8 column vectors."""
-    a = m.to_dense()
-    r, rank, pivots = _backend.rref(a)
-    pivset = set(pivots)
-    free = [c for c in range(m.n_cols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = np.zeros(m.n_cols, dtype=np.uint8)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-int(r[i, f])) % 3
-        basis.append(v)
-    # checked on every call (also under -O): A K = 0 (mod 3)
-    if basis and _backend.matmul(a, np.stack(basis, axis=1)).any():
-        raise RuntimeError("kernel_basis: a basis vector is not in the kernel")
-    return basis
+    return Echelon(m).kernel()
 
 
 @dataclass(frozen=True)
@@ -194,95 +385,4 @@ def solve_in_image(m: SparseMatrixF3, v) -> SolveResult:
     A dimension mismatch is a contract violation (ValueError), never a
     "not in image" verdict.
     """
-    v = np.asarray(v, dtype=np.uint8) % 3
-    if v.shape != (m.n_rows,):
-        raise ValueError(
-            f"right-hand side has length {v.shape}, expected {m.n_rows}")
-    aug = np.concatenate([m.to_dense(), v.reshape(-1, 1)], axis=1)
-    r, rank, pivots = _backend.rref(aug)
-    x = np.zeros(m.n_cols, dtype=np.uint8)
-    consistent = True
-    for i, p in enumerate(pivots):
-        if p == m.n_cols:
-            consistent = False
-            continue
-        x[p] = r[i, m.n_cols]
-    residual = (v.astype(np.int64) - m.matvec(x).astype(np.int64)) % 3
-    residual = residual.astype(np.uint8)
-    if consistent:
-        if residual.any():
-            raise RuntimeError("solve_in_image: solution leaves a residual")
-        return SolveResult(x, residual)
-    return SolveResult(None, residual)
-
-
-class GF3Solver:
-    """Repeated-solve helper: one elimination, many right-hand sides.
-
-    Wraps a dense matrix ``a`` and precomputes the row operations ``e``
-    with ``e @ a`` in RREF, so that ``solve`` and ``rank`` are cheap.
-    """
-
-    def __init__(self, a):
-        a = np.ascontiguousarray(np.asarray(a, dtype=np.uint8) % 3)
-        self.a = a
-        m, n = a.shape
-        aug = np.concatenate(
-            [a, np.eye(m, dtype=np.uint8)], axis=1) if m else a.copy()
-        r, _, pivots = _backend.rref(aug)
-        # pivots falling in the identity block do not count toward rank(a)
-        self.pivots = [p for p in pivots if p < n]
-        self.rank = len(self.pivots)
-        self.rref = r[:, :n] if m else r
-        self.ops = r[:, n:] if m else np.zeros((0, 0), dtype=np.uint8)
-
-    def solve(self, v) -> SolveResult:
-        v = np.asarray(v, dtype=np.uint8) % 3
-        if v.shape != (self.a.shape[0],):
-            raise ValueError("right-hand side length mismatch")
-        u = _backend.matvec(self.ops, v) if self.a.shape[0] else v[:0]
-        x = np.zeros(self.a.shape[1], dtype=np.uint8)
-        for i, p in enumerate(self.pivots):
-            x[p] = u[i]
-        residual = ((v.astype(np.int64)
-                     - _backend.matvec(self.a, x).astype(np.int64)) % 3
-                    ).astype(np.uint8)
-        if residual.any():
-            return SolveResult(None, residual)
-        return SolveResult(x, residual)
-
-    def kernel_basis(self) -> list:
-        n = self.a.shape[1]
-        pivset = set(self.pivots)
-        basis = []
-        for f in (c for c in range(n) if c not in pivset):
-            v = np.zeros(n, dtype=np.uint8)
-            v[f] = 1
-            for i, p in enumerate(self.pivots):
-                v[p] = (-int(self.rref[i, f])) % 3
-            basis.append(v)
-        return basis
-
-
-@dataclass
-class PrefixRankTable:
-    """Ranks of all top-left submatrices of a (row/column sorted) matrix.
-
-    Built from one greedy column-echelon pass; ``rank(rows < r, cols < c)``
-    is the number of recorded pivots dominated by ``(r, c)``.
-    """
-
-    n_rows: int
-    n_cols: int
-    pivots: list = field(default_factory=list)
-
-    @classmethod
-    def of(cls, dense) -> "PrefixRankTable":
-        dense = np.asarray(dense, dtype=np.uint8)
-        return cls(dense.shape[0], dense.shape[1],
-                   list(_backend.col_profile(dense)))
-
-    def rank(self, rows: int | None = None, cols: int | None = None) -> int:
-        rows = self.n_rows if rows is None else rows
-        cols = self.n_cols if cols is None else cols
-        return sum(1 for (r, c) in self.pivots if r < rows and c < cols)
+    return Echelon(m).solve(v)

@@ -31,7 +31,7 @@ from .derivation import (
 )
 from .dga import Element, element_vector, gen
 from .formal import Evaluator, mono_text, monomial_degree, parse_poly, poly_text
-from .gf3 import GF3Solver
+from .gf3 import Echelon
 
 GROUP_I = (
     "a4*y26 = -a8*y22 + a10*y20",
@@ -346,12 +346,9 @@ class DiscoveryResult:
 def _canonical_rows(vectors, width):
     if not vectors:
         return ()
-    from .gf3 import SparseMatrixF3, rref
-
-    stacked = np.array(vectors, dtype=np.uint8) % 3
-    result = rref(SparseMatrixF3.from_dense(stacked))
-    rows = result.matrix.to_dense()
-    return tuple(tuple(int(x) for x in rows[i]) for i in range(result.rank))
+    ech = Echelon(np.array(vectors, dtype=np.uint8))
+    rows = ech.rref()
+    return tuple(tuple(int(x) for x in rows[i]) for i in range(ech.rank))
 
 
 def discover_relation(support, degree, engine, paper_vector=None):
@@ -375,19 +372,19 @@ def discover_relation(support, degree, engine, paper_vector=None):
         for j, el in enumerate(elements):
             for m, c in el.terms.items():
                 a[idx[m], j] = c
-        kernel = GF3Solver(a).kernel_basis()
-        projected = [v for v in kernel]
+        projected = Echelon(a).kernel()
     else:
         if degree > engine.max_degree:
             raise ValueError("degree beyond cap for word-type discovery")
         basis = engine.basis(degree)
-        cols = [element_vector(el, basis) for el in elements]
-        a = np.concatenate(
-            [np.array(cols, dtype=np.uint8).T, engine.d_dense(degree - 1)],
-            axis=1) if degree >= 1 else np.array(cols, dtype=np.uint8).T
-        kernel = GF3Solver(a).kernel_basis()
-        projected = [v[:k] for v in kernel]
-        projected = [v for v in projected if v.any()]
+        cols = np.array([element_vector(el, basis) for el in elements],
+                        dtype=np.uint8).T
+        # im(d) columns first: only kernel vectors with a free support
+        # column can have a nonzero support part, and those span it
+        d = engine.d_dense(degree - 1) if degree >= 1 else cols[:, :0]
+        kernel = Echelon(np.concatenate([d, cols], axis=1)).kernel(
+            start=d.shape[1])
+        projected = [v[d.shape[1]:] for v in kernel]
     solutions = _canonical_rows(projected, k)
     result = DiscoveryResult(tuple(str(s) for s in support), degree,
                              solutions, paper_vector)
@@ -419,7 +416,7 @@ def _match_vector(support, paper_vector, solutions):
 
     width = len(paper_vector)
     if solutions:
-        kernel = GF3Solver(np.array(solutions, dtype=np.uint8)).kernel_basis()
+        kernel = Echelon(np.array(solutions, dtype=np.uint8)).kernel()
         check = np.array(kernel, dtype=np.int64).reshape(-1, width)
     else:
         check = np.eye(width, dtype=np.int64)
@@ -500,8 +497,7 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
     if record.degree <= engine.max_degree:
         basis = engine.basis(record.degree)
         vec = element_vector(z, basis)
-        from .gf3 import solve_in_image
-        res = solve_in_image(engine.d_matrix(record.degree - 1), vec)
+        res = Echelon(engine.d_matrix(record.degree - 1)).solve(vec)
         if res.in_image:
             return RelationVerdict(record, "IN-IMAGE")
         return RelationVerdict(record, "FAIL", note="not in image")

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dga import WEIGHT_SCHEMES
-from .gf3 import PrefixRankTable
+from .gf3 import Echelon, SparseMatrixF3
 
 SCHEMES = tuple(WEIGHT_SCHEMES)
 
@@ -43,7 +43,7 @@ class DegreeProfile:
     n_cols: int
     col_weights_desc: list          # weights of columns, descending
     row_weights_asc: list           # weights of rows, ascending
-    table: PrefixRankTable
+    table: Echelon                  # pivot list only
 
     def cols_ge(self, q: int) -> int:
         # descending list: count entries >= q
@@ -62,7 +62,8 @@ class DegreeProfile:
         return bisect.bisect_left(self.row_weights_asc, w)
 
     def rank_sub(self, q: int, w) -> int:
-        return self.table.rank(rows=self.rows_lt(w), cols=self.cols_ge(q))
+        return self.table.prefix_rank(rows=self.rows_lt(w),
+                                      cols=self.cols_ge(q))
 
 
 class SpectralSequence:
@@ -93,7 +94,8 @@ class SpectralSequence:
         if prof is not None:
             return prof
         if m < 0:
-            prof = DegreeProfile(0, [], [], PrefixRankTable(0, 0, []))
+            prof = DegreeProfile(
+                0, [], [], Echelon(SparseMatrixF3(0, 0), transform=False))
             self._profiles[m] = prof
             return prof
         basis_n = self.engine.basis(m)
@@ -102,14 +104,17 @@ class SpectralSequence:
         roww = [mono.weight(self.scheme) for mono in basis_n1.monomials]
         col_order = sorted(range(len(colw)), key=lambda j: -colw[j])
         row_order = sorted(range(len(roww)), key=lambda i: roww[i])
-        dense = self.engine.d_dense(m)
-        permuted = dense[np.ix_(row_order, col_order)] if dense.size else \
-            dense[np.ix_(row_order, col_order)]
+        # the differential with rows and columns in weight order
+        row_at = np.argsort(row_order).tolist()
+        col_at = np.argsort(col_order).tolist()
+        d = self.engine.d_matrix(m)
+        permuted = SparseMatrixF3(d.n_rows, d.n_cols, {
+            (row_at[r], col_at[c]): v for (r, c), v in d.entries.items()})
         prof = DegreeProfile(
             len(colw),
             [colw[j] for j in col_order],
             [roww[i] for i in row_order],
-            PrefixRankTable.of(permuted))
+            Echelon(permuted, transform=False))
         self._profiles[m] = prof
         return prof
 

@@ -9,7 +9,7 @@ import pytest
 import cotor
 from cotor import cache as cache_mod
 from cotor.cache import CONSTRUCTION_SOURCES, MatrixCache, fingerprint
-from cotor.cli import main
+from cotor.cli import MAX_SUPPORTED_DEGREE, main
 from cotor.engine import Engine
 
 
@@ -96,12 +96,13 @@ def test_spectral_subcommand(capsys):
 
 
 def test_spectral_builds_each_profile_once(capsys, monkeypatch):
-    from cotor.gf3 import PrefixRankTable
+    from cotor.gf3 import Echelon
 
     builds = []
-    of = PrefixRankTable.of.__func__
-    monkeypatch.setattr(PrefixRankTable, "of", classmethod(
-        lambda cls, dense: builds.append(1) or of(cls, dense)))
+    init = Echelon.__init__
+    monkeypatch.setattr(Echelon, "__init__",
+                        lambda self, *a, **k: builds.append(1) or init(
+                            self, *a, **k))
     code, out, _ = run_cli(capsys, "spectral", "--scheme", "may_s5",
                            "--max-degree", "20", "--format", "json")
     assert code == 0
@@ -131,6 +132,9 @@ def test_table40_subcommand(capsys):
 def test_exit_code_two_on_config_errors(capsys):
     assert run_cli(capsys, "homology", "--max-degree", "-1")[0] == 2
     assert run_cli(capsys, "homology", "--max-degree", "400")[0] == 2
+    # one past the measured cap (see cli.MAX_SUPPORTED_DEGREE)
+    assert MAX_SUPPORTED_DEGREE == 150
+    assert run_cli(capsys, "homology", "--max-degree", "151")[0] == 2
     assert run_cli(capsys, "verify", "--convention", "bogus")[0] == 2
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])

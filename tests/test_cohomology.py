@@ -4,7 +4,7 @@ from cotor.cohomology import (
     additive_basis_classes, class_element, expand_rational, poincare_coeffs,
 )
 from cotor.dga import gen
-from cotor.gf3 import GF3Solver, SolveResult
+from cotor.gf3 import Echelon, SolveResult
 
 
 def test_series_first_coefficients():
@@ -107,7 +107,7 @@ def test_decompose_rejects_a_wrong_reconstruction(engine, monkeypatch):
     # plant a wrong class coefficient behind the solver: the explicit
     # reconstruction check must catch it (it is not an assert, so it also
     # runs under python -O)
-    solve = GF3Solver.solve
+    solve = Echelon.solve
 
     def planted(self, v):
         res = solve(self, v)
@@ -116,7 +116,7 @@ def test_decompose_rejects_a_wrong_reconstruction(engine, monkeypatch):
         return SolveResult(x, res.residual)
 
     y20 = engine.named["y20"].element
-    monkeypatch.setattr(GF3Solver, "solve", planted)
+    monkeypatch.setattr(Echelon, "solve", planted)
     with pytest.raises(RuntimeError, match="reconstruction failed"):
         engine.decompose(y20, 20)
 

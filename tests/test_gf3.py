@@ -9,9 +9,77 @@ from hypothesis import given, settings, strategies as st
 import cotor
 from cotor import gf3
 from cotor.gf3 import (
-    GF3Solver, PrefixRankTable, SparseMatrixF3, backends, inv3,
-    kernel_basis, rref, solve_in_image,
+    Echelon, SparseMatrixF3, kernel_basis, rref, solve_in_image,
 )
+
+
+# -- reference: the dense numpy kernels the library used before Echelon -------
+
+
+def ref_rref(a):
+    """Reduced row echelon form mod 3 by row operations on a dense copy.
+
+    Returns ``(r, rank, pivots)``: ``r`` is the RREF of ``a`` and ``pivots``
+    the pivot column of each of the first ``rank`` rows.
+    """
+    r = np.array(a, dtype=np.uint8, order="C", copy=True)
+    m, n = r.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        p = row + int(nz[0])
+        if p != row:
+            r[[row, p], :] = r[[p, row], :]
+        if r[row, col] == 2:
+            r[row, :] = (r[row, :] * 2) % 3
+        others = np.nonzero(r[:, col])[0]
+        others = others[others != row]
+        if others.size:
+            mult = (3 - r[others, col].astype(np.int16)) % 3
+            r[others, :] = (r[others, :] + np.outer(mult, r[row, :])) % 3
+        pivots.append(col)
+        row += 1
+    return r, row, pivots
+
+
+def ref_col_profile(a):
+    """Greedy column-echelon pivots ``(lead_row, col)`` on dense columns."""
+    work = np.array(a, dtype=np.uint8, order="C", copy=True)
+    m, n = work.shape
+    lead_of_row = {}          # leading row -> normalized pivot column
+    pivots = []
+    for j in range(n):
+        v = work[:, j]
+        while True:
+            nz = np.nonzero(v)[0]
+            if nz.size == 0:
+                break
+            r = int(nz[0])
+            piv = lead_of_row.get(r)
+            if piv is None:
+                if v[r] == 2:
+                    v = (v * 2) % 3
+                lead_of_row[r] = v.copy()
+                pivots.append((r, j))
+                break
+            v = (v + (3 - int(v[r])) * piv) % 3
+            v = v.astype(np.uint8)
+    return pivots
+
+
+def ref_in_image(a, v):
+    """v in the column span of a: the augmented column is not a pivot."""
+    aug = np.concatenate([a, np.reshape(v, (-1, 1))], axis=1).astype(np.uint8)
+    return a.shape[1] not in ref_rref(aug)[2]
+
+
+def matmul3(a, b):
+    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % 3
 
 
 def M(rows):
@@ -21,9 +89,6 @@ def M(rows):
 def test_scalar_arithmetic():
     assert (1 + 2) % 3 == 0
     assert (2 * 2) % 3 == 1
-    assert inv3(2) == 2
-    with pytest.raises(ZeroDivisionError):
-        inv3(0)
 
 
 def test_rref_identity():
@@ -151,24 +216,11 @@ def test_fuzz_larger_matrices_seeded():
         assert np.array_equal(m.matvec(res.solution), m.matvec(x))
 
 
-def test_backends_agree():
-    mods = backends()
-    rng = np.random.default_rng(5)
-    a = ((rng.random((60, 45)) < 0.2)
-         * rng.integers(1, 3, (60, 45))).astype(np.uint8)
-    results = {}
-    for name, mod in mods.items():
-        r, rank, piv = mod.rref(a)
-        results[name] = (r.tobytes(), rank, list(piv), mod.col_profile(a))
-    vals = list(results.values())
-    assert all(v == vals[0] for v in vals)
-
-
 def test_solver_repeated_solves_and_kernel():
     rng = np.random.default_rng(11)
     a = ((rng.random((40, 25)) < 0.25)
          * rng.integers(1, 3, (40, 25))).astype(np.uint8)
-    solver = GF3Solver(a)
+    solver = Echelon(a)
     m = SparseMatrixF3.from_dense(a)
     assert solver.rank == rref(m).rank
     for _ in range(5):
@@ -177,7 +229,7 @@ def test_solver_repeated_solves_and_kernel():
         res = solver.solve(v)
         assert res.in_image
         assert np.array_equal(m.matvec(res.solution), v)
-    for k in solver.kernel_basis():
+    for k in solver.kernel():
         assert not m.matvec(k).any()
 
 
@@ -185,49 +237,60 @@ def test_prefix_rank_table_matches_direct_ranks():
     rng = np.random.default_rng(13)
     a = ((rng.random((30, 30)) < 0.2)
          * rng.integers(1, 3, (30, 30))).astype(np.uint8)
-    table = PrefixRankTable.of(a)
+    table = Echelon(a, transform=False)
     for r, c in [(0, 0), (5, 7), (12, 3), (30, 30), (17, 29)]:
         direct = rref(SparseMatrixF3.from_dense(a[:r, :c])).rank
-        assert table.rank(rows=r, cols=c) == direct
+        assert table.prefix_rank(rows=r, cols=c) == direct
+    assert table.prefix_rank() == table.rank
 
 
-class _PlantedBackend:
-    """The active backend, with one entry of rref's output overwritten."""
-
-    def __init__(self, real, entry, value):
-        self.real, self.entry, self.value = real, entry, value
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
-
-    def rref(self, a):
-        r, rank, pivots = self.real.rref(a)
-        r = r.copy()
-        r[self.entry] = self.value
-        return r, rank, pivots
+def _set_entry(planes, i, value):
+    """A bit-plane pair (pos, neg) with entry i set to value in {0, 1, 2}."""
+    p, q = planes
+    bit = 1 << i
+    p, q = p & ~bit, q & ~bit
+    return (p | bit, q) if value == 1 else (p, q | bit) if value == 2 else (p, q)
 
 
-# (call, matrix, planted rref entry and value); each plant breaks what the
-# call returns without touching rank or pivots
+def _plant_kernel(ech, index, value):
+    j, tp, tn = ech._kernel[0]
+    ech._kernel[0] = (j, *_set_entry((tp, tn), index, value))
+
+
+def _plant_pivot_transform(ech, index, value):
+    tr_pos, tr_neg = ech._trans
+    tr_pos[0], tr_neg[0] = _set_entry((tr_pos[0], tr_neg[0]), index, value)
+
+
+# (call, matrix, plant into the Echelon it builds, message); each plant
+# changes one transform entry without touching rank or pivots
 _PLANTED = {
-    # pivot column 1 of rref([[1, 1], [0, 1]]) = I gets a second nonzero
-    "rref": (lambda m: rref(m), [[1, 1], [0, 1]], (0, 1), 1),
-    # free column 1 of [[1, 1, 0], [0, 0, 1]]: the kernel vector goes wrong
+    # the kernel vector of free column 1 is (2, 1, 0); rref reads row 0
+    # of column 1 off it, so a wrong entry must not reach the RREF
+    "rref": (lambda m: rref(m), [[1, 1, 0], [0, 0, 1]],
+             lambda e: _plant_kernel(e, 0, 1), "kernel"),
     "kernel_basis": (lambda m: kernel_basis(m), [[1, 1, 0], [0, 0, 1]],
-                     (0, 1), 2),
-    # the solution read off the augmented column no longer solves
+                     lambda e: _plant_kernel(e, 2, 1), "kernel"),
+    # the transform of pivot column 0 picks up column 1 as well
     "solve_in_image": (lambda m: solve_in_image(m, [2, 1]),
-                       [[1, 0], [0, 1]], (0, 2), 1),
+                       [[1, 0], [0, 1]],
+                       lambda e: _plant_pivot_transform(e, 1, 1), "solve"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PLANTED))
 def test_planted_backend_fault_raises(name, monkeypatch):
-    call, rows, entry, value = _PLANTED[name]
-    call(M(rows))           # the honest backend passes the check
-    monkeypatch.setattr(gf3, "_backend",
-                        _PlantedBackend(gf3._backend, entry, value))
-    with pytest.raises(RuntimeError, match=name):
+    # a fault in the elimination's output must raise, not return
+    call, rows, plant, message = _PLANTED[name]
+    call(M(rows))           # the honest pass passes the check
+    init = Echelon.__init__
+
+    def planted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        plant(self)
+
+    monkeypatch.setattr(Echelon, "__init__", planted_init)
+    with pytest.raises(RuntimeError, match=message):
         call(M(rows))
 
 
@@ -241,3 +304,69 @@ def test_planted_backend_faults_raise_under_python_O():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout[-2000:]
     assert f"{len(_PLANTED)} passed" in proc.stdout
+
+
+# -- Echelon against the reference kernels ------------------------------------
+
+
+def _check_against_reference(a, rng):
+    a = np.asarray(a, dtype=np.uint8)
+    m, n = a.shape
+    ech = Echelon(a)
+    assert ech.pivots == ref_col_profile(a)
+    assert Echelon(a, transform=False).pivots == ech.pivots
+    r, rank, pivots = ref_rref(a)
+    assert ech.rank == rank and ech.pivot_columns == pivots
+    mine = ech.rref()
+    assert mine.dtype == r.dtype and mine.tobytes() == r.tobytes()
+    assert rref(SparseMatrixF3.from_dense(a)).matrix.to_dense().tobytes() \
+        == r.tobytes()
+    kernel = ech.kernel()
+    assert len(kernel) == n - rank
+    if kernel:
+        assert not matmul3(a, np.stack(kernel, axis=1)).any()
+    image = matmul3(a, rng.integers(0, 3, n)) if n else np.zeros(m, np.int64)
+    for v in (image, rng.integers(0, 3, m), np.zeros(m, dtype=np.int64)):
+        res = ech.solve(v)
+        assert res.in_image == ref_in_image(a, v)
+        if res.in_image:
+            assert np.array_equal(matmul3(a, res.solution), v % 3)
+            assert not res.residual.any()
+        else:
+            assert res.residual.any()
+
+
+def test_echelon_matches_reference_on_random_matrices():
+    rng = np.random.default_rng(2024)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (7, 3), (3, 7)]
+    shapes += [(int(rng.integers(1, 70)), int(rng.integers(1, 70)))
+               for _ in range(40)]
+    for m, n in shapes:
+        _check_against_reference(np.zeros((m, n), dtype=np.uint8), rng)
+        for density in (0.05, 0.3, 0.9):
+            a = ((rng.random((m, n)) < density)
+                 * rng.integers(1, 3, (m, n))).astype(np.uint8)
+            _check_against_reference(a, rng)
+    # low rank: products of thin factors, many dependent columns
+    for _ in range(10):
+        k = int(rng.integers(1, 6))
+        a = matmul3(rng.integers(0, 3, (40, k)), rng.integers(0, 3, (k, 50)))
+        _check_against_reference(a, rng)
+
+
+def test_echelon_matches_reference_on_d_matrices(engine):
+    rng = np.random.default_rng(60)
+    for n in range(61):
+        dense = engine.d_matrix(n).to_dense()
+        _check_against_reference(dense, rng)
+        # the sparse input (what Engine.rank passes) gives the same pass
+        sparse = Echelon(engine.d_matrix(n), transform=False)
+        assert sparse.pivots == Echelon(dense).pivots
+        assert sparse.rank == engine.rank(n)
+
+
+def test_rank_only_pass_has_no_transform():
+    ech = Echelon(np.eye(3, dtype=np.uint8), transform=False)
+    assert ech.rank == 3
+    with pytest.raises(ValueError):
+        ech.kernel()

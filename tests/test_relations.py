@@ -8,7 +8,7 @@ from cotor.dga import Element, gen
 from cotor.engine import Engine
 from cotor.formal import parse_poly, monomial_degree
 from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
-from cotor.gf3 import GF3Solver
+from cotor.gf3 import Echelon
 from cotor.relations import (
     GROUP_I, GROUP_II, GROUP_III, _match_vector, discover_relation,
     express_in_c_classes, ideal_and_split_check, relation_catalog,
@@ -261,7 +261,7 @@ def _brute_force_match(support, paper_vector, solutions):
         if not solutions:
             return not vec.any()
         a = np.array(solutions, dtype=np.uint8).T
-        return GF3Solver(a).solve(vec).in_image
+        return Echelon(a).solve(vec).in_image
 
     def flip_sign(text, subset):
         ((mono, _),) = parse_poly(text).items()
@@ -346,7 +346,7 @@ def test_class_solver_is_engine_owned(engine):
     # nothing in the relations module holds solvers across engines
     held = [name for name, value in vars(relations).items()
             if isinstance(value, (dict, list, set))
-            and any(isinstance(x, (GF3Solver, tuple))
+            and any(isinstance(x, (Echelon, tuple))
                     for x in (value.values() if isinstance(value, dict)
                               else value))]
     assert held == []
