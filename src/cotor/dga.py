@@ -110,6 +110,15 @@ def _push_gen(g: int, word: tuple):
 
 def mono_mul(m1: Monomial, m2: Monomial) -> dict:
     """Product of two normal-form monomials, as Monomial -> coeff."""
+    if not m2.word:
+        # nothing to push through: the exponents just add
+        return {Monomial(m1.word,
+                         tuple(a + b for a, b in zip(m1.exps, m2.exps))): 1}
+    return _pushed_product(m1, m2)
+
+
+def _pushed_product(m1: Monomial, m2: Monomial) -> dict:
+    """The general route of `mono_mul`, for any pair of monomials."""
     # push the commutative part of m1 through the word of m2
     terms = {(m2.word, ZERO_EXPS): 1}
     for g, e in enumerate(m1.exps):
@@ -231,9 +240,6 @@ class Element:
         if len(degs) > 1:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
-
-    def homogeneous_component(self, n: int) -> "Element":
-        return Element({m: c for m, c in self.terms.items() if m.degree() == n})
 
     def weight(self, scheme: str) -> float:
         """min over terms; the zero element has weight +infinity."""

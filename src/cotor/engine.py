@@ -15,7 +15,9 @@ import numpy as np
 
 from . import cohomology
 from .cache import ENGINE_VERSION, MatrixCache, fingerprint
-from .cohomology import CotorBasis, additive_basis_classes, class_element
+from .cohomology import (
+    BasisClass, CotorBasis, additive_basis_classes, class_element,
+)
 from .derivation import build_named_generators, named_evaluator
 from .dga import DegreeBasis, Element, element_vector, enumerate_basis
 from .differential import AuditReport, Differential, audit_conventions
@@ -56,6 +58,8 @@ class Engine:
         self._ranks: dict[int, int] = {}
         self._named = None
         self._named_ev = None
+        self._additive_bases: dict[int, CotorBasis] = {}
+        self._representatives: dict[BasisClass, Element] = {}
         self._class_columns: dict[int, tuple] = {}
         self._decompose_solvers: dict[int, Echelon] = {}
         self._split_solvers: dict[int, object] = {}
@@ -136,7 +140,19 @@ class Engine:
         return self._named_ev
 
     def additive_basis(self, n: int) -> CotorBasis:
-        return additive_basis_classes(n)
+        b = self._additive_bases.get(n)
+        if b is None:
+            b = self._additive_bases[n] = additive_basis_classes(n)
+        return b
+
+    def representative(self, cls: BasisClass) -> Element:
+        """The class's representative, built once per class (the memo is
+        keyed by the class's value, and the named generators it is built
+        from belong to this engine)."""
+        rep = self._representatives.get(cls)
+        if rep is None:
+            rep = self._representatives[cls] = class_element(cls, self.named)
+        return rep
 
     def class_columns(self, n: int):
         """(classes, matrix of their representative vectors) at degree n."""
@@ -146,7 +162,7 @@ class Engine:
             classes = self.additive_basis(n).classes
             mat = np.zeros((len(basis), len(classes)), dtype=np.uint8)
             for j, cls in enumerate(classes):
-                rep = class_element(cls, self.named)
+                rep = self.representative(cls)
                 if rep.degree() not in (None, n):
                     raise RuntimeError(f"class {cls.label} has wrong degree")
                 mat[:, j] = element_vector(rep, basis)
@@ -160,7 +176,7 @@ class Engine:
         if cached is None:
             classes = [c for c in self.additive_basis(n).classes
                        if c.side == "C"]
-            reps = [class_element(c, self.named) for c in classes]
+            reps = [self.representative(c) for c in classes]
             monos = sorted({m for rep in reps for m in rep.terms})
             idx = {m: i for i, m in enumerate(monos)}
             a = np.zeros((len(monos), len(classes)), dtype=np.uint8)
@@ -214,7 +230,7 @@ class Engine:
         for j in range(k):
             c = int(res.solution[j])
             if c:
-                recon = recon + class_element(classes[j], self.named).scaled(c)
+                recon = recon + self.representative(classes[j]).scaled(c)
         if z - recon != self.d(witness):
             raise RuntimeError(
                 f"decompose: reconstruction failed in degree {n}: input minus "

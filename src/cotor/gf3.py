@@ -78,10 +78,6 @@ class SparseMatrixF3:
                 and self.n_cols == other.n_cols
                 and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.n_rows, self.n_cols,
-                     frozenset(self.entries.items())))
-
     def __repr__(self):
         return (f"SparseMatrixF3({self.n_rows}x{self.n_cols}, "
                 f"nnz={self.nnz})")
@@ -321,33 +317,44 @@ class Echelon:
         self._lead_mask = mask
         self._back_reduced = True
 
-    def solve(self, v) -> "SolveResult":
-        """Solve A x = v with x supported on the pivot columns, or report
-        the residual v - A x of that candidate.
+    def solve_planes(self, vp: int, vq: int):
+        """Solve A x = v for v given as bit planes ``(vp, vq)``, with x
+        supported on the pivot columns.
 
-        A x = v is checked for the returned solution; a vector that the
-        reduced columns place in the column span but whose candidate does
-        not solve is a fault (``RuntimeError``), not a verdict.
+        Returns ``(x, residual)`` as bit-plane pairs: ``x`` is None when v
+        is not in the column span, and the residual is v - A x of the
+        candidate (zero for a solution).  A x = v is checked for the
+        returned solution; a vector that the reduced columns place in the
+        column span but whose candidate does not solve is a fault
+        (``RuntimeError``), not a verdict.
         """
         self._need_transform()
-        v = np.asarray(v, dtype=np.int64) % 3
-        if v.shape != (self.n_rows,):
+        if vp & vq or (vp | vq) >> self.n_rows:
             raise ValueError(
-                f"right-hand side has length {v.shape}, expected {self.n_rows}")
+                f"right-hand side planes are not a vector of length "
+                f"{self.n_rows}")
         if not self._back_reduced:
             self._back_reduce()
-        vp, vq = _ints(np.stack([v == 1, v == 2]))
         xp, xq = self._at_leads(vp, vq, self._trans)
         ap, aq = self._apply(xp, xq)
         if (ap, aq) == (vp, vq):
-            return SolveResult(_vector(xp, xq, self.n_cols),
-                               np.zeros(self.n_rows, dtype=np.uint8))
+            return (xp, xq), (0, 0)
         if self._at_leads(vp, vq, self._reduced) == (vp, vq):
             raise RuntimeError(
                 "Echelon.solve: v is in the column span but the solution "
                 "read off the transform does not solve")
-        rp, rq = _add(vp, vq, aq, ap)
-        return SolveResult(None, _vector(rp, rq, self.n_rows))
+        return None, _add(vp, vq, aq, ap)
+
+    def solve(self, v) -> "SolveResult":
+        """`solve_planes` on a vector with entries in {0, 1, 2}."""
+        v = np.asarray(v, dtype=np.int64) % 3
+        if v.shape != (self.n_rows,):
+            raise ValueError(
+                f"right-hand side has length {v.shape}, expected {self.n_rows}")
+        x, residual = self.solve_planes(*_ints(np.stack([v == 1, v == 2])))
+        return SolveResult(
+            None if x is None else _vector(*x, self.n_cols),
+            _vector(*residual, self.n_rows))
 
 
 @dataclass(frozen=True)

@@ -504,21 +504,35 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
     return RelationVerdict(record, "FAIL", note="degree beyond cap")
 
 
-def express_in_c_classes(element: Element, degree: int, engine) -> str | None:
-    """Exact expansion of a word-free cocycle in basis-class coordinates."""
+def c_class_coordinates(element: Element, degree: int, engine):
+    """Word-free basis classes and the bit planes of a cocycle's exact
+    coordinates in them, or None if it is not an S-combination of them."""
     if not element.in_commutative_subalgebra():
         return None
     solver, idx, classes = engine.split_solver(degree)
-    vec = np.zeros(len(idx), dtype=np.uint8)
+    vp = vq = 0
     for m, c in element.terms.items():
-        if m not in idx:
+        i = idx.get(m)
+        if i is None:
             return None
-        vec[idx[m]] = c
-    res = solver.solve(vec)
-    if res.solution is None:
+        if c == 1:
+            vp |= 1 << i
+        else:
+            vq |= 1 << i
+    x, _ = solver.solve_planes(vp, vq)
+    if x is None:
         return None
-    terms = " ".join(f"{'+' if int(c) == 1 else '-'}{cls.label}"
-                     for c, cls in zip(res.solution, classes) if c)
+    return classes, x
+
+
+def express_in_c_classes(element: Element, degree: int, engine) -> str | None:
+    """Exact expansion of a word-free cocycle in basis-class coordinates."""
+    coords = c_class_coordinates(element, degree, engine)
+    if coords is None:
+        return None
+    classes, (xp, xq) = coords
+    terms = " ".join(f"{'+' if xp >> j & 1 else '-'}{cls.label}"
+                     for j, cls in enumerate(classes) if (xp | xq) >> j & 1)
     return terms or "0"
 
 
@@ -705,8 +719,6 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
     word-free classes is an exact S-combination of word-free classes (zero
     ideal-side coefficients, zero coboundary correction).
     """
-    from .cohomology import class_element
-
     n_max = degree_bound or engine.max_degree
     report = IdealSplitReport(n_max)
     named = engine.named
@@ -714,9 +726,17 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
     for n in range(n_max + 1):
         for cls in engine.additive_basis(n).classes:
             (d_classes if cls.side == "D" else c_classes).append((n, cls))
+    sides: dict[int, dict] = {}
+
+    def side(label: str, degree: int) -> str:
+        table = sides.get(degree)
+        if table is None:
+            table = sides[degree] = {
+                c.label: c.side for c in engine.additive_basis(degree).classes}
+        return table[label]
 
     for n, cls in d_classes:
-        rep = class_element(cls, named)
+        rep = engine.representative(cls)
         for gname in NAMED_GENERATOR_NAMES:
             m = n + NAMED_DEGREES[gname]
             if m > n_max:
@@ -726,7 +746,7 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
                 continue
             dec = engine.decompose(product, m)
             bad = {lbl: c for lbl, c in dec.coefficients.items()
-                   if _label_side(lbl, engine, m) == "C"}
+                   if side(lbl, m) == "C"}
             report.ideal_products += 1
             if bad:
                 report.ideal_violations.append(
@@ -735,29 +755,22 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
     # splitting: solve products of word-free classes in S-coordinates
     sample_countdown = decompose_samples
     for i, (n1, c1) in enumerate(c_classes):
-        rep1 = class_element(c1, named)
+        rep1 = engine.representative(c1)
         for n2, c2 in c_classes[i:]:
             m = n1 + n2
             if m > n_max:
                 continue
-            product = rep1 * class_element(c2, named)
+            product = rep1 * engine.representative(c2)
             report.split_products += 1
-            if express_in_c_classes(product, m, engine) is None:
+            if c_class_coordinates(product, m, engine) is None:
                 report.split_violations.append((c1.label, c2.label))
                 continue
             if sample_countdown > 0 and not product.is_zero():
                 sample_countdown -= 1
                 dec = engine.decompose(product, m)
                 d_side = [lbl for lbl in dec.coefficients
-                          if _label_side(lbl, engine, m) == "D"]
+                          if side(lbl, m) == "D"]
                 if d_side or not dec.witness.is_zero():
                     report.split_violations.append(
                         (c1.label, c2.label, "decompose route"))
     return report
-
-
-def _label_side(label: str, engine, degree: int) -> str:
-    for cls in engine.additive_basis(degree).classes:
-        if cls.label == label:
-            return cls.side
-    raise KeyError(label)

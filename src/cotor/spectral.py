@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,12 +39,37 @@ SCHEMES = tuple(WEIGHT_SCHEMES)
 
 @dataclass
 class DegreeProfile:
-    """Weight-sorted rank data for the differential out of one degree."""
+    """Weight-sorted rank data for the differential out of one degree.
+
+    ``rank_sub(q, w)`` counts the pivots whose column has weight >= q and
+    whose row has weight < w.  ``counts`` holds that count at every pair
+    of weight levels (a cumulative table built once from the pivot list),
+    so a query is two bisections, not a walk over the pivots.
+    """
 
     n_cols: int
     col_weights_desc: list          # weights of columns, descending
     row_weights_asc: list           # weights of rows, ascending
     table: Echelon                  # pivot list only
+    row_levels: list = field(init=False, repr=False)
+    col_levels: list = field(init=False, repr=False)
+    counts: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.row_levels = sorted(set(self.row_weights_asc))
+        self.col_levels = sorted(set(self.col_weights_desc))
+        row_at = {w: i for i, w in enumerate(self.row_levels)}
+        col_at = {w: j for j, w in enumerate(self.col_levels)}
+        grid = [[0] * len(self.col_levels) for _ in self.row_levels]
+        for r, c in self.table.pivots:
+            grid[row_at[self.row_weights_asc[r]]][
+                col_at[self.col_weights_desc[c]]] += 1
+        # counts[i][j]: pivots on row levels < i and column levels >= j
+        self.counts = [[0] * (len(self.col_levels) + 1)]
+        for line in grid:
+            at_least = list(accumulate(reversed(line)))[::-1] + [0]
+            self.counts.append(
+                [a + b for a, b in zip(self.counts[-1], at_least)])
 
     def cols_ge(self, q: int) -> int:
         # descending list: count entries >= q
@@ -56,14 +82,10 @@ class DegreeProfile:
                 hi = mid
         return lo
 
-    def rows_lt(self, w) -> int:
-        if w is None:               # no restriction
-            return len(self.row_weights_asc)
-        return bisect.bisect_left(self.row_weights_asc, w)
-
     def rank_sub(self, q: int, w) -> int:
-        return self.table.prefix_rank(rows=self.rows_lt(w),
-                                      cols=self.cols_ge(q))
+        i = (len(self.row_levels) if w is None
+             else bisect.bisect_left(self.row_levels, w))
+        return self.counts[i][bisect.bisect_left(self.col_levels, q)]
 
 
 class SpectralSequence:
@@ -73,6 +95,7 @@ class SpectralSequence:
         self.engine = engine
         self.scheme = scheme
         self._profiles: dict[int, DegreeProfile] = {}
+        self._tables: dict[tuple, dict] = {}
 
     # -- filtration-compatibility of d (precondition for everything) ------
 
@@ -156,22 +179,21 @@ class SpectralSequence:
 
     def page_table(self, r: int, n_max: int) -> dict:
         """{(p, n): dim E_r^{p,n}}, zero entries omitted."""
-        out = {}
-        for n in range(n_max + 1):
-            for p in range(self.max_weight(n) + 2):
-                dim = self.page_dim(r, p, n)
-                if dim:
-                    out[(p, n)] = dim
-        return out
+        return self._table(("page", r, n_max), n_max,
+                           lambda p, n: self.page_dim(r, p, n))
 
     def limit_table(self, n_max: int) -> dict:
-        out = {}
-        for n in range(n_max + 1):
-            for p in range(self.max_weight(n) + 2):
-                dim = self.limit_dim(p, n)
-                if dim:
-                    out[(p, n)] = dim
-        return out
+        return self._table(("limit", n_max), n_max, self.limit_dim)
+
+    def _table(self, key: tuple, n_max: int, dim_at) -> dict:
+        """A copy of the table ``key``, built once from ``dim_at(p, n)``."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = {
+                (p, n): dim for n in range(n_max + 1)
+                for p in range(self.max_weight(n) + 2)
+                if (dim := dim_at(p, n))}
+        return dict(table)
 
     def page_equality_check(self, r1: int, r2: int, n_max: int):
         mismatches = []

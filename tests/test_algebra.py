@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from cotor import dga
 from cotor.dga import (
-    COMM_NAMES, GEN_NAMES, Element, Monomial, comm_monomial, element_vector,
-    enumerate_basis, gen, mono_mul, parse_monomial, times_a9,
+    COMM_NAMES, GEN_NAMES, Element, Monomial, comm_monomial, comm_monomials,
+    element_vector, enumerate_basis, gen, mono_mul, parse_monomial, times_a9,
 )
 
 
@@ -40,6 +41,22 @@ def test_times_a9_closed_form_matches_the_rewrite():
     for n in range(49):
         for m in enumerate_basis(n).monomials:
             assert times_a9(m) == mono_mul(m, a9), m.text()
+
+
+def test_word_free_fast_path_matches_the_general_route():
+    # a word-free right factor takes the fast path in mono_mul; the
+    # push-through loop is the reference, on every pair of total degree
+    # <= 48
+    pairs = 0
+    for n1 in range(49):
+        for m1 in enumerate_basis(n1).monomials:
+            for n2 in range(49 - n1):
+                for exps in comm_monomials(n2):
+                    m2 = Monomial((), exps)
+                    assert mono_mul(m1, m2) == dga._pushed_product(m1, m2), \
+                        (m1.text(), m2.text())
+                    pairs += 1
+    assert pairs > 5_000
 
 
 def test_word_letters_multiply_freely():

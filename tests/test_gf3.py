@@ -275,6 +275,11 @@ _PLANTED = {
     "solve_in_image": (lambda m: solve_in_image(m, [2, 1]),
                        [[1, 0], [0, 1]],
                        lambda e: _plant_pivot_transform(e, 1, 1), "solve"),
+    # the same fault behind the bit-plane entry point: v = (2, 1) is
+    # pos plane 0b10, neg plane 0b01
+    "solve_planes": (lambda m: Echelon(m).solve_planes(0b10, 0b01),
+                     [[1, 0], [0, 1]],
+                     lambda e: _plant_pivot_transform(e, 1, 1), "solve"),
 }
 
 
@@ -363,6 +368,29 @@ def test_echelon_matches_reference_on_d_matrices(engine):
         sparse = Echelon(engine.d_matrix(n), transform=False)
         assert sparse.pivots == Echelon(dense).pivots
         assert sparse.rank == engine.rank(n)
+
+
+def test_solve_planes_is_solve_on_bit_planes():
+    rng = np.random.default_rng(5)
+    a = ((rng.random((12, 9)) < 0.3) * rng.integers(1, 3, (12, 9))).astype(
+        np.uint8)
+    ech = Echelon(a)
+    for v in (matmul3(a, rng.integers(0, 3, 9)), rng.integers(0, 3, 12)):
+        vp = sum(1 << i for i in range(12) if v[i] % 3 == 1)
+        vq = sum(1 << i for i in range(12) if v[i] % 3 == 2)
+        x, (rp, rq) = ech.solve_planes(vp, vq)
+        res = ech.solve(v)
+        assert res.in_image == (x is not None)
+        if x is not None:
+            xp, xq = x
+            assert [int(c) for c in res.solution] == [
+                (xp >> j & 1) + 2 * (xq >> j & 1) for j in range(9)]
+        assert [int(c) for c in res.residual] == [
+            (rp >> i & 1) + 2 * (rq >> i & 1) for i in range(12)]
+    # planes that overlap or run past the last row are not a vector
+    for vp, vq in ((1, 1), (1 << 12, 0), (0, 1 << 13)):
+        with pytest.raises(ValueError):
+            ech.solve_planes(vp, vq)
 
 
 def test_rank_only_pass_has_no_transform():

@@ -1,18 +1,20 @@
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from cotor import relations
+from cotor import engine as engine_module, relations
+from cotor.cohomology import class_element
 from cotor.dga import Element, gen
 from cotor.engine import Engine
 from cotor.formal import parse_poly, monomial_degree
 from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
 from cotor.gf3 import Echelon
 from cotor.relations import (
-    GROUP_I, GROUP_II, GROUP_III, _match_vector, discover_relation,
-    express_in_c_classes, ideal_and_split_check, relation_catalog,
-    verify_all, verify_relation, verify_witness,
+    GROUP_I, GROUP_II, GROUP_III, _match_vector, c_class_coordinates,
+    discover_relation, express_in_c_classes, ideal_and_split_check,
+    relation_catalog, verify_all, verify_relation, verify_witness,
 )
 
 
@@ -350,3 +352,40 @@ def test_class_solver_is_engine_owned(engine):
                     for x in (value.values() if isinstance(value, dict)
                               else value))]
     assert held == []
+
+
+def test_representative_memo_matches_class_element(engine):
+    for n in range(0, 47):
+        for cls in engine.additive_basis(n).classes:
+            rep = engine.representative(cls)
+            assert rep == class_element(cls, engine.named), cls.label
+            assert engine.representative(cls) is rep
+
+
+def test_ideal_and_split_check_builds_each_representative_once(monkeypatch):
+    fresh = Engine(convention="parity")
+    builds = Counter()
+
+    def counted(cls, named):
+        builds[cls] += 1
+        return class_element(cls, named)
+
+    monkeypatch.setattr(engine_module, "class_element", counted)
+    report = ideal_and_split_check(fresh, degree_bound=40)
+    assert report.ok and report.split_products > 0
+    assert builds and max(builds.values()) == 1
+    assert set(builds) == set(fresh._representatives)
+
+
+def test_split_coordinates_are_the_plane_solve(engine):
+    # the word-free class coordinates of a split product, read off the
+    # bit planes, reconstruct the product exactly
+    named = engine.named
+    product = named["y20"].element * named["y22"].element * named["a4"].element
+    classes, (xp, xq) = c_class_coordinates(product, 46, engine)
+    total = Element.zero()
+    for j, cls in enumerate(classes):
+        c = 1 if xp >> j & 1 else 2 if xq >> j & 1 else 0
+        total = total + engine.representative(cls).scaled(c)
+    assert total == product and (xp | xq)
+    assert c_class_coordinates(gen("a9"), 9, engine) is None

@@ -1,7 +1,9 @@
+import bisect
+
 import pytest
 
 from cotor.spectral import (
-    SpectralSequence, may_page1_oracle, page4_series_oracle,
+    SCHEMES, SpectralSequence, may_page1_oracle, page4_series_oracle,
     run_scheme_checks,
 )
 
@@ -103,3 +105,36 @@ def test_scheme_reports(prepared):
     for scheme in ("weight_s3", "may_s5", "trivial"):
         report = run_scheme_checks(prepared, scheme, 30)
         assert report.ok, (scheme, report.checks)
+
+
+def test_rank_table_matches_prefix_ranks(engine):
+    # every (rows, cols) breakpoint of the weight orders through degree
+    # 60: the cumulative table against a walk over the pivot list
+    for scheme in SCHEMES:
+        ss = SpectralSequence(engine, scheme)
+        for n in range(61):
+            prof = ss.profile(n)
+            rows_w, cols_w = prof.row_weights_asc, prof.col_weights_desc
+            qs = sorted(set(cols_w)) + [max(cols_w, default=0) + 1]
+            ws = sorted(set(rows_w)) + [max(rows_w, default=0) + 1, None]
+            for q in qs:
+                cols = sum(1 for x in cols_w if x >= q)
+                for w in ws:
+                    rows = (len(rows_w) if w is None
+                            else bisect.bisect_left(rows_w, w))
+                    assert prof.rank_sub(q, w) == prof.table.prefix_rank(
+                        rows=rows, cols=cols), (scheme, n, q, w)
+
+
+def test_memoized_tables_match_a_fresh_sequence(prepared):
+    for scheme in ("weight_s3", "may_s5"):
+        ss = SpectralSequence(prepared, scheme)
+        first = [ss.page_table(r, 30) for r in range(9)]
+        limit = ss.limit_table(30)
+        first[1][(0, 0)] = -1           # a caller's edit stays its own
+        limit.clear()
+        fresh = SpectralSequence(prepared, scheme)
+        for r in range(9):
+            assert ss.page_table(r, 30) == fresh.page_table(r, 30)
+        assert ss.limit_table(30) == fresh.limit_table(30) != {}
+        assert ss.page_table(1, 20) == fresh.page_table(1, 20)
