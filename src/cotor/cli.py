@@ -21,13 +21,14 @@ import time
 from .cache import ENGINE_VERSION
 from .engine import Engine
 
-# Largest --max-degree a cold `cotor homology` run completes within a
-# 6,000,000 KB address-space limit (`ulimit -v 6000000`).  Measured on
-# 2 vCPUs / 8 GB, Python 3.11, cold cache, peak RSS of the process:
-#   N = 100: 1.6 s, 89 MB     N = 130: 18 s, 520 MB
-#   N = 110: 3.4 s, 146 MB    N = 140: 39 s, 1.05 GB
-#   N = 120: 7.3 s, 267 MB    N = 150: 94 s, 2.2 GB
-# Memory doubles every 10 degrees, so 160 would need about 4.6 GB.
+# Largest --max-degree any command accepts.  Cold `cotor homology` runs
+# within a 6,000,000 KB address-space limit (`ulimit -v 6000000`),
+# measured on 2 vCPUs / 8 GB, Python 3.11, cold cache, peak RSS of the
+# process:
+#   N = 120: 2.6 s, 171 MB    N = 140: 11 s, 548 MB
+#   N = 130: 5.1 s, 298 MB    N = 150: 26 s, 1.0 GB
+# Memory about doubles every 10 degrees.  The cap stays at 150 because
+# `ideal-check` and `Engine.decompose` still build dense matrices.
 MAX_SUPPORTED_DEGREE = 150
 
 
@@ -291,7 +292,7 @@ def cmd_spectral(args) -> int:
 
     engine = _engine(args)
     n_max = _default_degree(args, 60)
-    engine.build_range(n_max + 1)
+    engine.build_range(n_max)
     if args.page is not None:
         ss = SpectralSequence(engine, args.scheme)
         table = ss.page_table(args.page, n_max)

@@ -297,9 +297,3 @@ def derivative_catalog_report(d: Differential) -> list:
             expanded.verdict == "exact"
             or expanded.flips in ((), ("row",))))
     return rows
-
-
-def catalog_polynomials() -> tuple:
-    """The catalog's input monomials, as Elements of S."""
-    ev = raw_evaluator()
-    return tuple(ev(q) for q, _, _ in DERIVATIVE_CATALOG)

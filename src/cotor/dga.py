@@ -18,8 +18,7 @@ word-free monomials is closed under multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 A9, C17 = 0, 1
@@ -141,22 +140,84 @@ def _pushed_product(m1: Monomial, m2: Monomial) -> dict:
     return out
 
 
-def times_a9(m: Monomial) -> dict:
-    """m * a9 in normal form, as Monomial -> coeff.
+# -- flat integer keys ----------------------------------------------------
+#
+# The bases and the differential's recursion work on monomials packed into
+# one int.  The six exponents sit in 8-bit fields, a4 in the highest, so
+# packed exponents order like exponent tuples; above them the word is a
+# bit string (a9 = 0, c17 = 1) under a sentinel 1 bit.  Multiplying by a
+# commutative generator adds its field unit, and appending a letter x
+# turns the word bits w into 2w + x.  An exponent of a monomial of degree
+# n is at most n // 4, so every monomial of degree <= MAX_KEY_DEGREE fits.
+
+EXP_BITS = 8
+WORD_SHIFT = 6 * EXP_BITS
+EXPS_MASK = (1 << WORD_SHIFT) - 1
+UNIT = tuple(1 << EXP_BITS * (5 - g) for g in range(6))
+ONE_KEY = 1 << WORD_SHIFT
+MAX_KEY_DEGREE = 4 * (1 << EXP_BITS) - 1
+
+
+def encode(m: Monomial) -> int:
+    """The key of a monomial (ValueError past ``MAX_KEY_DEGREE``)."""
+    if m.degree() > MAX_KEY_DEGREE:
+        raise ValueError(f"monomial {m.text()} is beyond degree "
+                         f"{MAX_KEY_DEGREE}")
+    w = 1
+    for x in m.word:
+        w = w << 1 | x
+    return w << WORD_SHIFT | int.from_bytes(bytes(m.exps), "big")
+
+
+def decode(k: int) -> Monomial:
+    """The monomial of a key."""
+    return Monomial(tuple(map(int, bin(k >> WORD_SHIFT)[3:])),
+                    tuple((k & EXPS_MASK).to_bytes(6, "big")))
+
+
+def times_a9(k: int) -> list:
+    """m * a9 in normal form for the monomial with key k, as (key, coeff)
+    pairs.
 
     Pushing the commutative part E of m through a9 rewrites each b_j factor
     once, and the c17 it leaves behind commutes with everything, so
     E * a9 = a9 * E + c17 * sum_j e_j * a_{j-8} * E / b_j.
     """
-    out = {Monomial(m.word + (A9,), m.exps): 1}
+    w = k >> WORD_SHIFT
+    out = [(k + (w << WORD_SHIFT), 1)]
+    with_c17 = k + (w + 1 << WORD_SHIFT)
     for b, a in _B_TO_A.items():
-        e = m.exps[b] % 3
+        e = (k >> EXP_BITS * (5 - b) & 0xFF) % 3
         if e:
-            exps = list(m.exps)
-            exps[b] -= 1
-            exps[a] += 1
-            out[Monomial(m.word + (C17,), tuple(exps))] = e
+            out.append((with_c17 - UNIT[b] + UNIT[a], e))
     return out
+
+
+def grading(k: int) -> int:
+    """The internal Z^4 degree of a monomial key, packed into one int.
+
+    g(a4), g(a8), g(a10) and g(a9) are the unit vectors, g(c17) = 2 g(a9)
+    and g(b_j) = g(a_{j-8}) + g(a9); the differential and the rewrite
+    both preserve g.  The three a-components sit in the low three bytes
+    (each at most n // 4), the a9-component above them.
+    """
+    e = k & EXPS_MASK
+    w = k >> WORD_SHIFT
+    b = e & 0xFFFFFF                    # the b12, b16, b18 fields
+    a9 = (w.bit_length() + w.bit_count() - 2     # a9 once, c17 twice
+          + (b >> 16) + (b >> 8 & 0xFF) + (b & 0xFF))
+    return (a9 << 24) + (e >> 24) + b
+
+
+def key_weight(k: int, scheme: str) -> int:
+    """``Monomial.weight`` of the monomial with key k."""
+    cw, ww = WEIGHT_SCHEMES[scheme]
+    w = k >> WORD_SHIFT
+    c17 = w.bit_count() - 1
+    a4, a8, a10, b12, b16, b18 = (k & EXPS_MASK).to_bytes(6, "big")
+    return (ww[0] * (w.bit_length() - 1 - c17) + ww[1] * c17
+            + cw[0] * a4 + cw[1] * a8 + cw[2] * a10
+            + cw[3] * b12 + cw[4] * b16 + cw[5] * b18)
 
 
 class Element:
@@ -250,11 +311,6 @@ class Element:
     def in_commutative_subalgebra(self) -> bool:
         return all(not m.word for m in self.terms)
 
-    def min_word_length(self) -> float:
-        if not self.terms:
-            return math.inf
-        return min(m.word_length() for m in self.terms)
-
     def text(self) -> str:
         if not self.terms:
             return "0"
@@ -288,22 +344,16 @@ def comm_monomial(**exps) -> Monomial:
 # -- basis enumeration ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def comm_monomials(n: int) -> tuple:
-    """All commutative exponent vectors of total degree n, lex sorted."""
+def comm_keys(n: int, first: int = 0) -> tuple:
+    """Packed exponents of the commutative monomials of degree n in the
+    generators ``first``..b18, ascending (so exponent-lexicographic)."""
+    d, unit = COMM_DEGREES[first], UNIT[first]
+    if first == 5:
+        return (n // d * unit,) if n % d == 0 else ()
     out = []
-
-    def rec(idx, remaining, acc):
-        if idx == 5:
-            if remaining % COMM_DEGREES[5] == 0:
-                out.append(tuple(acc + [remaining // COMM_DEGREES[5]]))
-            return
-        d = COMM_DEGREES[idx]
-        for e in range(remaining // d + 1):
-            rec(idx + 1, remaining - e * d, acc + [e])
-
-    if n >= 0:
-        rec(0, n, [])
-    return tuple(sorted(out))
+    for e in range(n // d + 1):
+        out.extend(e * unit + k for k in comm_keys(n - e * d, first + 1))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -319,34 +369,49 @@ def words_of_degree(k: int) -> tuple:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
 class DegreeBasis:
-    """Ordered monomial basis of one total degree, with index lookup."""
+    """Ordered monomial basis of one total degree, held as monomial keys;
+    the lookups and the decoded monomials are built on first use."""
 
-    degree: int
-    monomials: tuple
-    index: dict
+    def __init__(self, degree: int, keys: tuple):
+        self.degree = degree
+        self.keys = keys
 
     def __len__(self):
-        return len(self.monomials)
+        return len(self.keys)
+
+    @cached_property
+    def key_index(self) -> dict:
+        return {k: i for i, k in enumerate(self.keys)}
+
+    @cached_property
+    def monomials(self) -> tuple:
+        return tuple(map(decode, self.keys))
+
+    @cached_property
+    def blocks(self) -> list:
+        """The Z^4 degree (``grading``) of every basis monomial."""
+        return list(map(grading, self.keys))
 
 
 def enumerate_basis(n: int) -> DegreeBasis:
     """All normal-form monomials of total degree n, deterministically ordered
     (word lexicographic, then exponent lexicographic)."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    monos = []
-    for k in range(n + 1):
-        words = words_of_degree(k)
-        if not words:
-            continue
-        comms = comm_monomials(n - k)
-        for w in words:
-            monos.extend(Monomial(w, e) for e in comms)
-    monos.sort()
-    return DegreeBasis(n, tuple(monos),
-                       {m: i for i, m in enumerate(monos)})
+    if not 0 <= n <= MAX_KEY_DEGREE:
+        raise ValueError(f"degree must be in 0..{MAX_KEY_DEGREE}")
+    # words of different degrees differ, so sorting the words and taking
+    # each word's exponents in order sorts the monomials
+    words = sorted(w for k in range(n + 1) if comm_keys(n - k)
+                   for w in words_of_degree(k))
+    keys = []
+    for w in words:
+        head = 1
+        for x in w:
+            head = head << 1 | x
+        head <<= WORD_SHIFT
+        keys.extend(head + e for e in comm_keys(
+            n - sum(WORD_DEGREES[x] for x in w)))
+    return DegreeBasis(n, tuple(keys))
 
 
 def element_vector(x: Element, basis: DegreeBasis):
@@ -354,8 +419,9 @@ def element_vector(x: Element, basis: DegreeBasis):
     import numpy as np
 
     v = np.zeros(len(basis), dtype=np.uint8)
+    index = basis.key_index
     for m, c in x.terms.items():
-        v[basis.index[m]] = c
+        v[index[encode(m)]] = c
     return v
 
 

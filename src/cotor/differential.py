@@ -21,40 +21,44 @@ from dataclasses import dataclass, field
 import random
 
 from .dga import (
-    _B_TO_A, A9, C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, ZERO_EXPS,
-    DegreeBasis, Element, Monomial, _merge, enumerate_basis, gen, times_a9,
+    _B_TO_A, A9, C17, COMM_DEGREES, COMM_NAMES, EXP_BITS, EXPS_MASK,
+    GEN_DEGREES, MAX_KEY_DEGREE, ONE_KEY, UNIT, WORD_DEGREES, WORD_SHIFT,
+    ZERO_EXPS, DegreeBasis, Element, Monomial, decode, encode,
+    enumerate_basis, gen, times_a9,
 )
 from .gf3 import SparseMatrixF3
 
 CONVENTIONS = ("parity", "plus", "minus")
 DEFAULT_CONVENTION = "parity"
 
-
-def _eps_factor(convention: str, factor_degree: int) -> int:
-    if convention == "parity":
-        return -1 if factor_degree % 2 else 1
-    if convention == "plus":
-        return 1
-    if convention == "minus":
-        return -1
-    raise KeyError(f"unknown sign convention {convention!r}")
+# d(m) reads d of a prefix at most one generator degree below m, so an
+# ascending build needs no memo layer more than this far below its degree
+MEMO_DEPTH = max(GEN_DEGREES.values())
 
 
-def _eps_mono(convention: str, m: Monomial) -> int:
-    """Leibniz sign of a monomial: the product over its canonical factors."""
-    s = 1
-    for x in m.word:
-        s *= _eps_factor(convention, WORD_DEGREES[x])
-    for g, e in enumerate(m.exps):
-        if e % 2:
-            s *= _eps_factor(convention, COMM_DEGREES[g])
-    return s
+def _eps_parity(k: int, degree: int) -> int:
+    # every commutative generator has even degree, so the product of the
+    # per-factor signs (-1)^deg(x) is (-1)^deg(m)
+    return -1 if degree & 1 else 1
 
 
-def _times_gen(m: Monomial, g: int) -> Monomial:
-    """m * g for a commutative generator g: g lands right of the word,
-    so no rewrite fires and only an exponent moves."""
-    return Monomial(m.word, m.exps[:g] + (m.exps[g] + 1,) + m.exps[g + 1:])
+def _eps_plus(k: int, degree: int) -> int:
+    return 1
+
+
+def _eps_minus(k: int, degree: int) -> int:
+    # -1 per canonical factor: per word letter and per unit of exponent
+    w = k >> WORD_SHIFT
+    factors = w.bit_length() - 1 + sum((k & EXPS_MASK).to_bytes(6, "big"))
+    return -1 if factors & 1 else 1
+
+
+# Leibniz sign eps(m) of a monomial, from its key and degree: the product
+# of the signs of its canonical factors
+_EPS = {"parity": _eps_parity, "plus": _eps_plus, "minus": _eps_minus}
+
+# field unit of a_{j-8}, by the index of b_j
+_A_UNIT = {b: UNIT[a] for b, a in _B_TO_A.items()}
 
 
 class Differential:
@@ -64,10 +68,13 @@ class Differential:
         if convention not in CONVENTIONS:
             raise KeyError(f"unknown sign convention {convention!r}")
         self.convention = convention
-        self._mono_cache: dict[Monomial, Element] = {}
+        self._eps = _EPS[convention]
+        # degree -> {monomial key: {image key: coeff}}
+        self._memo: dict[int, dict[int, dict]] = {}
 
-    def of_mono(self, m: Monomial) -> Element:
-        """d of one normal-form monomial, memoized.
+    def _image(self, m: int, n: int) -> dict:
+        """d of the degree-n monomial with key m, as {key: coeff}; memoized
+        (the dict returned is the memo's own, not to be changed).
 
         Peels off the last canonical factor f of m = m'*f and applies
         d(m) = d(m')*f + eps(m')*m'*d(f).  A prefix of the canonical factor
@@ -75,47 +82,65 @@ class Differential:
         factor Leibniz rule regrouped; d(m') comes from the memo (an
         ascending build has made it already).  Since f is the last
         commutative generator, or the last letter of a word-only m,
-        d(m')*f is an exponent shift or an appended letter.  d(f) is
-        nonzero only for b12, b16, b18 (-a9*a_{j-8}) and c17 (a9^2), and
+        d(m')*f is one add of f's field unit or an appended letter.  d(f)
+        is nonzero only for b12, b16, b18 (-a9*a_{j-8}) and c17 (a9^2), and
         m'*d(f) has a closed form: ``times_a9`` for b_j, and for c17 the
         prefix is word-only, so a9^2 is appended.
         """
-        v = self._mono_cache.get(m)
-        if v is not None:
-            return v
-        g = 5
-        while g >= 0 and not m.exps[g]:
-            g -= 1
-        if g >= 0:
-            prefix = Monomial(m.word,
-                              m.exps[:g] + (m.exps[g] - 1,) + m.exps[g + 1:])
-            out = {_times_gen(t, g): c
-                   for t, c in self.of_mono(prefix).terms.items()}
-            if g in _B_TO_A:
+        layer = self._memo.get(n)
+        if layer is None:
+            layer = self._memo[n] = {}
+        out = layer.get(m)
+        if out is not None:
+            return out
+        e = m & EXPS_MASK
+        if e:
+            # the lowest nonzero field holds the last commutative factor
+            g = 5 - ((e & -e).bit_length() - 1) // EXP_BITS
+            f = UNIT[g]
+            prefix, pn = m - f, n - COMM_DEGREES[g]
+            out = {t + f: c for t, c in self._image(prefix, pn).items()}
+            a = _A_UNIT.get(g)
+            if a is not None:
                 # eps(m') * m' * d(b_g) = -eps(m') * (m' * a9) * a_{g-8}
-                sign = -_eps_mono(self.convention, prefix)
-                for t, c in times_a9(prefix).items():
-                    _merge(out, _times_gen(t, _B_TO_A[g]), sign * c)
-        elif m.word:
+                sign = -self._eps(prefix, pn)
+                for t, c in times_a9(prefix):
+                    t += a
+                    c = (out.get(t, 0) + sign * c) % 3
+                    if c:
+                        out[t] = c
+                    else:
+                        del out[t]
+        elif m != ONE_KEY:
             # word-only m: d(m') is word-only too, so f = x is appended
-            x = m.word[-1]
-            prefix = Monomial(m.word[:-1], ZERO_EXPS)
-            out = {Monomial(t.word + (x,), ZERO_EXPS): c
-                   for t, c in self.of_mono(prefix).terms.items()}
+            w = m >> WORD_SHIFT
+            x = w & 1
+            prefix, pn = w >> 1 << WORD_SHIFT, n - WORD_DEGREES[x]
+            out = {(t >> WORD_SHIFT << 1 | x) << WORD_SHIFT: c
+                   for t, c in self._image(prefix, pn).items()}
             if x == C17:
-                # eps(m') * m' * d(c17) = eps(m') * m' * a9^2
-                _merge(out, Monomial(prefix.word + (A9, A9), ZERO_EXPS),
-                       _eps_mono(self.convention, prefix))
+                # eps(m') * m' * d(c17) = eps(m') * m' * a9^2; the terms
+                # above end in c17, so this one lands on a fresh key
+                out[prefix << 2] = self._eps(prefix, pn) % 3
         else:
             out = {}
-        v = self._mono_cache[m] = Element(out)
-        return v
+        layer[m] = out
+        return out
+
+    def of_mono(self, m: Monomial) -> Element:
+        """d of one normal-form monomial."""
+        return self(Element.monomial(m))
 
     def __call__(self, x: Element) -> Element:
-        out = Element.zero()
+        out = {}
         for m, c in x.terms.items():
-            out = out + self.of_mono(m).scaled(c)
-        return out
+            n = m.degree()
+            if n >= MAX_KEY_DEGREE:
+                raise ValueError(f"d of {m.text()} is beyond degree "
+                                 f"{MAX_KEY_DEGREE}")
+            for t, v in self._image(encode(m), n).items():
+                out[t] = out.get(t, 0) + c * v
+        return Element({decode(t): v for t, v in out.items()})
 
     def eps(self, x: Element) -> int:
         """Leibniz sign of a homogeneous element (per its monomials' factors)."""
@@ -126,7 +151,7 @@ class Differential:
         # "minus" is per-factor and need not be constant on a degree; it is
         # well-defined on single monomials only
         (m, _), = x.terms.items()
-        return _eps_mono("minus", m)
+        return _eps_minus(encode(m), m.degree())
 
     def leibniz(self, x: Element, y: Element) -> Element:
         """d(x*y) computed through the product rule (for the audit)."""
@@ -134,14 +159,21 @@ class Differential:
 
     def matrix(self, n: int, basis_n: DegreeBasis | None = None,
                basis_n1: DegreeBasis | None = None) -> SparseMatrixF3:
-        """Matrix of d from degree n to degree n+1 in basis coordinates."""
-        bn = basis_n or enumerate_basis(n)
-        bn1 = basis_n1 or enumerate_basis(n + 1)
-        index = bn1.index
+        """Matrix of d from degree n to degree n+1 in basis coordinates.
+
+        Memo layers more than ``MEMO_DEPTH`` below n are dropped
+        afterwards: building degree n + 1 no longer reads them.
+        """
+        bn = basis_n if basis_n is not None else enumerate_basis(n)
+        bn1 = basis_n1 if basis_n1 is not None else enumerate_basis(n + 1)
+        index = bn1.key_index
+        image = self._image
         entries = {}
-        for j, m in enumerate(bn.monomials):
-            for t, c in self.of_mono(m).terms.items():
+        for j, m in enumerate(bn.keys):
+            for t, c in image(m, n).items():
                 entries[(index[t], j)] = c
+        for k in [k for k in self._memo if k < n - MEMO_DEPTH]:
+            del self._memo[k]
         return SparseMatrixF3(len(bn1), len(bn), entries)
 
 

@@ -19,7 +19,9 @@ from .cohomology import (
     BasisClass, CotorBasis, additive_basis_classes, class_element,
 )
 from .derivation import build_named_generators, named_evaluator
-from .dga import DegreeBasis, Element, element_vector, enumerate_basis
+from .dga import (
+    DegreeBasis, Element, decode, element_vector, enumerate_basis,
+)
 from .differential import AuditReport, Differential, audit_conventions
 from .gf3 import Echelon, SparseMatrixF3
 
@@ -68,7 +70,7 @@ class Engine:
 
     def basis(self, n: int) -> DegreeBasis:
         if n < 0:
-            return DegreeBasis(n, (), {})
+            return DegreeBasis(n, ())
         b = self._bases.get(n)
         if b is None:
             b = self._bases[n] = enumerate_basis(n)
@@ -100,17 +102,21 @@ class Engine:
 
     def build_range(self, n_max: int):
         """Materialize matrices for all degrees <= n_max, in ascending order
-        (so each monomial's prefix already has its differential memoized)."""
+        (so each monomial's prefix already has its differential memoized,
+        and the memo stays within ``MEMO_DEPTH`` degrees of the top)."""
         for n in range(n_max + 1):
             self.d_matrix(n)
 
     def rank(self, n: int) -> int:
+        """rank d_n, from one elimination per internal Z^4 degree (d
+        preserves it, so d_n is block diagonal)."""
         if n < 0:
             return 0
         r = self._ranks.get(n)
         if r is None:
-            r = self._ranks[n] = Echelon(self.d_matrix(n),
-                                         transform=False).rank
+            r = self._ranks[n] = Echelon.by_blocks(
+                self.d_matrix(n), self.basis(n + 1).blocks,
+                self.basis(n).blocks).rank
         return r
 
     # -- cohomology ----------------------------------------------------------
@@ -224,7 +230,7 @@ class Engine:
                 c = int(res.solution[j])
                 if c:
                     witness = witness + Element.monomial(
-                        bprev.monomials[j - k], c)
+                        decode(bprev.keys[j - k]), c)
         # reconstruction identity, checked on every call (also under -O)
         recon = Element.zero()
         for j in range(k):

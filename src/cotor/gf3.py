@@ -16,6 +16,7 @@ a handful of word-parallel bit operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,9 +121,20 @@ def _add(ap, an, bp, bn):
     return (x ^ z) | (an & bn), (y ^ z) | (ap & bp)
 
 
-def _planes(a):
+class Planes(NamedTuple):
+    """A matrix as the bit-plane pairs of its columns."""
+
+    n_rows: int
+    n_cols: int
+    pos: list
+    neg: list
+
+
+def _planes(a) -> Planes:
     """Columns of a dense 2-D array or a `SparseMatrixF3` as bit-plane
-    pairs: ``(n_rows, n_cols, pos, neg)``."""
+    pairs (`Planes` pass through)."""
+    if isinstance(a, Planes):
+        return a
     if isinstance(a, SparseMatrixF3):
         pos, neg = [0] * a.n_cols, [0] * a.n_cols
         for (r, c), v in a.entries.items():
@@ -130,10 +142,23 @@ def _planes(a):
                 pos[c] |= 1 << r
             else:
                 neg[c] |= 1 << r
-        return a.n_rows, a.n_cols, pos, neg
+        return Planes(a.n_rows, a.n_cols, pos, neg)
     m, n = np.shape(a)
     cols = np.ascontiguousarray(np.asarray(a).T) % 3
-    return m, n, _ints(cols == 1), _ints(cols == 2)
+    return Planes(m, n, _ints(cols == 1), _ints(cols == 2))
+
+
+def _positions(blocks):
+    """(position of each index within its block, block -> its indices)."""
+    members = {}
+    at = []
+    for i, b in enumerate(blocks):
+        same = members.get(b)
+        if same is None:
+            same = members[b] = []
+        at.append(len(same))
+        same.append(i)
+    return at, members
 
 
 def _ints(mask) -> list:
@@ -229,9 +254,7 @@ class Echelon:
                     p, q = _add(p, q, red_pos[k], red_neg[k])
                     if transform:
                         tp, tn = _add(tp, tn, tr_pos[k], tr_neg[k])
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.pivot_columns = [c for _, c in pivots]
+        self._set_pivots(pivots)
         self.transform = transform
         if transform:
             self._cols = (pos, neg)
@@ -240,6 +263,51 @@ class Echelon:
             self._trans = (tr_pos, tr_neg)
             self._kernel = kernel
             self._back_reduced = False
+
+    def _set_pivots(self, pivots: list):
+        self.pivots = pivots
+        self.rank = len(pivots)
+        self.pivot_columns = [c for _, c in pivots]
+
+    @classmethod
+    def by_blocks(cls, a: SparseMatrixF3, row_blocks, col_blocks) -> "Echelon":
+        """The pivot-only pass over a block-diagonal matrix, one block at
+        a time.
+
+        ``row_blocks[i]`` and ``col_blocks[j]`` name the blocks of row i
+        and column j; an entry joining two different blocks is a
+        ValueError.  Rows and columns need not be grouped: a block keeps
+        the order they have in ``a``.  A prefix submatrix is then the
+        direct sum of the blocks' prefix submatrices, so the blocks'
+        pivots, put back in place, are the pivots of
+        ``Echelon(a, transform=False)`` (the rank profile is unique), and
+        no vector in the pass is wider than its block.
+        """
+        row_at, rows_of = _positions(row_blocks)
+        col_at, cols_of = _positions(col_blocks)
+        planes = {}                 # block -> its columns' bit planes
+        for (r, c), v in a.entries.items():
+            b = col_blocks[c]
+            if row_blocks[r] != b:
+                raise ValueError(
+                    f"entry ({r}, {c}) joins blocks {row_blocks[r]} and {b}")
+            block = planes.get(b)
+            if block is None:
+                k = len(cols_of[b])
+                block = planes[b] = ([0] * k, [0] * k)
+            block[v - 1][col_at[c]] |= 1 << row_at[r]
+        pivots = []
+        for b, (pos, neg) in planes.items():
+            rows, cols = rows_of[b], cols_of[b]
+            block = cls(Planes(len(rows), len(cols), pos, neg),
+                        transform=False)
+            pivots.extend((rows[i], cols[j]) for i, j in block.pivots)
+        pivots.sort(key=lambda p: p[1])
+        ech = cls.__new__(cls)
+        ech.n_rows, ech.n_cols = a.n_rows, a.n_cols
+        ech._set_pivots(pivots)
+        ech.transform = False
+        return ech
 
     def prefix_rank(self, rows: int | None = None,
                     cols: int | None = None) -> int:

@@ -31,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dga import WEIGHT_SCHEMES
+from .dga import WEIGHT_SCHEMES, key_weight
 from .gf3 import Echelon, SparseMatrixF3
 
 SCHEMES = tuple(WEIGHT_SCHEMES)
@@ -50,7 +50,7 @@ class DegreeProfile:
     n_cols: int
     col_weights_desc: list          # weights of columns, descending
     row_weights_asc: list           # weights of rows, ascending
-    table: Echelon                  # pivot list only
+    table: Echelon                  # pivot list only (`Echelon.by_blocks`)
     row_levels: list = field(init=False, repr=False)
     col_levels: list = field(init=False, repr=False)
     counts: list = field(init=False, repr=False)
@@ -95,24 +95,35 @@ class SpectralSequence:
         self.engine = engine
         self.scheme = scheme
         self._profiles: dict[int, DegreeProfile] = {}
+        self._basis_weights: dict[int, list] = {}
         self._tables: dict[tuple, dict] = {}
 
     # -- filtration-compatibility of d (precondition for everything) ------
 
     def check_filtration_compatibility(self, n_max: int) -> bool:
-        d = self.engine.d
+        """No entry of d_0..d_{n_max} maps a column to a row of lower
+        weight."""
         for n in range(n_max + 1):
-            for m in self.engine.basis(n).monomials:
-                w = m.weight(self.scheme)
-                img = d.of_mono(m)
-                for t in img.terms:
-                    if t.weight(self.scheme) < w:
-                        return False
+            colw, roww = self._weights(n), self._weights(n + 1)
+            if any(roww[r] < colw[c]
+                   for r, c in self.engine.d_matrix(n).entries):
+                return False
         return True
+
+    def _weights(self, n: int) -> list:
+        """The weight of every basis monomial of degree n, in basis order."""
+        w = self._basis_weights.get(n)
+        if w is None:
+            w = self._basis_weights[n] = [
+                key_weight(k, self.scheme) for k in self.engine.basis(n).keys]
+        return w
 
     # -- profiles ----------------------------------------------------------
 
     def profile(self, m: int) -> DegreeProfile:
+        """Rank data of d_m in weight order, eliminated one internal Z^4
+        degree at a time (filtration levels are spanned by monomials, so
+        every prefix rank is a sum over the blocks)."""
         prof = self._profiles.get(m)
         if prof is not None:
             return prof
@@ -121,10 +132,7 @@ class SpectralSequence:
                 0, [], [], Echelon(SparseMatrixF3(0, 0), transform=False))
             self._profiles[m] = prof
             return prof
-        basis_n = self.engine.basis(m)
-        basis_n1 = self.engine.basis(m + 1)
-        colw = [mono.weight(self.scheme) for mono in basis_n.monomials]
-        roww = [mono.weight(self.scheme) for mono in basis_n1.monomials]
+        colw, roww = self._weights(m), self._weights(m + 1)
         col_order = sorted(range(len(colw)), key=lambda j: -colw[j])
         row_order = sorted(range(len(roww)), key=lambda i: roww[i])
         # the differential with rows and columns in weight order
@@ -133,11 +141,14 @@ class SpectralSequence:
         d = self.engine.d_matrix(m)
         permuted = SparseMatrixF3(d.n_rows, d.n_cols, {
             (row_at[r], col_at[c]): v for (r, c), v in d.entries.items()})
+        row_blocks = self.engine.basis(m + 1).blocks
+        col_blocks = self.engine.basis(m).blocks
         prof = DegreeProfile(
             len(colw),
             [colw[j] for j in col_order],
             [roww[i] for i in row_order],
-            Echelon(permuted, transform=False))
+            Echelon.by_blocks(permuted, [row_blocks[i] for i in row_order],
+                              [col_blocks[j] for j in col_order]))
         self._profiles[m] = prof
         return prof
 

@@ -17,6 +17,7 @@ from cotor.derivation import (
     partial,
 )
 from cotor.differential import audit_conventions
+from cotor.gf3 import SparseMatrixF3
 from cotor.relations import ideal_and_split_check, verify_all
 from cotor.spectral import run_scheme_checks
 
@@ -39,11 +40,9 @@ def test_criterion_2_convention_audit(full_engine):
     report = audit_conventions(degree_bound=40, pair_samples=1000, seed=0)
     ok = bool(report.admissible)
     # square-zero on EVERY basis monomial of degree <= 80, through the
-    # coordinate matrices (composites vanish iff d(d(m)) = 0 for all m)
+    # coordinate matrices (column m of d_{n+1} d_n is d(d(m)))
     for n in range(FULL_BOUND + 1):
-        a = full_engine.d_dense(n)
-        b = full_engine.d_dense(n + 1)
-        if ((b.astype(np.int64) @ a.astype(np.int64)) % 3).any():
+        if _composite(full_engine.d_matrix(n + 1), full_engine.d_matrix(n)):
             ok = False
             break
     # the audited sign data reconcile the witness lists
@@ -56,6 +55,31 @@ def test_criterion_2_convention_audit(full_engine):
            f"basis monomial through {FULL_BOUND}; the audited signs "
            "reconcile the witness lists", ok)
     assert report.selected == "parity"
+
+
+def _composite(b, a) -> dict:
+    """The nonzero entries of the product b a, exactly: column j of b a is
+    the sum of v times column k of b over the entries (k, j) = v of a."""
+    b_cols = {}
+    for (i, k), v in b.entries.items():
+        b_cols.setdefault(k, []).append((i, v))
+    out = {}
+    for (k, j), v in a.entries.items():
+        for i, w in b_cols.get(k, ()):
+            out[i, j] = (out.get((i, j), 0) + v * w) % 3
+    return {ij: v for ij, v in out.items() if v}
+
+
+def test_square_zero_check_sees_one_flipped_entry(full_engine):
+    a, b = full_engine.d_matrix(40), full_engine.d_matrix(41)
+    assert not _composite(b, a)
+    # an entry in row k of d_40 with column k of d_41 nonzero: flipping it
+    # adds v times that column to the composite
+    hit = {k for _, k in b.entries}
+    (k, j), v = next(((k, j), v) for (k, j), v in a.entries.items()
+                     if k in hit)
+    flipped = SparseMatrixF3(a.n_rows, a.n_cols, {**a.entries, (k, j): 3 - v})
+    assert _composite(b, flipped)
 
 
 def test_criterion_3_cocycle_suite(full_engine):

@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
 
 from cotor import dga
 from cotor.dga import (
-    COMM_NAMES, GEN_NAMES, Element, Monomial, comm_monomial, comm_monomials,
-    element_vector, enumerate_basis, gen, mono_mul, parse_monomial, times_a9,
+    COMM_NAMES, GEN_NAMES, Element, Monomial, comm_keys, comm_monomial,
+    decode, element_vector, encode, enumerate_basis, gen, mono_mul,
+    parse_monomial, times_a9,
 )
 
 
@@ -40,7 +42,8 @@ def test_times_a9_closed_form_matches_the_rewrite():
     a9 = parse_monomial("a9")
     for n in range(49):
         for m in enumerate_basis(n).monomials:
-            assert times_a9(m) == mono_mul(m, a9), m.text()
+            product = {decode(k): c for k, c in times_a9(encode(m))}
+            assert product == mono_mul(m, a9), m.text()
 
 
 def test_word_free_fast_path_matches_the_general_route():
@@ -51,8 +54,8 @@ def test_word_free_fast_path_matches_the_general_route():
     for n1 in range(49):
         for m1 in enumerate_basis(n1).monomials:
             for n2 in range(49 - n1):
-                for exps in comm_monomials(n2):
-                    m2 = Monomial((), exps)
+                for k in comm_keys(n2):
+                    m2 = decode(k)
                     assert mono_mul(m1, m2) == dga._pushed_product(m1, m2), \
                         (m1.text(), m2.text())
                     pairs += 1
@@ -80,7 +83,8 @@ def test_basis_deterministic_order():
     a = enumerate_basis(30)
     b = enumerate_basis(30)
     assert a.monomials == b.monomials
-    assert all(a.index[m] == i for i, m in enumerate(a.monomials))
+    assert all(a.key_index[encode(m)] == i
+               for i, m in enumerate(a.monomials))
 
 
 def test_basis_counts_against_series():
@@ -148,12 +152,17 @@ def test_normal_form_stability_any_parenthesization():
         assert left == right == mid
 
 
+def min_word_length(x: Element) -> float:
+    """Shortest word among the terms of x (+infinity for 0)."""
+    return min((m.word_length() for m in x.terms), default=math.inf)
+
+
 def test_word_length_never_drops_and_s_is_closed():
     rng = random.Random(11)
     for _ in range(300):
         x = _random_homogeneous(rng, 25)
         y = _random_homogeneous(rng, 25)
-        lo = x.min_word_length() + y.min_word_length()
+        lo = min_word_length(x) + min_word_length(y)
         prod = x * y
         for m in prod.terms:
             assert m.word_length() >= lo
@@ -186,6 +195,25 @@ def test_monomial_text_roundtrip():
     for n in (0, 9, 26, 35, 44):
         for m in enumerate_basis(n).monomials:
             assert parse_monomial(m.text()) == m
+
+
+def test_keys_roundtrip_and_refuse_overflow():
+    from cotor.differential import Differential
+
+    for n in (0, 9, 26, 35, 44):
+        basis = enumerate_basis(n)
+        assert [encode(m) for m in basis.monomials] == list(basis.keys)
+        assert all(decode(encode(m)) == m for m in basis.monomials)
+    # an exponent past its 8-bit field is refused, never wrapped
+    a4_256 = Monomial((), (256, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        encode(a4_256)
+    with pytest.raises(ValueError):
+        Differential().of_mono(a4_256)
+    with pytest.raises(ValueError):
+        enumerate_basis(dga.MAX_KEY_DEGREE + 1)
+    top = Monomial((1, 0), (249, 0, 0, 0, 0, 0))    # degree 1022
+    assert decode(encode(top)) == top
 
 
 def test_element_vector_lookup():

@@ -98,11 +98,11 @@ def test_spectral_subcommand(capsys):
 def test_spectral_builds_each_profile_once(capsys, monkeypatch):
     from cotor.gf3 import Echelon
 
+    # profiles and ranks both eliminate through Echelon.by_blocks
     builds = []
-    init = Echelon.__init__
-    monkeypatch.setattr(Echelon, "__init__",
-                        lambda self, *a, **k: builds.append(1) or init(
-                            self, *a, **k))
+    by_blocks = Echelon.by_blocks
+    monkeypatch.setattr(Echelon, "by_blocks",
+                        lambda *a: builds.append(1) or by_blocks(*a))
     code, out, _ = run_cli(capsys, "spectral", "--scheme", "may_s5",
                            "--max-degree", "20", "--format", "json")
     assert code == 0

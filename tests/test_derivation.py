@@ -5,9 +5,8 @@ import pytest
 from cotor.dga import Element, enumerate_basis, gen
 from cotor.derivation import (
     DERIVATIVE_CATALOG, NAMED_GENERATOR_NAMES, build_named_generators,
-    catalog_polynomials, check_bridge_identity,
-    check_coboundary_factorizations, derivative_catalog_report, partial,
-    partial2, raw_evaluator,
+    check_bridge_identity, check_coboundary_factorizations,
+    derivative_catalog_report, partial, partial2, raw_evaluator,
 )
 from cotor.differential import Differential
 
@@ -120,6 +119,12 @@ def test_coboundary_factorizations(d):
         checks = check_coboundary_factorizations(ev(q), d)
         assert [c.label for c in checks] == ["a9", "y21", "y25", "y27", "x26"]
         assert all(c.ok for c in checks), q
+
+
+def catalog_polynomials() -> tuple:
+    """The catalog's input monomials, as Elements of S."""
+    ev = raw_evaluator()
+    return tuple(ev(q) for q, _, _ in DERIVATIVE_CATALOG)
 
 
 def test_catalog_covers_all_cubefree_b_monomials():

@@ -4,11 +4,14 @@ import random
 import pytest
 
 from cotor.dga import (
-    C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, Element, Monomial,
-    enumerate_basis, gen, mono_mul, parse_monomial,
+    A9, C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, Element, Monomial,
+    encode, enumerate_basis, gen, mono_mul, parse_monomial,
 )
-from cotor.differential import Differential, audit_conventions, select_x26
+from cotor.differential import (
+    MEMO_DEPTH, Differential, audit_conventions, select_x26,
+)
 from cotor.engine import Engine
+from cotor.spectral import SpectralSequence
 
 # -- reference: d by the factor-by-factor Leibniz loop ---------------------
 #
@@ -141,17 +144,17 @@ def test_matrix_degree_17(d):
     b17, b18 = enumerate_basis(17), enumerate_basis(18)
     m = d.matrix(17)
     assert (m.n_rows, m.n_cols) == (4, 3)
-    col = b17.index[parse_monomial("c17")]
-    row = b18.index[parse_monomial("a9 a9")]
+    col = b17.key_index[encode(parse_monomial("c17"))]
+    row = b18.key_index[encode(parse_monomial("a9 a9"))]
     assert m.entries == {(row, col): 1}
 
 
 def test_matrix_degree_12_column(d):
     b12, b13 = enumerate_basis(12), enumerate_basis(13)
     m = d.matrix(12)
-    col = b12.index[parse_monomial("b12")]
+    col = b12.key_index[encode(parse_monomial("b12"))]
     entries = {r: v for (r, c), v in m.entries.items() if c == col}
-    assert entries == {b13.index[parse_monomial("a9 | a4")]: 2}
+    assert entries == {b13.key_index[encode(parse_monomial("a9 | a4"))]: 2}
 
 
 def test_unsigned_rule_is_inconsistent():
@@ -230,3 +233,57 @@ def test_matrices_bit_identical_through_degree_60():
     text = "".join(engine.d_matrix(n).serialize() for n in range(61))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c5afe3c9096821cd593555d5ef434225bace15635d8e93931520e8988fecf9da")
+
+
+# sha256 of the GF3MAT texts of d_0..d_95, concatenated, per convention;
+# pinned from the matrices of the Monomial-keyed recursion, before the
+# recursion moved to integer keys
+D95_SHA256 = {
+    "parity": "6bec6e323ad4c4601911b54dafebcfb6"
+              "a8120ad2de82194ac16aa0f3606c58c7",
+    "plus": "e469ca451cb615f1cadd992db2bc6500"
+            "1ac0eadeefc42125834a65afccd5c34b",
+    "minus": "c5125b9254845a9d5f7e054df9ff2207"
+             "0b7cd027a6d56837b79bebbb38264844",
+}
+
+
+@pytest.mark.parametrize("convention", ["parity", "plus", "minus"])
+def test_matrices_bit_identical_through_degree_95(convention):
+    engine = Engine(convention=convention)
+    text = "".join(engine.d_matrix(n).serialize() for n in range(96))
+    assert hashlib.sha256(text.encode()).hexdigest() == D95_SHA256[convention]
+
+
+def _grading(m: Monomial) -> tuple:
+    """g(a4), g(a8), g(a10), g(a9) are the unit vectors, g(c17) = 2 g(a9)
+    and g(b_j) = g(a_{j-8}) + g(a9)."""
+    e, b = m.exps, sum(m.exps[3:])
+    return (e[0] + e[3], e[1] + e[4], e[2] + e[5],
+            m.word.count(A9) + 2 * m.word.count(C17) + b)
+
+
+def test_d_preserves_the_internal_grading(engine):
+    for n in range(91):
+        cols, rows = engine.basis(n), engine.basis(n + 1)
+        for (r, c) in engine.d_matrix(n).entries:
+            assert _grading(rows.monomials[r]) == _grading(cols.monomials[c])
+        # the packed labels the blocked rank uses name the same blocks
+        pairs = set(zip(cols.blocks, map(_grading, cols.monomials)))
+        assert len(pairs) == len(set(cols.blocks)) == len(
+            {g for _, g in pairs})
+
+
+def test_memo_keeps_only_the_last_generator_degrees():
+    engine = Engine(convention="parity")
+    engine.build_range(100)
+    assert MEMO_DEPTH == 18
+    assert min(engine.d._memo) >= 100 - MEMO_DEPTH
+    # the filtration check reads the matrices, not the recursion
+    assert SpectralSequence(engine, "may_s5") \
+        .check_filtration_compatibility(100)
+    assert min(engine.d._memo) >= 100 - MEMO_DEPTH
+    # low degrees are rebuilt on demand, and still right
+    for text in ("c17 | b12", "a9 c17 a9 | b16 b18", "c17 c17 | a4 b12^2"):
+        m = parse_monomial(text)
+        assert engine.d.of_mono(m) == d_mono(m, "parity"), text

@@ -370,6 +370,34 @@ def test_echelon_matches_reference_on_d_matrices(engine):
         assert sparse.rank == engine.rank(n)
 
 
+def test_by_blocks_matches_one_global_pass():
+    # block-diagonal matrices with their rows and columns shuffled
+    rng = np.random.default_rng(77)
+    for _ in range(30):
+        sizes = [(int(rng.integers(0, 9)), int(rng.integers(0, 9)))
+                 for _ in range(int(rng.integers(1, 6)))]
+        row_blocks = [b for b, (r, _) in enumerate(sizes) for _ in range(r)]
+        col_blocks = [b for b, (_, c) in enumerate(sizes) for _ in range(c)]
+        rng.shuffle(row_blocks)
+        rng.shuffle(col_blocks)
+        m, n = len(row_blocks), len(col_blocks)
+        a = np.zeros((m, n), dtype=np.uint8)
+        for i in range(m):
+            for j in range(n):
+                if row_blocks[i] == col_blocks[j] and rng.random() < 0.5:
+                    a[i, j] = rng.integers(1, 3)
+        blocked = Echelon.by_blocks(SparseMatrixF3.from_dense(a),
+                                    row_blocks, col_blocks)
+        whole = Echelon(a, transform=False)
+        assert blocked.pivots == whole.pivots
+        assert blocked.rank == whole.rank
+        assert blocked.prefix_rank(m // 2, n // 2) == whole.prefix_rank(
+            m // 2, n // 2)
+    # an entry joining two blocks is refused
+    with pytest.raises(ValueError):
+        Echelon.by_blocks(SparseMatrixF3(2, 2, {(0, 1): 1}), [0, 1], [0, 1])
+
+
 def test_solve_planes_is_solve_on_bit_planes():
     rng = np.random.default_rng(5)
     a = ((rng.random((12, 9)) < 0.3) * rng.integers(1, 3, (12, 9))).astype(

@@ -1,7 +1,10 @@
 import bisect
 
+import numpy as np
 import pytest
 
+from cotor.engine import Engine
+from cotor.gf3 import Echelon, SparseMatrixF3
 from cotor.spectral import (
     SCHEMES, SpectralSequence, may_page1_oracle, page4_series_oracle,
     run_scheme_checks,
@@ -138,3 +141,45 @@ def test_memoized_tables_match_a_fresh_sequence(prepared):
             assert ss.page_table(r, 30) == fresh.page_table(r, 30)
         assert ss.limit_table(30) == fresh.limit_table(30) != {}
         assert ss.page_table(1, 20) == fresh.page_table(1, 20)
+
+
+def test_blocked_passes_match_one_global_echelon(engine):
+    # ranks and weight-ordered pivots, per Z^4 block against one pass over
+    # the whole matrix, with the weight orders rebuilt from Monomial.weight
+    engine.build_range(100)
+    weights = {(scheme, n): [m.weight(scheme)
+                             for m in engine.basis(n).monomials]
+               for scheme in SCHEMES for n in range(102)}
+    sequences = {scheme: SpectralSequence(engine, scheme)
+                 for scheme in SCHEMES}
+    for n in range(101):
+        d = engine.d_matrix(n)
+        assert engine.rank(n) == Echelon(d, transform=False).rank, n
+        for scheme in SCHEMES:
+            colw, roww = weights[scheme, n], weights[scheme, n + 1]
+            row_at = np.argsort(sorted(range(len(roww)),
+                                       key=lambda i: roww[i])).tolist()
+            col_at = np.argsort(sorted(range(len(colw)),
+                                       key=lambda j: -colw[j])).tolist()
+            permuted = SparseMatrixF3(d.n_rows, d.n_cols, {
+                (row_at[r], col_at[c]): v for (r, c), v in d.entries.items()})
+            prof = sequences[scheme].profile(n)
+            assert prof.table.pivots == Echelon(
+                permuted, transform=False).pivots, (scheme, n)
+
+
+def test_filtration_check_reports_a_planted_weight_drop():
+    engine = Engine(convention="parity")
+    engine.build_range(20)
+    assert SpectralSequence(engine, "weight_s3") \
+        .check_filtration_compatibility(20)
+    n = 12
+    colw = [m.weight("weight_s3") for m in engine.basis(n).monomials]
+    roww = [m.weight("weight_s3") for m in engine.basis(n + 1).monomials]
+    c, r = colw.index(max(colw)), roww.index(min(roww))
+    assert roww[r] < colw[c]
+    d = engine.d_matrix(n)
+    engine._matrices[n] = SparseMatrixF3(d.n_rows, d.n_cols,
+                                         {**d.entries, (r, c): 1})
+    assert not SpectralSequence(engine, "weight_s3") \
+        .check_filtration_compatibility(20)
