@@ -27,8 +27,8 @@ from .engine import Engine
 # process:
 #   N = 120: 2.6 s, 171 MB    N = 140: 11 s, 548 MB
 #   N = 130: 5.1 s, 298 MB    N = 150: 26 s, 1.0 GB
-# Memory about doubles every 10 degrees.  The cap stays at 150 because
-# `ideal-check` and `Engine.decompose` still build dense matrices.
+# Memory about doubles every 10 degrees.  150 was measured for cold
+# `homology` only; the other subcommands have not been run at the cap.
 MAX_SUPPORTED_DEGREE = 150
 
 

@@ -389,6 +389,11 @@ class DegreeBasis:
         return tuple(map(decode, self.keys))
 
     @cached_property
+    def index(self) -> dict:
+        """Monomial -> position."""
+        return {m: i for i, m in enumerate(self.monomials)}
+
+    @cached_property
     def blocks(self) -> list:
         """The Z^4 degree (``grading``) of every basis monomial."""
         return list(map(grading, self.keys))
@@ -414,15 +419,17 @@ def enumerate_basis(n: int) -> DegreeBasis:
     return DegreeBasis(n, tuple(keys))
 
 
-def element_vector(x: Element, basis: DegreeBasis):
-    """Coefficient vector of a homogeneous element in a degree basis."""
-    import numpy as np
-
-    v = np.zeros(len(basis), dtype=np.uint8)
-    index = basis.key_index
+def element_planes(x: Element, index) -> tuple:
+    """The bit planes ``(pos, neg)`` of an element's coefficients over
+    ``index``, a mapping from monomials to positions (KeyError for a term
+    outside it)."""
+    pos = neg = 0
     for m, c in x.terms.items():
-        v[index[encode(m)]] = c
-    return v
+        if c == 1:
+            pos |= 1 << index[m]
+        else:
+            neg |= 1 << index[m]
+    return pos, neg
 
 
 def parse_monomial(text: str) -> Monomial:

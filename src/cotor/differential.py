@@ -201,10 +201,11 @@ class AuditReport:
         return [v.convention for v in self.verdicts if v.admissible]
 
 
-def _random_homogeneous(rng, max_degree: int) -> Element:
-    n = rng.choice([d for d in range(1, max_degree + 1)
-                    if len(enumerate_basis(d)) > 0])
-    basis = enumerate_basis(n)
+def _random_homogeneous(rng, bases: list, max_degree: int) -> Element:
+    """A random element of a random degree 1..max_degree with a nonempty
+    basis; ``bases[n]`` is the basis of degree n."""
+    n = rng.choice([d for d in range(1, max_degree + 1) if len(bases[d]) > 0])
+    basis = bases[n]
     k = rng.randint(1, min(3, len(basis)))
     out = {}
     for m in rng.sample(list(basis.monomials), k):
@@ -224,10 +225,12 @@ def audit_conventions(degree_bound: int = 40, pair_samples: int = 1000,
     survives.
     """
     rng = random.Random(seed)
+    bases = [enumerate_basis(n)
+             for n in range(max(degree_bound, pair_max_degree) + 1)]
     gens = [gen(n) for n in COMM_NAMES] + [gen("a9"), gen("c17")]
     pairs = [(x, y) for x in gens for y in gens]
-    pairs += [(_random_homogeneous(rng, pair_max_degree),
-               _random_homogeneous(rng, pair_max_degree))
+    pairs += [(_random_homogeneous(rng, bases, pair_max_degree),
+               _random_homogeneous(rng, bases, pair_max_degree))
               for _ in range(pair_samples)]
 
     verdicts = []
@@ -250,7 +253,7 @@ def audit_conventions(degree_bound: int = 40, pair_samples: int = 1000,
                         (x.text(), y.text(), diff.text()))
         if v.admissible:
             for n in range(degree_bound + 1):
-                for m in enumerate_basis(n).monomials:
+                for m in bases[n].monomials:
                     ddm = d(d.of_mono(m))
                     if not ddm.is_zero():
                         v.admissible = False

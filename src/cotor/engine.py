@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cohomology
 from .cache import ENGINE_VERSION, MatrixCache, fingerprint
 from .cohomology import (
@@ -20,10 +18,10 @@ from .cohomology import (
 )
 from .derivation import build_named_generators, named_evaluator
 from .dga import (
-    DegreeBasis, Element, decode, element_vector, enumerate_basis,
+    DegreeBasis, Element, decode, element_planes, enumerate_basis,
 )
 from .differential import AuditReport, Differential, audit_conventions
-from .gf3 import Echelon, SparseMatrixF3
+from .gf3 import Echelon, Planes, SparseMatrixF3, hstack
 
 DEFAULT_MAX_DEGREE = 80
 
@@ -33,9 +31,6 @@ class ClassDecomposition:
     degree: int
     coefficients: dict          # class label -> coefficient in {1, 2}
     witness: Element            # input - sum(c_i * rep_i) = d(witness)
-
-    def is_zero_class(self) -> bool:
-        return not self.coefficients
 
 
 class Engine:
@@ -56,7 +51,6 @@ class Engine:
         self.cache = MatrixCache(cache_dir, convention) if cache_dir else None
         self._bases: dict[int, DegreeBasis] = {}
         self._matrices: dict[int, SparseMatrixF3] = {}
-        self._dense: dict[int, np.ndarray] = {}
         self._ranks: dict[int, int] = {}
         self._named = None
         self._named_ev = None
@@ -93,12 +87,6 @@ class Engine:
         if self.cache is not None:
             self.cache.store(n, m)
         return m
-
-    def d_dense(self, n: int) -> np.ndarray:
-        a = self._dense.get(n)
-        if a is None:
-            a = self._dense[n] = self.d_matrix(n).to_dense()
-        return a
 
     def build_range(self, n_max: int):
         """Materialize matrices for all degrees <= n_max, in ascending order
@@ -161,19 +149,25 @@ class Engine:
         return rep
 
     def class_columns(self, n: int):
-        """(classes, matrix of their representative vectors) at degree n."""
+        """(classes, planes of their representatives) at degree n."""
         cols = self._class_columns.get(n)
         if cols is None:
             basis = self.basis(n)
             classes = self.additive_basis(n).classes
-            mat = np.zeros((len(basis), len(classes)), dtype=np.uint8)
-            for j, cls in enumerate(classes):
+            planes = []
+            for cls in classes:
                 rep = self.representative(cls)
                 if rep.degree() not in (None, n):
                     raise RuntimeError(f"class {cls.label} has wrong degree")
-                mat[:, j] = element_vector(rep, basis)
-            cols = self._class_columns[n] = (classes, mat)
+                planes.append(element_planes(rep, basis.index))
+            cols = self._class_columns[n] = (
+                classes, Planes.from_columns(len(basis), planes))
         return cols
+
+    def _classes_and_boundaries(self, n: int) -> Planes:
+        """The planes of [class columns | d_{n-1}] at degree n."""
+        _, cols = self.class_columns(n)
+        return hstack(cols, self.d_matrix(n - 1)) if n >= 1 else cols
 
     def split_solver(self, n: int):
         """(solver, monomial index, classes) over the word-free basis
@@ -185,21 +179,17 @@ class Engine:
             reps = [self.representative(c) for c in classes]
             monos = sorted({m for rep in reps for m in rep.terms})
             idx = {m: i for i, m in enumerate(monos)}
-            a = np.zeros((len(monos), len(classes)), dtype=np.uint8)
-            for j, rep in enumerate(reps):
-                for m, coeff in rep.terms.items():
-                    a[idx[m], j] = coeff
+            a = Planes.from_columns(
+                len(monos), (element_planes(rep, idx) for rep in reps))
             cached = self._split_solvers[n] = (Echelon(a), idx, classes)
         return cached
 
     def check_additive_basis(self, n: int) -> bool:
         """Count == dim H^n and representatives independent mod im(d)."""
-        classes, mat = self.class_columns(n)
+        classes, _ = self.class_columns(n)
         if len(classes) != self.dim_h(n):
             return False
-        combined = np.concatenate([mat, self.d_dense(n - 1)], axis=1) \
-            if n >= 1 else mat
-        rank = Echelon(combined, transform=False).rank
+        rank = Echelon(self._classes_and_boundaries(n), transform=False).rank
         return rank == len(classes) + self.rank(n - 1)
 
     def decompose(self, z: Element, n: int | None = None) -> ClassDecomposition:
@@ -209,34 +199,33 @@ class Engine:
         if not self.d(z).is_zero():
             raise ValueError("decompose: input is not a cocycle")
         solver = self._decompose_solvers.get(n)
-        classes, mat = self.class_columns(n)
         if solver is None:
-            a = np.concatenate([mat, self.d_dense(n - 1)], axis=1) \
-                if n >= 1 else mat
-            solver = self._decompose_solvers[n] = Echelon(a)
-        v = element_vector(z, self.basis(n))
-        res = solver.solve(v)
-        if res.solution is None:
+            solver = self._decompose_solvers[n] = Echelon(
+                self._classes_and_boundaries(n))
+        classes, _ = self.class_columns(n)
+        x, _ = solver.solve_planes(*element_planes(z, self.basis(n).index))
+        if x is None:
             raise RuntimeError(
                 f"cocycle of degree {n} not spanned by classes + im(d); "
                 "additive basis is incomplete here")
+        # column j < k is class j, column k + i is basis monomial i of
+        # degree n - 1; x is 1 on its pos plane and 2 on its neg plane
         k = len(classes)
-        coeffs = {classes[j].label: int(res.solution[j])
-                  for j in range(k) if res.solution[j]}
-        witness = Element.zero()
-        if n >= 1:
-            bprev = self.basis(n - 1)
-            for j in range(k, len(res.solution)):
-                c = int(res.solution[j])
-                if c:
-                    witness = witness + Element.monomial(
-                        decode(bprev.keys[j - k]), c)
-        # reconstruction identity, checked on every call (also under -O)
-        recon = Element.zero()
-        for j in range(k):
-            c = int(res.solution[j])
-            if c:
+        xp, xq = x
+        coeffs, witness, recon = {}, {}, Element.zero()
+        bits = xp | xq
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            j = low.bit_length() - 1
+            c = 1 if xp & low else 2
+            if j < k:
+                coeffs[classes[j].label] = c
                 recon = recon + self.representative(classes[j]).scaled(c)
+            else:
+                witness[decode(self.basis(n - 1).keys[j - k])] = c
+        witness = Element(witness)
+        # reconstruction identity, checked on every call (also under -O)
         if z - recon != self.d(witness):
             raise RuntimeError(
                 f"decompose: reconstruction failed in degree {n}: input minus "

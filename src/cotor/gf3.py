@@ -10,15 +10,15 @@ prefix ranks, kernels and solves off the same reduction.  It works on
 bitsliced vectors (after Boothby and Bradshaw, arXiv:0901.1413): a
 vector is a pair of Python integers ``(pos, neg)`` whose bit ``i`` says
 that entry ``i`` is +1, respectively -1 (= 2), so one vector addition is
-a handful of word-parallel bit operations.
+a handful of word-parallel bit operations.  Bit planes are the one
+vector format: `Echelon` takes a `SparseMatrixF3` or `Planes`, and the
+vectors it hands back are plain tuples of residues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 
 class SparseMatrixF3:
@@ -42,18 +42,15 @@ class SparseMatrixF3:
         self.entries = clean
 
     @classmethod
-    def from_dense(cls, a) -> "SparseMatrixF3":
-        a = np.asarray(a)
-        ent = {}
-        for r, c in zip(*np.nonzero(a % 3)):
-            ent[(int(r), int(c))] = int(a[r, c]) % 3
-        return cls(a.shape[0], a.shape[1], ent)
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for (r, c), v in self.entries.items():
-            a[r, c] = v
-        return a
+    def from_dense(cls, rows) -> "SparseMatrixF3":
+        """The matrix whose rows are the given sequences of integers."""
+        rows = [list(row) for row in rows]
+        n_cols = len(rows[0]) if rows else 0
+        if any(len(row) != n_cols for row in rows):
+            raise ValueError("rows of different lengths")
+        return cls(len(rows), n_cols, {
+            (r, c): int(v) for r, row in enumerate(rows)
+            for c, v in enumerate(row) if v % 3})
 
     @property
     def nnz(self) -> int:
@@ -64,14 +61,15 @@ class SparseMatrixF3:
             self.n_cols, self.n_rows,
             {(c, r): v for (r, c), v in self.entries.items()})
 
-    def matvec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64)
-        if v.shape[0] != self.n_cols:
+    def matvec(self, v) -> tuple:
+        """The product with a vector of integers, as a tuple of residues."""
+        v = [int(x) for x in v]
+        if len(v) != self.n_cols:
             raise ValueError("vector length does not match n_cols")
-        out = np.zeros(self.n_rows, dtype=np.int64)
+        out = [0] * self.n_rows
         for (r, c), a in self.entries.items():
             out[r] += a * v[c]
-        return (out % 3).astype(np.uint8)
+        return tuple(x % 3 for x in out)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrixF3)
@@ -121,6 +119,23 @@ def _add(ap, an, bp, bn):
     return (x ^ z) | (an & bn), (y ^ z) | (ap & bp)
 
 
+def to_planes(v) -> tuple:
+    """A vector of integers as a bit-plane pair ``(pos, neg)``."""
+    pos = neg = 0
+    for i, x in enumerate(v):
+        x = int(x) % 3
+        if x == 1:
+            pos |= 1 << i
+        elif x == 2:
+            neg |= 1 << i
+    return pos, neg
+
+
+def from_planes(p: int, q: int, length: int) -> tuple:
+    """A bit-plane pair as a tuple of ``length`` entries in {0, 1, 2}."""
+    return tuple((p >> i & 1) | (q >> i & 1) << 1 for i in range(length))
+
+
 class Planes(NamedTuple):
     """A matrix as the bit-plane pairs of its columns."""
 
@@ -129,23 +144,36 @@ class Planes(NamedTuple):
     pos: list
     neg: list
 
-
-def _planes(a) -> Planes:
-    """Columns of a dense 2-D array or a `SparseMatrixF3` as bit-plane
-    pairs (`Planes` pass through)."""
-    if isinstance(a, Planes):
-        return a
-    if isinstance(a, SparseMatrixF3):
+    @classmethod
+    def of(cls, a) -> "Planes":
+        """The columns of a `SparseMatrixF3` (`Planes` pass through)."""
+        if isinstance(a, Planes):
+            return a
+        if not isinstance(a, SparseMatrixF3):
+            raise TypeError(
+                f"expected a SparseMatrixF3 or Planes, got {type(a).__name__}")
         pos, neg = [0] * a.n_cols, [0] * a.n_cols
         for (r, c), v in a.entries.items():
             if v == 1:
                 pos[c] |= 1 << r
             else:
                 neg[c] |= 1 << r
-        return Planes(a.n_rows, a.n_cols, pos, neg)
-    m, n = np.shape(a)
-    cols = np.ascontiguousarray(np.asarray(a).T) % 3
-    return Planes(m, n, _ints(cols == 1), _ints(cols == 2))
+        return cls(a.n_rows, a.n_cols, pos, neg)
+
+    @classmethod
+    def from_columns(cls, n_rows: int, columns) -> "Planes":
+        """The matrix whose columns are the given bit-plane pairs."""
+        columns = list(columns)
+        return cls(n_rows, len(columns), [p for p, _ in columns],
+                   [q for _, q in columns])
+
+
+def hstack(a, b) -> Planes:
+    """The columns of a and then of b (`SparseMatrixF3` or `Planes`)."""
+    a, b = Planes.of(a), Planes.of(b)
+    if a.n_rows != b.n_rows:
+        raise ValueError(f"hstack: {a.n_rows} rows against {b.n_rows}")
+    return Planes(a.n_rows, a.n_cols + b.n_cols, a.pos + b.pos, a.neg + b.neg)
 
 
 def _positions(blocks):
@@ -159,12 +187,6 @@ def _positions(blocks):
         at.append(len(same))
         same.append(i)
     return at, members
-
-
-def _ints(mask) -> list:
-    """Each row of a 2-D boolean array as an int: bit i is column i."""
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _combination(cp, cq, pos, neg, index=None):
@@ -183,17 +205,6 @@ def _combination(cp, cq, pos, neg, index=None):
         else:
             sp, sq = _add(sp, sq, neg[i], pos[i])
     return sp, sq
-
-
-def _vector(p, q, length) -> np.ndarray:
-    """A bit-plane pair as a uint8 vector with entries in {0, 1, 2}."""
-    size = (length + 7) // 8
-
-    def bits(x):
-        raw = np.frombuffer(x.to_bytes(size, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[:length]
-
-    return bits(p) + 2 * bits(q)
 
 
 class Echelon:
@@ -215,7 +226,7 @@ class Echelon:
     """
 
     def __init__(self, a, transform: bool = True):
-        m, n, pos, neg = _planes(a)
+        m, n, pos, neg = Planes.of(a)
         self.n_rows, self.n_cols = m, n
         lead_of = [-1] * m          # lead row -> pivot index
         red_pos, red_neg = [], []   # reduced pivot columns
@@ -332,8 +343,8 @@ class Echelon:
         return _combination(vp & mask, vq & mask, *cols, self._lead_of)
 
     def kernel(self, start: int = 0) -> list:
-        """Kernel vectors (uint8, length ``n_cols``) of the free columns
-        ``>= start``, in column order; A K = 0 is checked."""
+        """Kernel vectors (tuples of length ``n_cols``) of the free
+        columns ``>= start``, in column order; A K = 0 is checked."""
         self._need_transform()
         out = []
         for j, tp, tn in self._kernel:
@@ -343,22 +354,21 @@ class Echelon:
                 raise RuntimeError(
                     f"Echelon.kernel: the vector of free column {j} is not "
                     "in the kernel")
-            out.append(_vector(tp, tn, self.n_cols))
+            out.append(from_planes(tp, tn, self.n_cols))
         return out
 
-    def rref(self) -> np.ndarray:
-        """The reduced row-echelon form, as a dense ``n_rows x n_cols``
-        array: row i is e_i on the pivot columns and, on a free column j,
-        minus the pivot part of j's (checked) kernel vector."""
+    def rref(self) -> SparseMatrixF3:
+        """The reduced row-echelon form: row i is e_i on the pivot columns
+        and, on a free column j, minus the pivot part of j's (checked)
+        kernel vector."""
         self._need_transform()
-        r = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        r[np.arange(self.rank), self.pivot_columns] = 1
-        kernel = self.kernel()
-        if kernel:
-            free = [j for j, _, _ in self._kernel]
-            k = np.stack(kernel, axis=1)[self.pivot_columns]
-            r[np.ix_(np.arange(self.rank), free)] = (3 - k) % 3
-        return r
+        pivot_columns = self.pivot_columns
+        entries = {(i, c): 1 for i, c in enumerate(pivot_columns)}
+        for (j, _, _), k in zip(self._kernel, self.kernel()):
+            for i, c in enumerate(pivot_columns):
+                if k[c]:
+                    entries[(i, j)] = 3 - k[c]
+        return SparseMatrixF3(self.n_rows, self.n_cols, entries)
 
     def _back_reduce(self):
         """Clear every reduced pivot column at the other pivots' leads.
@@ -414,15 +424,15 @@ class Echelon:
         return None, _add(vp, vq, aq, ap)
 
     def solve(self, v) -> "SolveResult":
-        """`solve_planes` on a vector with entries in {0, 1, 2}."""
-        v = np.asarray(v, dtype=np.int64) % 3
-        if v.shape != (self.n_rows,):
+        """`solve_planes` on a vector of integers."""
+        v = list(v)
+        if len(v) != self.n_rows:
             raise ValueError(
-                f"right-hand side has length {v.shape}, expected {self.n_rows}")
-        x, residual = self.solve_planes(*_ints(np.stack([v == 1, v == 2])))
+                f"right-hand side has length {len(v)}, expected {self.n_rows}")
+        x, residual = self.solve_planes(*to_planes(v))
         return SolveResult(
-            None if x is None else _vector(*x, self.n_cols),
-            _vector(*residual, self.n_rows))
+            None if x is None else from_planes(*x, self.n_cols),
+            from_planes(*residual, self.n_rows))
 
 
 @dataclass(frozen=True)
@@ -435,19 +445,18 @@ class RrefResult:
 def rref(m: SparseMatrixF3) -> RrefResult:
     """Reduced row-echelon form over GF(3), with rank and pivot columns."""
     ech = Echelon(m)
-    return RrefResult(SparseMatrixF3.from_dense(ech.rref()), ech.rank,
-                      ech.pivot_columns)
+    return RrefResult(ech.rref(), ech.rank, ech.pivot_columns)
 
 
 def kernel_basis(m: SparseMatrixF3) -> list:
-    """Basis of the right kernel, as uint8 column vectors."""
+    """Basis of the right kernel, as tuples of residues."""
     return Echelon(m).kernel()
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    solution: np.ndarray | None
-    residual: np.ndarray
+    solution: tuple | None
+    residual: tuple
 
     @property
     def in_image(self) -> bool:

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .derivation import (
     DERIVATIVE_CATALOG, NAMED_DEGREES, NAMED_GENERATOR_NAMES, partial, partial2,
 )
-from .dga import Element, element_vector, gen
+from .dga import Element, element_planes, gen
 from .formal import Evaluator, mono_text, monomial_degree, parse_poly, poly_text
-from .gf3 import Echelon
+from .gf3 import (
+    Echelon, Planes, SparseMatrixF3, from_planes, hstack, to_planes,
+)
 
 GROUP_I = (
     "a4*y26 = -a8*y22 + a10*y20",
@@ -311,11 +311,13 @@ def verify_witness(record: RelationRecord, engine) -> RelationVerdict:
                                note=(record.lhs - dw).text())
     n = record.degree
     if 0 < n <= engine.max_degree:
-        basis_n = engine.basis(n)
-        lhs_vec = element_vector(record.lhs, basis_n)
-        wit_vec = element_vector(record.witness, engine.basis(n - 1))
+        basis_n, basis_w = engine.basis(n), engine.basis(n - 1)
+        lhs_vec = from_planes(*element_planes(record.lhs, basis_n.index),
+                              len(basis_n))
+        wit_vec = from_planes(*element_planes(record.witness, basis_w.index),
+                              len(basis_w))
         img = engine.d_matrix(n - 1).matvec(wit_vec)
-        if not np.array_equal(lhs_vec, (img * (sign % 3)) % 3):
+        if lhs_vec != tuple(x * sign % 3 for x in img):
             return RelationVerdict(record, "FAIL",
                                    note="matrix route disagrees")
     verdict = "EXACT" if sign == 1 else "SIGNED"
@@ -343,12 +345,14 @@ class DiscoveryResult:
         }
 
 
-def _canonical_rows(vectors, width):
+def _canonical_rows(vectors):
+    """The nonzero rows of the RREF of the matrix with the given rows."""
     if not vectors:
         return ()
-    ech = Echelon(np.array(vectors, dtype=np.uint8))
+    ech = Echelon(SparseMatrixF3.from_dense(vectors))
     rows = ech.rref()
-    return tuple(tuple(int(x) for x in rows[i]) for i in range(ech.rank))
+    return tuple(tuple(rows.entries.get((i, j), 0) for j in range(rows.n_cols))
+                 for i in range(ech.rank))
 
 
 def discover_relation(support, degree, engine, paper_vector=None):
@@ -364,28 +368,26 @@ def discover_relation(support, degree, engine, paper_vector=None):
     for el in elements:
         if el.degree() not in (None, degree):
             raise ValueError("support monomial of wrong degree")
-    k = len(elements)
     if all(el.in_commutative_subalgebra() for el in elements):
         monos = sorted({m for el in elements for m in el.terms})
         idx = {m: i for i, m in enumerate(monos)}
-        a = np.zeros((len(monos), k), dtype=np.uint8)
-        for j, el in enumerate(elements):
-            for m, c in el.terms.items():
-                a[idx[m], j] = c
-        projected = Echelon(a).kernel()
+        projected = Echelon(Planes.from_columns(
+            len(monos), (element_planes(el, idx) for el in elements))).kernel()
     else:
         if degree > engine.max_degree:
             raise ValueError("degree beyond cap for word-type discovery")
         basis = engine.basis(degree)
-        cols = np.array([element_vector(el, basis) for el in elements],
-                        dtype=np.uint8).T
+        cols = Planes.from_columns(
+            len(basis), (element_planes(el, basis.index) for el in elements))
         # im(d) columns first: only kernel vectors with a free support
         # column can have a nonzero support part, and those span it
-        d = engine.d_dense(degree - 1) if degree >= 1 else cols[:, :0]
-        kernel = Echelon(np.concatenate([d, cols], axis=1)).kernel(
-            start=d.shape[1])
-        projected = [v[d.shape[1]:] for v in kernel]
-    solutions = _canonical_rows(projected, k)
+        if degree >= 1:
+            d = engine.d_matrix(degree - 1)
+            cols, start = hstack(d, cols), d.n_cols
+        else:
+            start = 0
+        projected = [v[start:] for v in Echelon(cols).kernel(start=start)]
+    solutions = _canonical_rows(projected)
     result = DiscoveryResult(tuple(str(s) for s in support), degree,
                              solutions, paper_vector)
     if paper_vector is not None:
@@ -406,26 +408,24 @@ def _support_flip_mask(mono: tuple, flips: dict) -> int:
 def _match_vector(support, paper_vector, solutions):
     """Is the printed vector in the solution span, up to generator flips?
 
-    Membership is one product with a parity-check matrix ``check`` of the
-    span (its rows span the kernel of the solution rows, so v is in the
-    span iff check @ v = 0).  Flip subsets are walked by size, then in
+    Membership is one solve against the solution rows, taken as the
+    columns of one `Echelon`.  Flip subsets are walked by size, then in
     lexicographic order; a flip only changes the vector through the sign
-    pattern it puts on the support, so each pattern is tested once.
+    pattern it puts on the support, so each pattern is tested once, and
+    it negates the entries under the pattern by swapping their planes.
     """
     from itertools import combinations
 
     width = len(paper_vector)
-    if solutions:
-        kernel = Echelon(np.array(solutions, dtype=np.uint8)).kernel()
-        check = np.array(kernel, dtype=np.int64).reshape(-1, width)
-    else:
-        check = np.eye(width, dtype=np.int64)
-    vec = np.array(paper_vector, dtype=np.int64)
+    span = Echelon(Planes.from_columns(width, map(to_planes, solutions)))
+    vp, vq = to_planes(paper_vector)
 
-    def in_span(v) -> bool:
-        return not (check @ v % 3).any()
+    def in_span(flip: int) -> bool:
+        keep = ~flip
+        x, _ = span.solve_planes(vp & keep | vq & flip, vq & keep | vp & flip)
+        return x is not None
 
-    if in_span(vec):
+    if in_span(0):
         return "exact", ()
     monos = []
     for s in support:
@@ -445,8 +445,7 @@ def _match_vector(support, paper_vector, solutions):
             if pattern in tried:
                 continue
             tried.add(pattern)
-            signs = [-1 if pattern >> j & 1 else 1 for j in range(width)]
-            if in_span(vec * signs):
+            if in_span(pattern):
                 return "sign_flips", subset
     return "absent", ()
 
@@ -495,10 +494,9 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
                 v.sign_flips = ()
             return v
     if record.degree <= engine.max_degree:
-        basis = engine.basis(record.degree)
-        vec = element_vector(z, basis)
-        res = Echelon(engine.d_matrix(record.degree - 1)).solve(vec)
-        if res.in_image:
+        vp, vq = element_planes(z, engine.basis(record.degree).index)
+        x, _ = Echelon(engine.d_matrix(record.degree - 1)).solve_planes(vp, vq)
+        if x is not None:
             return RelationVerdict(record, "IN-IMAGE")
         return RelationVerdict(record, "FAIL", note="not in image")
     return RelationVerdict(record, "FAIL", note="degree beyond cap")
@@ -510,15 +508,10 @@ def c_class_coordinates(element: Element, degree: int, engine):
     if not element.in_commutative_subalgebra():
         return None
     solver, idx, classes = engine.split_solver(degree)
-    vp = vq = 0
-    for m, c in element.terms.items():
-        i = idx.get(m)
-        if i is None:
-            return None
-        if c == 1:
-            vp |= 1 << i
-        else:
-            vq |= 1 << i
+    try:
+        vp, vq = element_planes(element, idx)
+    except KeyError:            # a monomial no class representative has
+        return None
     x, _ = solver.solve_planes(vp, vq)
     if x is None:
         return None
@@ -551,49 +544,46 @@ def _solution_text(disc: DiscoveryResult) -> str:
 
 @dataclass
 class SignSystem:
-    """GF(2) system: one flip bit per named generator, free sign per identity."""
+    """GF(2) system: one flip bit per named generator, free sign per identity.
+
+    A row is an int: bit j is the coefficient of generator ``names[j]``, and
+    the bit above them is the right-hand side."""
 
     names: tuple = NAMED_GENERATOR_NAMES
     rows: list = field(default_factory=list)
-    rhs: list = field(default_factory=list)
     labels: list = field(default_factory=list)
 
     def add_pair_constraint(self, mono_a, mono_b, bit, label):
-        row = np.zeros(len(self.names), dtype=np.uint8)
-        for mono, _ in ((mono_a, 0), (mono_b, 0)):
+        row = (bit & 1) << len(self.names)
+        for mono in (mono_a, mono_b):
             for name, e in mono:
                 if name in self.names and e % 2:
-                    row[self.names.index(name)] ^= 1
+                    row ^= 1 << self.names.index(name)
         self.rows.append(row)
-        self.rhs.append(bit & 1)
         self.labels.append(label)
 
     def solve(self):
         """Particular solution (prefers all-plus), or None if inconsistent."""
-        if not self.rows:
-            return {n: 1 for n in self.names}
-        a = np.array(self.rows, dtype=np.uint8)
-        b = np.array(self.rhs, dtype=np.uint8)
-        m, n = a.shape
-        aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
+        rhs = 1 << len(self.names)
+        aug = list(self.rows)
+        m = len(aug)
         row = 0
         pivots = []
-        for col in range(n):
-            nz = [i for i in range(row, m) if aug[i, col]]
+        for col in range(len(self.names)):
+            bit = 1 << col
+            nz = [i for i in range(row, m) if aug[i] & bit]
             if not nz:
                 continue
-            aug[[row, nz[0]]] = aug[[nz[0], row]]
+            aug[row], aug[nz[0]] = aug[nz[0]], aug[row]
             for i in range(m):
-                if i != row and aug[i, col]:
+                if i != row and aug[i] & bit:
                     aug[i] ^= aug[row]
             pivots.append(col)
             row += 1
-        if any(aug[i, n] for i in range(row, m)):
+        if any(aug[i] & rhs for i in range(row, m)):
             return None
-        x = np.zeros(n, dtype=np.uint8)
-        for i, p in enumerate(pivots):
-            x[p] = aug[i, n]
-        return {name: (-1 if x[j] else 1)
+        flipped = {p for i, p in enumerate(pivots) if aug[i] & rhs}
+        return {name: (-1 if j in flipped else 1)
                 for j, name in enumerate(self.names)}
 
 

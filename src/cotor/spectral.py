@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
-import numpy as np
-
 from .dga import WEIGHT_SCHEMES, key_weight
 from .gf3 import Echelon, SparseMatrixF3
 
@@ -135,9 +133,10 @@ class SpectralSequence:
         colw, roww = self._weights(m), self._weights(m + 1)
         col_order = sorted(range(len(colw)), key=lambda j: -colw[j])
         row_order = sorted(range(len(roww)), key=lambda i: roww[i])
-        # the differential with rows and columns in weight order
-        row_at = np.argsort(row_order).tolist()
-        col_at = np.argsort(col_order).tolist()
+        # the differential with rows and columns in weight order; sorting
+        # the positions by the order gives the inverse permutation
+        row_at = sorted(range(len(roww)), key=row_order.__getitem__)
+        col_at = sorted(range(len(colw)), key=col_order.__getitem__)
         d = self.engine.d_matrix(m)
         permuted = SparseMatrixF3(d.n_rows, d.n_cols, {
             (row_at[r], col_at[c]): v for (r, c), v in d.entries.items()})

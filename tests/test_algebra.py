@@ -6,7 +6,7 @@ import pytest
 from cotor import dga
 from cotor.dga import (
     COMM_NAMES, GEN_NAMES, Element, Monomial, comm_keys, comm_monomial,
-    decode, element_vector, encode, enumerate_basis, gen, mono_mul,
+    decode, element_planes, encode, enumerate_basis, gen, mono_mul,
     parse_monomial, times_a9,
 )
 
@@ -216,11 +216,14 @@ def test_keys_roundtrip_and_refuse_overflow():
     assert decode(encode(top)) == top
 
 
-def test_element_vector_lookup():
+def test_element_planes_lookup():
     basis = enumerate_basis(18)
     x = Element({basis.monomials[1]: 2, basis.monomials[3]: 1})
-    v = element_vector(x, basis)
-    assert list(v) == [0, 2, 0, 1]
+    # entry 1 is 2 (neg plane), entry 3 is 1 (pos plane)
+    assert element_planes(x, basis.index) == (0b1000, 0b10)
+    assert [basis.index[m] for m in basis.monomials] == [0, 1, 2, 3]
+    with pytest.raises(KeyError):
+        element_planes(gen("a4"), basis.index)
 
 
 def test_generator_names_and_degrees():

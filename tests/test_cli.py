@@ -244,3 +244,39 @@ def test_cached_matrix_bit_exact(tmp_path, engine):
     text1 = m.serialize()
     text2 = eng.cache.load(26).serialize()
     assert text1 == text2
+
+
+# every CLI path that used to densify or call numpy, at small degrees
+NUMPY_FREE_PATHS = (
+    ("homology", "--max-degree", "30", "--check-basis"),
+    ("ideal-check", "--max-degree", "40"),
+    ("verify",),
+    ("discover", "--support", "a4*y26,a8*y22,a10*y20", "--degree", "30"),
+    ("discover", "--support", "a9*a4", "--degree", "13"),
+    ("spectral", "--scheme", "weight_s3", "--max-degree", "40"),
+)
+
+
+def test_cli_paths_leave_numpy_unimported():
+    # a fresh interpreter: the test process itself has numpy loaded
+    code = """if True:
+        import contextlib, io, json, sys
+        import cotor
+        loaded = {"import cotor": "numpy" in sys.modules}
+        from cotor.cli import main
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            loaded[" ".join(argv)] = (code, "numpy" in sys.modules)
+        print(json.dumps(loaded))
+    """
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(NUMPY_FREE_PATHS)],
+        capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(proc.stdout)
+    assert loaded == {"import cotor": False,
+                      **{" ".join(argv): [0, False]
+                         for argv in NUMPY_FREE_PATHS}}

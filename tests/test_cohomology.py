@@ -4,7 +4,7 @@ from cotor.cohomology import (
     additive_basis_classes, class_element, expand_rational, poincare_coeffs,
 )
 from cotor.dga import gen
-from cotor.gf3 import Echelon, SolveResult
+from cotor.gf3 import Echelon
 
 
 def test_series_first_coefficients():
@@ -107,16 +107,21 @@ def test_decompose_rejects_a_wrong_reconstruction(engine, monkeypatch):
     # plant a wrong class coefficient behind the solver: the explicit
     # reconstruction check must catch it (it is not an assert, so it also
     # runs under python -O)
-    solve = Echelon.solve
+    solve_planes = Echelon.solve_planes
 
-    def planted(self, v):
-        res = solve(self, v)
-        x = res.solution.copy()
-        x[0] = (x[0] + 1) % 3
-        return SolveResult(x, res.residual)
+    def planted(self, vp, vq):
+        (xp, xq), residual = solve_planes(self, vp, vq)
+        # entry 0 plus one: 0 -> 1, 1 -> 2, 2 -> 0
+        if xp & 1:
+            xp, xq = xp ^ 1, xq | 1
+        elif xq & 1:
+            xq ^= 1
+        else:
+            xp |= 1
+        return (xp, xq), residual
 
     y20 = engine.named["y20"].element
-    monkeypatch.setattr(Echelon, "solve", planted)
+    monkeypatch.setattr(Echelon, "solve_planes", planted)
     with pytest.raises(RuntimeError, match="reconstruction failed"):
         engine.decompose(y20, 20)
 

@@ -7,6 +7,7 @@ from cotor.dga import (
     A9, C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, Element, Monomial,
     encode, enumerate_basis, gen, mono_mul, parse_monomial,
 )
+from cotor import differential
 from cotor.differential import (
     MEMO_DEPTH, Differential, audit_conventions, select_x26,
 )
@@ -178,6 +179,44 @@ def test_audit_fails_loudly_without_candidates():
     with pytest.raises(RuntimeError):
         audit_conventions(degree_bound=8, pair_samples=10,
                           candidates=("plus", "minus"))
+
+
+def _sampler_before(rng, max_degree):
+    """The audit's pair sampler as it was, enumerating the basis of every
+    degree up to ``max_degree`` on every draw."""
+    n = rng.choice([d for d in range(1, max_degree + 1)
+                    if len(enumerate_basis(d)) > 0])
+    basis = enumerate_basis(n)
+    k = rng.randint(1, min(3, len(basis)))
+    return Element({m: rng.randint(1, 2)
+                    for m in rng.sample(list(basis.monomials), k)})
+
+
+def test_audit_enumerates_each_basis_once(monkeypatch):
+    calls = []
+    enumerate_once = differential.enumerate_basis
+    monkeypatch.setattr(differential, "enumerate_basis",
+                        lambda n: calls.append(n) or enumerate_once(n))
+    report = audit_conventions(degree_bound=12, pair_samples=60,
+                               pair_max_degree=20)
+    assert len(calls) <= 20 + 12 + 1
+    # the report of the sampler as it was
+    assert report.selected == "parity" and report.admissible == ["parity"]
+    assert {v.convention: v.factorization_failures
+            for v in report.verdicts} == {
+        "parity": [],
+        "plus": [("+1*b12", "+1*a9", "+2*a9 a9 | a4"),
+                 ("+1*b12", "+1*c17", "+2*c17 a9 | a4"),
+                 ("+1*b16", "+1*a9", "+2*a9 a9 | a8")],
+        "minus": [("+1*a4", "+1*c17", "+1*a9 a9 | a4"),
+                  ("+1*a8", "+1*c17", "+1*a9 a9 | a8"),
+                  ("+1*a10", "+1*c17", "+1*a9 a9 | a10")]}
+    # the generator pairs come first, so also pin the random draws
+    bases = [enumerate_once(n) for n in range(21)]
+    before, now = random.Random(0), random.Random(0)
+    for _ in range(120):
+        assert differential._random_homogeneous(now, bases, 20) \
+            == _sampler_before(before, 20)
 
 
 def test_word_cocycle_selection(d):

@@ -83,7 +83,23 @@ def matmul3(a, b):
 
 
 def M(rows):
-    return SparseMatrixF3.from_dense(np.array(rows, dtype=np.uint8))
+    return SparseMatrixF3.from_dense(rows)
+
+
+def sparse(a):
+    """A dense array as a SparseMatrixF3 of the same shape (`from_dense`
+    reads the column count off the first row, so an array without rows
+    needs its shape given)."""
+    a = np.asarray(a)
+    return SparseMatrixF3.from_dense(a) if len(a) else SparseMatrixF3(*a.shape)
+
+
+def to_dense(m):
+    """A SparseMatrixF3 as a dense uint8 array, for the reference kernels."""
+    a = np.zeros((m.n_rows, m.n_cols), dtype=np.uint8)
+    for (r, c), v in m.entries.items():
+        a[r, c] = v
+    return a
 
 
 def test_scalar_arithmetic():
@@ -120,7 +136,7 @@ def test_kernel_of_sum_constraint():
     assert len(vecs) == 1
     v = vecs[0]
     # proportional to (1, 2)
-    assert (v[0] + v[1]) % 3 == 0 and v.any()
+    assert (v[0] + v[1]) % 3 == 0 and any(v)
 
 
 def test_kernel_identity_and_zero():
@@ -131,6 +147,8 @@ def test_kernel_identity_and_zero():
 def test_solve_identity():
     res = solve_in_image(M([[1, 0], [0, 1]]), [2, 1])
     assert res.in_image and list(res.solution) == [2, 1]
+    # plain tuples of residues, not arrays
+    assert res.solution == (2, 1) and res.residual == (0, 0)
 
 
 def test_solve_zero_matrix_not_in_image():
@@ -176,6 +194,11 @@ def test_entries_validation():
     # zero values are dropped, scalars reduced
     m = SparseMatrixF3(2, 2, {(0, 0): 3, (1, 1): 5})
     assert m.entries == {(1, 1): 2}
+    # from_dense reads plain sequences; rows must agree in length
+    assert SparseMatrixF3.from_dense([[3, -1], [0, 4]]).entries == {
+        (0, 1): 2, (1, 1): 1}
+    with pytest.raises(ValueError):
+        SparseMatrixF3.from_dense([[1, 2], [1]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,7 +213,7 @@ def test_fuzz_rank_properties(rows, cols, rnd):
     # row rank equals column rank
     assert rref(m.transpose()).rank == r.rank
     for v in kernel_basis(m):
-        assert not m.matvec(v).any()
+        assert not any(m.matvec(v))
     # solve reproduces a constructed image vector
     x = rng.integers(0, 3, cols).astype(np.uint8)
     res = solve_in_image(m, m.matvec(x))
@@ -220,7 +243,7 @@ def test_solver_repeated_solves_and_kernel():
     rng = np.random.default_rng(11)
     a = ((rng.random((40, 25)) < 0.25)
          * rng.integers(1, 3, (40, 25))).astype(np.uint8)
-    solver = Echelon(a)
+    solver = Echelon(sparse(a))
     m = SparseMatrixF3.from_dense(a)
     assert solver.rank == rref(m).rank
     for _ in range(5):
@@ -230,16 +253,16 @@ def test_solver_repeated_solves_and_kernel():
         assert res.in_image
         assert np.array_equal(m.matvec(res.solution), v)
     for k in solver.kernel():
-        assert not m.matvec(k).any()
+        assert not any(m.matvec(k))
 
 
 def test_prefix_rank_table_matches_direct_ranks():
     rng = np.random.default_rng(13)
     a = ((rng.random((30, 30)) < 0.2)
          * rng.integers(1, 3, (30, 30))).astype(np.uint8)
-    table = Echelon(a, transform=False)
+    table = Echelon(sparse(a), transform=False)
     for r, c in [(0, 0), (5, 7), (12, 3), (30, 30), (17, 29)]:
-        direct = rref(SparseMatrixF3.from_dense(a[:r, :c])).rank
+        direct = rref(sparse(a[:r, :c])).rank
         assert table.prefix_rank(rows=r, cols=c) == direct
     assert table.prefix_rank() == table.rank
 
@@ -317,15 +340,14 @@ def test_planted_backend_faults_raise_under_python_O():
 def _check_against_reference(a, rng):
     a = np.asarray(a, dtype=np.uint8)
     m, n = a.shape
-    ech = Echelon(a)
+    ech = Echelon(sparse(a))
     assert ech.pivots == ref_col_profile(a)
-    assert Echelon(a, transform=False).pivots == ech.pivots
+    assert Echelon(sparse(a), transform=False).pivots == ech.pivots
     r, rank, pivots = ref_rref(a)
     assert ech.rank == rank and ech.pivot_columns == pivots
-    mine = ech.rref()
-    assert mine.dtype == r.dtype and mine.tobytes() == r.tobytes()
-    assert rref(SparseMatrixF3.from_dense(a)).matrix.to_dense().tobytes() \
-        == r.tobytes()
+    mine = to_dense(ech.rref())
+    assert mine.shape == r.shape and mine.tobytes() == r.tobytes()
+    assert to_dense(rref(sparse(a)).matrix).tobytes() == r.tobytes()
     kernel = ech.kernel()
     assert len(kernel) == n - rank
     if kernel:
@@ -336,9 +358,9 @@ def _check_against_reference(a, rng):
         assert res.in_image == ref_in_image(a, v)
         if res.in_image:
             assert np.array_equal(matmul3(a, res.solution), v % 3)
-            assert not res.residual.any()
+            assert not any(res.residual)
         else:
-            assert res.residual.any()
+            assert any(res.residual)
 
 
 def test_echelon_matches_reference_on_random_matrices():
@@ -362,12 +384,12 @@ def test_echelon_matches_reference_on_random_matrices():
 def test_echelon_matches_reference_on_d_matrices(engine):
     rng = np.random.default_rng(60)
     for n in range(61):
-        dense = engine.d_matrix(n).to_dense()
+        dense = to_dense(engine.d_matrix(n))
         _check_against_reference(dense, rng)
-        # the sparse input (what Engine.rank passes) gives the same pass
-        sparse = Echelon(engine.d_matrix(n), transform=False)
-        assert sparse.pivots == Echelon(dense).pivots
-        assert sparse.rank == engine.rank(n)
+        # the matrix itself (what Engine.rank passes) gives the same pass
+        direct = Echelon(engine.d_matrix(n), transform=False)
+        assert direct.pivots == Echelon(sparse(dense)).pivots
+        assert direct.rank == engine.rank(n)
 
 
 def test_by_blocks_matches_one_global_pass():
@@ -388,7 +410,7 @@ def test_by_blocks_matches_one_global_pass():
                     a[i, j] = rng.integers(1, 3)
         blocked = Echelon.by_blocks(SparseMatrixF3.from_dense(a),
                                     row_blocks, col_blocks)
-        whole = Echelon(a, transform=False)
+        whole = Echelon(sparse(a), transform=False)
         assert blocked.pivots == whole.pivots
         assert blocked.rank == whole.rank
         assert blocked.prefix_rank(m // 2, n // 2) == whole.prefix_rank(
@@ -402,7 +424,7 @@ def test_solve_planes_is_solve_on_bit_planes():
     rng = np.random.default_rng(5)
     a = ((rng.random((12, 9)) < 0.3) * rng.integers(1, 3, (12, 9))).astype(
         np.uint8)
-    ech = Echelon(a)
+    ech = Echelon(sparse(a))
     for v in (matmul3(a, rng.integers(0, 3, 9)), rng.integers(0, 3, 12)):
         vp = sum(1 << i for i in range(12) if v[i] % 3 == 1)
         vq = sum(1 << i for i in range(12) if v[i] % 3 == 2)
@@ -422,7 +444,13 @@ def test_solve_planes_is_solve_on_bit_planes():
 
 
 def test_rank_only_pass_has_no_transform():
-    ech = Echelon(np.eye(3, dtype=np.uint8), transform=False)
+    ech = Echelon(sparse(np.eye(3, dtype=np.uint8)), transform=False)
     assert ech.rank == 3
     with pytest.raises(ValueError):
         ech.kernel()
+
+
+def test_echelon_refuses_dense_arrays():
+    for dense in (np.eye(3, dtype=np.uint8), [[1, 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            Echelon(dense)

@@ -10,7 +10,7 @@ from cotor.dga import Element, gen
 from cotor.engine import Engine
 from cotor.formal import parse_poly, monomial_degree
 from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
-from cotor.gf3 import Echelon
+from cotor.gf3 import Echelon, SparseMatrixF3
 from cotor.relations import (
     GROUP_I, GROUP_II, GROUP_III, _match_vector, c_class_coordinates,
     discover_relation, express_in_c_classes, ideal_and_split_check,
@@ -263,7 +263,7 @@ def _brute_force_match(support, paper_vector, solutions):
         if not solutions:
             return not vec.any()
         a = np.array(solutions, dtype=np.uint8).T
-        return Echelon(a).solve(vec).in_image
+        return Echelon(SparseMatrixF3.from_dense(a)).solve(vec).in_image
 
     def flip_sign(text, subset):
         ((mono, _),) = parse_poly(text).items()
