@@ -18,8 +18,9 @@ import os
 import sys
 import time
 
-from .cache import ENGINE_VERSION
-from .engine import Engine
+from .cache import ENGINE_VERSION, fingerprint
+from .differential import DEFAULT_CONVENTION
+from .engine import DEFAULT_MAX_DEGREE, Engine
 
 # Largest --max-degree any command accepts.  Cold `cotor homology` runs
 # within a 6,000,000 KB address-space limit (`ulimit -v 6000000`),
@@ -45,8 +46,6 @@ def _add_common(p, suppress: bool):
     p.add_argument("--page", type=int, default=d(None))
     p.add_argument("--group", choices=("i", "ii", "iii", "all"),
                    default=d("all"))
-    p.add_argument("--convention", default=d("audit"),
-                   help="audit | force:parity | force:plus | force:minus")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -80,27 +79,14 @@ class ConfigError(Exception):
 
 
 def _engine(args) -> Engine:
-    from .engine import DEFAULT_MAX_DEGREE
-
-    conv = args.convention
-    if conv != "audit":
-        if not conv.startswith("force:"):
-            raise ConfigError(f"bad --convention {conv!r}")
-        conv = conv.removeprefix("force:")
-    return Engine(max_degree=(args.max_degree if args.max_degree is not None
-                              else DEFAULT_MAX_DEGREE),
-                  convention=conv,
+    """An engine under the sign rule its selection audit picks."""
+    return Engine(max_degree=_default_degree(args, DEFAULT_MAX_DEGREE),
                   cache_dir=args.cache_dir)
 
 
 def _default_degree(args, fallback: int) -> int:
-    n = args.max_degree if args.max_degree is not None else fallback
-    if n < 0:
-        raise ConfigError("--max-degree must be >= 0")
-    if n > MAX_SUPPORTED_DEGREE:
-        raise ConfigError(
-            f"--max-degree beyond the supported cap {MAX_SUPPORTED_DEGREE}")
-    return n
+    """--max-degree (range-checked in ``main``), else the fallback."""
+    return args.max_degree if args.max_degree is not None else fallback
 
 
 def _emit(args, payload, text_fn, csv_rows=None):
@@ -116,11 +102,12 @@ def _emit(args, payload, text_fn, csv_rows=None):
         print(text_fn())
 
 
-def _header(args, engine: Engine):
+def _header(args):
     header = {
         "schema": "cotor-report/1",
         "engine_version": ENGINE_VERSION,
-        "fingerprint": engine.fingerprint,
+        # the rule the selection audit picks, without running the audit
+        "fingerprint": fingerprint(DEFAULT_CONVENTION),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": {
             "command": args.command,
@@ -129,7 +116,6 @@ def _header(args, engine: Engine):
             "scheme": args.scheme,
             "page": args.page,
             "group": args.group,
-            "convention": args.convention,
         },
     }
     print(json.dumps(header, sort_keys=True), file=sys.stderr)
@@ -363,22 +349,11 @@ def main(argv=None) -> int:
         if args.max_degree is not None and not (
                 0 <= args.max_degree <= MAX_SUPPORTED_DEGREE):
             raise ConfigError("--max-degree out of range")
-        _header(args, _HeaderStub(args))
+        _header(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-class _HeaderStub:
-    """Fingerprint for the header without paying for an engine audit."""
-
-    def __init__(self, args):
-        from .cache import fingerprint
-
-        conv = args.convention.removeprefix("force:")
-        self.fingerprint = fingerprint(
-            conv if conv != "audit" else "parity")
 
 
 if __name__ == "__main__":

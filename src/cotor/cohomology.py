@@ -8,10 +8,11 @@ Two independent routes to the same numbers:
 * rank arithmetic on the differential matrices gives
   ``dim H^n = dim ker d_n - rank d_{n-1}``.
 
-The additive basis enumerates explicit class representatives as products
-of the named cocycle generators, organized in four free-module families
-(two word-free ones forming the split subalgebra, two word-positive ones
-forming the ideal), all over the cube polynomial ring.
+The additive basis enumerates its classes as products of the named
+cocycle generators, organized in four free-module families (two
+word-free ones forming the split subalgebra, two word-positive ones
+forming the ideal), all over the cube polynomial ring; the engine
+evaluates each product to its representative.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dga import Element
 from .derivation import NAMED_DEGREES
 
 # numerator exponent -> coefficient, and denominator factor degrees
@@ -118,7 +118,7 @@ def _ring_monomials(ring: tuple, mins: tuple, degree: int) -> tuple:
 class BasisClass:
     label: str
     side: str
-    powers: tuple              # ((name, exponent), ...)
+    powers: tuple              # sorted ((name, exponent), ...): a formal monomial
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,3 @@ def additive_basis_classes(n: int) -> CotorBasis:
                 classes.append(BasisClass(class_label(pw), fam.side, pw))
     classes.sort(key=lambda c: (c.side, c.label))
     return CotorBasis(n, tuple(classes))
-
-
-def class_element(cls: BasisClass, named: dict) -> Element:
-    """Representative: product of named-generator representatives."""
-    out = Element.one()
-    for name, e in cls.powers:
-        out = out * (named[name].element ** e)
-    return out

@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .dga import COMM_NAMES, Element, Monomial, gen
+from .dga import _B_TO_A, COMM_NAMES, Element, Monomial, gen
 from .differential import Differential, select_x26
 from .formal import Evaluator, parse_poly
-
-_B_INDICES = (3, 4, 5)          # b12, b16, b18 in the exponent block
-_B_TO_A = {3: 0, 4: 1, 5: 2}
 
 
 def partial(q: Element) -> Element:
@@ -34,13 +31,13 @@ def partial(q: Element) -> Element:
         if m.word:
             raise ValueError(
                 f"input is not in the commutative subalgebra: {m.text()}")
-        for b in _B_INDICES:
+        for b, a in _B_TO_A.items():
             e = m.exps[b]
             if not e:
                 continue
             exps = list(m.exps)
             exps[b] -= 1
-            exps[_B_TO_A[b]] += 1
+            exps[a] += 1
             t = Monomial((), tuple(exps))
             cc = (out.get(t, 0) - e * c) % 3
             if cc:
@@ -88,7 +85,6 @@ class NamedGenerator:
     name: str
     element: Element
     degree: int
-    sign: int = 1      # audited global sign vs the catalog formula
 
 
 def raw_evaluator() -> Evaluator:
@@ -115,12 +111,23 @@ def build_named_generators(d: Differential) -> dict:
     return table
 
 
-def named_evaluator(d: Differential) -> Evaluator:
-    """Evaluator over raw generators plus the named cocycles."""
-    table = {n: gen(n) for n in COMM_NAMES + ("a9", "c17")}
-    for name, g in build_named_generators(d).items():
-        table[name] = g.element
+def named_evaluator(named: dict) -> Evaluator:
+    """Evaluator over raw generators plus the named cocycles of ``named``
+    (a table from ``build_named_generators``)."""
+    table = dict(raw_evaluator().table)
+    table.update((name, g.element) for name, g in named.items())
     return Evaluator(table)
+
+
+# multipliers of the second-derivative families, with witness builders:
+# w * partial2(Q) = d(witness(Q, partial(Q))) for every Q in S
+FAMILY_WITNESS = {
+    "a9": lambda q, p: p,
+    "y21": lambda q, p: gen("a4") * q + gen("b12") * p,
+    "y25": lambda q, p: gen("a8") * q + gen("b16") * p,
+    "y27": lambda q, p: gen("a10") * q + gen("b18") * p,
+    "x26": lambda q, p: -(gen("a9") * q + gen("c17") * p),
+}
 
 
 # -- structural identities --------------------------------------------------
@@ -151,18 +158,9 @@ def check_coboundary_factorizations(q: Element, d: Differential) -> list:
     """
     named = build_named_generators(d)
     p, p2 = partial(q), partial2(q)
-    a4, a8, a10 = gen("a4"), gen("a8"), gen("a10")
-    b12, b16, b18 = gen("b12"), gen("b16"), gen("b18")
-    cases = [
-        ("a9", gen("a9"), p),
-        ("y21", named["y21"].element, a4 * q + b12 * p),
-        ("y25", named["y25"].element, a8 * q + b16 * p),
-        ("y27", named["y27"].element, a10 * q + b18 * p),
-        ("x26", named["x26"].element, -(gen("a9") * q + gen("c17") * p)),
-    ]
     out = []
-    for label, w, witness in cases:
-        res = w * p2 - d(witness)
+    for label, witness in FAMILY_WITNESS.items():
+        res = named[label].element * p2 - d(witness(q, p))
         out.append(IdentityCheck(label, res.is_zero(), res))
     return out
 
@@ -284,7 +282,7 @@ def _classify(display: str, machine: Element, ev: Evaluator) -> DisplayVerdict:
 
 def derivative_catalog_report(d: Differential) -> list:
     """Machine verification of every catalog row against its displays."""
-    ev = named_evaluator(d)
+    ev = named_evaluator(build_named_generators(d))
     rows = []
     for q_text, dq_text, d2q_texts in DERIVATIVE_CATALOG:
         q = ev(q_text)

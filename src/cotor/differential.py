@@ -241,7 +241,9 @@ def audit_conventions(degree_bound: int = 40, pair_samples: int = 1000,
             try:
                 lhs = d.leibniz(x, y)
             except ValueError:
-                # non-homogeneous sign (cannot happen for our samples)
+                # the per-factor minus rule takes its sign from a single
+                # monomial (Differential.eps), so a sample with several
+                # terms raises here: 18 of the 60 seed-0 selection pairs do
                 v.admissible = False
                 break
             rhs = d(x * y)

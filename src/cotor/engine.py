@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cohomology
-from .cache import ENGINE_VERSION, MatrixCache, fingerprint
-from .cohomology import (
-    BasisClass, CotorBasis, additive_basis_classes, class_element,
-)
+from .cache import MatrixCache
+from .cohomology import BasisClass, CotorBasis, additive_basis_classes
 from .derivation import build_named_generators, named_evaluator
 from .dga import (
     DegreeBasis, Element, decode, element_planes, enumerate_basis,
 )
-from .differential import AuditReport, Differential, audit_conventions
+from .differential import Differential, audit_conventions
 from .gf3 import Echelon, Planes, SparseMatrixF3, hstack
 
 DEFAULT_MAX_DEGREE = 80
@@ -35,19 +33,15 @@ class ClassDecomposition:
 
 class Engine:
     def __init__(self, max_degree: int = DEFAULT_MAX_DEGREE,
-                 convention: str = "audit", cache_dir=None,
-                 audit_kwargs: dict | None = None):
+                 convention: str = "audit", cache_dir=None):
         self.max_degree = max_degree
-        self.audit_report: AuditReport | None = None
         if convention == "audit":
             # selection audit: small bounds suffice to reject the bad rules;
             # the full-depth audit is its own verification surface
-            self.audit_report = audit_conventions(
-                **(audit_kwargs or {"degree_bound": 12, "pair_samples": 60}))
-            convention = self.audit_report.selected
+            convention = audit_conventions(
+                degree_bound=12, pair_samples=60).selected
         self.convention = convention
         self.d = Differential(convention)
-        self.fingerprint = fingerprint(convention)
         self.cache = MatrixCache(cache_dir, convention) if cache_dir else None
         self._bases: dict[int, DegreeBasis] = {}
         self._matrices: dict[int, SparseMatrixF3] = {}
@@ -123,6 +117,7 @@ class Engine:
 
     @property
     def named(self) -> dict:
+        """The 18 named cocycles, built and checked once per engine."""
         if self._named is None:
             self._named = build_named_generators(self.d)
         return self._named
@@ -130,7 +125,7 @@ class Engine:
     @property
     def named_evaluator(self):
         if self._named_ev is None:
-            self._named_ev = named_evaluator(self.d)
+            self._named_ev = named_evaluator(self.named)
         return self._named_ev
 
     def additive_basis(self, n: int) -> CotorBasis:
@@ -140,12 +135,13 @@ class Engine:
         return b
 
     def representative(self, cls: BasisClass) -> Element:
-        """The class's representative, built once per class (the memo is
-        keyed by the class's value, and the named generators it is built
-        from belong to this engine)."""
+        """The class's representative, the product of its named generators'
+        powers, built once per class (the memo is keyed by the class's
+        value, and the evaluator it is built with belongs to this engine)."""
         rep = self._representatives.get(cls)
         if rep is None:
-            rep = self._representatives[cls] = class_element(cls, self.named)
+            rep = self._representatives[cls] = self.named_evaluator.monomial(
+                cls.powers)
         return rep
 
     def class_columns(self, n: int):
@@ -231,13 +227,3 @@ class Engine:
                 f"decompose: reconstruction failed in degree {n}: input minus "
                 "class combination is not d(witness)")
         return ClassDecomposition(n, coeffs, witness)
-
-    # -- misc -----------------------------------------------------------------
-
-    def config(self) -> dict:
-        return {
-            "engine_version": ENGINE_VERSION,
-            "convention": self.convention,
-            "fingerprint": self.fingerprint,
-            "max_degree": self.max_degree,
-        }

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import re
 
+from .dga import Element
+
 _TERM_RE = re.compile(r"([+-])?\s*([A-Za-z0-9^*\s]+)")
 _FACTOR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
 
@@ -88,7 +90,7 @@ class Evaluator:
 
     def __init__(self, table: dict):
         self.table = table
-        self._powers: dict[tuple, object] = {}
+        self._powers: dict[tuple, Element] = {}
 
     def power(self, name: str, e: int):
         key = (name, e)
@@ -100,16 +102,12 @@ class Evaluator:
             return v
 
     def monomial(self, mono: tuple):
-        from .dga import Element
-
         out = Element.one()
         for name, e in mono:
             out = out * self.power(name, e)
         return out
 
     def __call__(self, poly):
-        from .dga import Element
-
         if isinstance(poly, str):
             poly = parse_poly(poly)
         out = Element.zero()

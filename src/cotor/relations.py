@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .derivation import (
-    DERIVATIVE_CATALOG, NAMED_DEGREES, NAMED_GENERATOR_NAMES, partial, partial2,
+    DERIVATIVE_CATALOG, FAMILY_WITNESS, NAMED_DEGREES, NAMED_GENERATOR_NAMES,
+    partial, partial2, raw_evaluator,
 )
-from .dga import Element, element_planes, gen
-from .formal import Evaluator, mono_text, monomial_degree, parse_poly, poly_text
+from .dga import Element, element_planes
+from .formal import mono_text, monomial_degree, parse_poly, poly_text
 from .gf3 import (
     Echelon, Planes, SparseMatrixF3, from_planes, hstack, to_planes,
 )
@@ -175,16 +176,6 @@ GROUP_III = (
     ("-y27*y20 - y21*y26", "-b12*b16*b18"),
 )
 
-# multipliers of the second-derivative families, with witness builders:
-# w * partial2(Q) = d(witness) for every word-free Q
-_FAMILY_WITNESS = {
-    "a9": lambda q, p: p,
-    "y21": lambda q, p: gen("a4") * q + gen("b12") * p,
-    "y25": lambda q, p: gen("a8") * q + gen("b16") * p,
-    "y27": lambda q, p: gen("a10") * q + gen("b18") * p,
-    "x26": lambda q, p: -(gen("a9") * q + gen("c17") * p),
-}
-
 
 @dataclass(frozen=True)
 class RelationRecord:
@@ -243,16 +234,14 @@ def relation_catalog(engine) -> list:
         records.append(RelationRecord(
             f"iii.{k:02d}", "iii", lhs_text, "0", wit_text,
             ev(lhs_text), ev(wit_text), _formal_degree(poly), poly))
-    base = len(GROUP_III)
-    raw = Evaluator({n: gen(n) for n in
-                     ("a4", "a8", "a10", "b12", "b16", "b18", "a9", "c17")})
-    k = base
+    raw = raw_evaluator()
+    k = len(GROUP_III)
     for q_text, _, _ in DERIVATIVE_CATALOG:
         q = raw(q_text)
         p, p2 = partial(q), partial2(q)
         if p2.is_zero():
             continue
-        for name, builder in _FAMILY_WITNESS.items():
+        for name, builder in FAMILY_WITNESS.items():
             k += 1
             lhs = engine.named[name].element * p2
             records.append(RelationRecord(
@@ -396,15 +385,6 @@ def discover_relation(support, degree, engine, paper_vector=None):
     return result
 
 
-def _support_flip_mask(mono: tuple, flips: dict) -> int:
-    """Sign that the generator flips ``{name: -1}`` put on one monomial."""
-    s = 1
-    for name, e in mono:
-        if name in flips and e % 2:
-            s *= flips[name]
-    return s
-
-
 def _match_vector(support, paper_vector, solutions):
     """Is the printed vector in the solution span, up to generator flips?
 
@@ -463,18 +443,15 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
             paper_vec = [record.paper_poly[m] for m in record.paper_poly]
             disc = discover_relation(support, record.degree, engine,
                                      tuple(paper_vec))
+            rows = _solution_rows(disc)
             if disc.verdict == "sign_flips":
                 return RelationVerdict(record, "SIGNED",
                                        sign_flips=disc.sign_flips,
-                                       engine_coeffs=_solution_text(disc))
-            if disc.solutions:
-                rows = [" ".join(f"{'+' if c == 1 else '-'}{s}"
-                                 for c, s in zip(sol, disc.support) if c)
-                        for sol in disc.solutions]
-                if all(engine.named_evaluator(row).is_zero()
-                       for row in rows if row):
-                    return RelationVerdict(record, "CORRECTED",
-                                           engine_coeffs=" ; ".join(rows))
+                                       engine_coeffs=" ; ".join(rows))
+            if rows and all(engine.named_evaluator(row).is_zero()
+                            for row in rows):
+                return RelationVerdict(record, "CORRECTED",
+                                       engine_coeffs=" ; ".join(rows))
         # last resort (also the inhomogeneous-print case): express the left
         # product exactly in word-free basis-class coordinates at its degree
         corrected = express_in_c_classes(
@@ -488,11 +465,8 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
     if record.witness is not None:
         wv = verify_witness(record, engine)
         if wv.ok:
-            v = RelationVerdict(record, "IN-IMAGE",
-                                witness_sign=wv.witness_sign)
-            if wv.witness_sign == -1:
-                v.sign_flips = ()
-            return v
+            return RelationVerdict(record, "IN-IMAGE",
+                                   witness_sign=wv.witness_sign)
     if record.degree <= engine.max_degree:
         vp, vq = element_planes(z, engine.basis(record.degree).index)
         x, _ = Echelon(engine.d_matrix(record.degree - 1)).solve_planes(vp, vq)
@@ -529,14 +503,11 @@ def express_in_c_classes(element: Element, degree: int, engine) -> str | None:
     return terms or "0"
 
 
-def _solution_text(disc: DiscoveryResult) -> str:
-    rows = []
-    for sol in disc.solutions:
-        terms = " ".join(
-            f"{'+' if c == 1 else '-'}{s}"
-            for c, s in zip(sol, disc.support) if c)
-        rows.append(terms or "0")
-    return " ; ".join(rows)
+def _solution_rows(disc: DiscoveryResult) -> list:
+    """Each machine solution of a discovery as a signed sum of its support."""
+    return [" ".join(f"{'+' if c == 1 else '-'}{s}"
+                     for c, s in zip(sol, disc.support) if c) or "0"
+            for sol in disc.solutions]
 
 
 # -- global sign reconciliation ----------------------------------------------
@@ -663,20 +634,6 @@ def verify_all(engine, groups=("i", "ii", "iii")) -> VerificationReport:
     if assignment is None:
         assignment = build_sign_system(
             verdicts, engine, include_group_i=False).solve()
-    if reconcilable and any(s == -1 for s in assignment.values()):
-        # a nontrivial global assignment exists; re-grade group-i records
-        # that it reconciles exactly
-        for v in verdicts:
-            if v.record.group == "i" and v.verdict in ("SIGNED", "CORRECTED"):
-                flips = {n: s for n, s in assignment.items() if s == -1}
-                flipped = Element.zero()
-                for mono, c in v.record.paper_poly.items():
-                    s = c * _support_flip_mask(mono, flips)
-                    flipped = flipped + engine.named_evaluator.monomial(
-                        mono).scaled(s)
-                if flipped.is_zero():
-                    v.verdict = "SIGNED"
-                    v.sign_flips = tuple(sorted(flips))
     verdicts = [v for v in verdicts if v.record.group in groups]
     errata = [v.as_json() for v in verdicts
               if v.verdict in ("SIGNED", "CORRECTED")

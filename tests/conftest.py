@@ -1,5 +1,6 @@
 import pytest
 
+from cotor.dga import Element
 from cotor.engine import Engine
 
 # criterion index -> (label, passed); printed at the end of the run
@@ -22,6 +23,16 @@ def full_engine(engine):
     """The session engine with all matrices materialized through degree 81."""
     engine.build_range(81)
     return engine
+
+
+def class_element(cls, named: dict) -> Element:
+    """Reference representative of a basis class: the product of its named
+    generators' powers, multiplied out here independently of the engine's
+    evaluator."""
+    out = Element.one()
+    for name, e in cls.powers:
+        out = out * (named[name].element ** e)
+    return out
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -135,7 +135,11 @@ def test_exit_code_two_on_config_errors(capsys):
     # one past the measured cap (see cli.MAX_SUPPORTED_DEGREE)
     assert MAX_SUPPORTED_DEGREE == 150
     assert run_cli(capsys, "homology", "--max-degree", "151")[0] == 2
-    assert run_cli(capsys, "verify", "--convention", "bogus")[0] == 2
+    # the sign rule is always the audited one; --convention is not a flag
+    for value in ("bogus", "force:plus"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--convention", value])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 2

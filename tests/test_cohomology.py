@@ -1,7 +1,8 @@
 import pytest
 
+from conftest import class_element
 from cotor.cohomology import (
-    additive_basis_classes, class_element, expand_rational, poincare_coeffs,
+    additive_basis_classes, expand_rational, poincare_coeffs,
 )
 from cotor.dga import gen
 from cotor.gf3 import Echelon

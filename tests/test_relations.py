@@ -4,8 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cotor import engine as engine_module, relations
-from cotor.cohomology import class_element
+from conftest import class_element
+from cotor import derivation, engine as engine_module, relations
 from cotor.dga import Element, gen
 from cotor.engine import Engine
 from cotor.formal import parse_poly, monomial_degree
@@ -364,17 +364,41 @@ def test_representative_memo_matches_class_element(engine):
 
 def test_ideal_and_split_check_builds_each_representative_once(monkeypatch):
     fresh = Engine(convention="parity")
+    ev = fresh.named_evaluator
+    monomial = ev.monomial
     builds = Counter()
 
-    def counted(cls, named):
-        builds[cls] += 1
-        return class_element(cls, named)
+    def counted(mono):
+        builds[mono] += 1
+        return monomial(mono)
 
-    monkeypatch.setattr(engine_module, "class_element", counted)
+    monkeypatch.setattr(ev, "monomial", counted)
     report = ideal_and_split_check(fresh, degree_bound=40)
     assert report.ok and report.split_products > 0
     assert builds and max(builds.values()) == 1
-    assert set(builds) == set(fresh._representatives)
+    assert set(builds) == {cls.powers for cls in fresh._representatives}
+
+
+def test_one_engine_builds_the_named_generators_once(monkeypatch):
+    # the named table, the evaluator, the class representatives and the
+    # relation catalog all read the one table the engine built
+    builds = []
+    original = derivation.build_named_generators
+
+    def counted(d):
+        builds.append(d)
+        return original(d)
+
+    monkeypatch.setattr(derivation, "build_named_generators", counted)
+    monkeypatch.setattr(engine_module, "build_named_generators", counted)
+    fresh = Engine(convention="parity")
+    named = fresh.named
+    ev = fresh.named_evaluator
+    cls = fresh.additive_basis(46).classes[0]
+    assert fresh.representative(cls) == class_element(cls, named)
+    relation_catalog(fresh)
+    assert fresh.named is named and fresh.named_evaluator is ev
+    assert builds == [fresh.d]
 
 
 def test_split_coordinates_are_the_plane_solve(engine):
