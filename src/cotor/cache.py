@@ -2,10 +2,11 @@
 
 Files live under ``<cache_dir>/<fingerprint>/d_<n>.gf3mat`` in the
 canonical GF3MAT v1 text format.  The fingerprint encodes engine version,
-sign convention and a hash of the source of the modules that build the
-matrices, so a stale cache (also one written by an edited differential)
-is simply never found; a corrupted file is rebuilt with a warning, never
-silently reused.
+sign convention and a hash of the code of the modules that build the
+matrices (their tokens, without comments or blank lines), so a stale
+cache (also one written by an edited differential) is simply never found,
+while a comment edit keeps it; a corrupted file is rebuilt with a
+warning, never silently reused.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import hashlib
 import logging
 import os
+import tokenize
 
 from .gf3 import SparseMatrixF3
 
@@ -28,11 +30,14 @@ SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 @functools.cache
 def construction_digest(source_dir: str) -> str:
-    """sha256 of the construction modules' source, read once per process."""
+    """sha256 of the construction modules' tokens, comments and blank lines
+    left out, read once per process."""
     digest = hashlib.sha256()
     for name in CONSTRUCTION_SOURCES:
         with open(os.path.join(source_dir, name), "rb") as fh:
-            digest.update(fh.read())
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type not in (tokenize.COMMENT, tokenize.NL):
+                    digest.update(tok.string.encode() + b"\0")
     return digest.hexdigest()
 
 

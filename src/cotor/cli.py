@@ -90,9 +90,14 @@ def _default_degree(args, fallback: int) -> int:
 
 
 def _emit(args, payload, text_fn, csv_rows=None):
+    """Print the report in the requested format (ConfigError for CSV from
+    a command that has no CSV form)."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    elif args.format == "csv" and csv_rows is not None:
+    elif args.format == "csv":
+        if csv_rows is None:
+            raise ConfigError(
+                f"--format csv is not available for {args.command}")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:

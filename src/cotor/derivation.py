@@ -4,8 +4,10 @@ cocycles built from it.
 S = GF(3)[a4, a8, a10, b12, b16, b18] sits inside the algebra as the
 word-free monomials.  The derivation sends b_j to -a_{j-8} and kills the
 a-generators; it is unsigned (everything in S is even) and satisfies
-``partial^3 = 0`` in characteristic 3.  It feeds the differential through
-the bridge identity
+``partial^3 = 0`` in characteristic 3.  It is not coded separately: the
+algebra's rewrite reads E * a9 = a9 * E - c17 * partial(E) for E in S, so
+``partial`` takes it from ``dga.times_a9``.  It feeds the differential
+through the bridge identity
 
     x26 * partial2(-Q) = d(a9*Q + c17*partial(Q)),
 
@@ -19,31 +21,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .dga import _B_TO_A, COMM_NAMES, Element, Monomial, gen
+from .dga import (
+    COMM_NAMES, ONE_KEY, WORD_SHIFT, Element, decode, encode, gen, times_a9,
+)
 from .differential import Differential, select_x26
 from .formal import Evaluator, parse_poly
 
 
 def partial(q: Element) -> Element:
-    """The derivation on S; rejects input with a nonempty word part."""
+    """The derivation on S; rejects input with a nonempty word part.
+
+    It is read off the algebra's rewrite, E * a9 = a9 * E - c17 * partial(E):
+    partial(E) is minus the c17 part of ``times_a9``, with that letter
+    dropped.
+    """
     out = {}
     for m, c in q.terms.items():
         if m.word:
             raise ValueError(
                 f"input is not in the commutative subalgebra: {m.text()}")
-        for b, a in _B_TO_A.items():
-            e = m.exps[b]
-            if not e:
-                continue
-            exps = list(m.exps)
-            exps[b] -= 1
-            exps[a] += 1
-            t = Monomial((), tuple(exps))
-            cc = (out.get(t, 0) - e * c) % 3
-            if cc:
-                out[t] = cc
-            else:
-                out.pop(t, None)
+        for k, e in times_a9(encode(m)):
+            if k >> WORD_SHIFT == 0b11:         # the word is c17 alone:
+                t = decode(k - 2 * ONE_KEY)     # drop it
+                out[t] = out.get(t, 0) - e * c
     return Element(out)
 
 
@@ -140,11 +140,9 @@ class IdentityCheck:
     residual: Element
 
 
-def check_bridge_identity(q: Element, d: Differential,
-                          x26: Element | None = None) -> IdentityCheck:
+def check_bridge_identity(q: Element, d: Differential) -> IdentityCheck:
     """x26 * partial2(-Q) = d(a9*Q + c17*partial(Q)), Q in S."""
-    if x26 is None:
-        _, x26 = select_x26(d)
+    _, x26 = select_x26(d)
     lhs = x26 * partial2(-q)
     rhs = d(gen("a9") * q + gen("c17") * partial(q))
     res = lhs - rhs

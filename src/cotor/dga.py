@@ -7,6 +7,10 @@ moving a b-generator left past a9 costs a correction term:
 
     b_j * a9  ->  a9 * b_j + c17 * a_{j-8}      (j = 12, 16, 18)
 
+For a commutative monomial E this reads E * a9 = a9 * E - c17 * partial(E),
+with ``derivation.partial``.  The rule is coded once, in ``times_a9`` on
+flat keys; ``mono_mul`` and ``derivation.partial`` are built on it.
+
 Since every commuting pair involves an even generator, no Koszul signs
 ever enter the multiplication; signs only matter for the differential
 (see ``differential``).  Normal-form monomials are a free word in
@@ -85,61 +89,6 @@ def _merge(acc: dict, m: Monomial, c: int):
         acc.pop(m, None)
 
 
-@lru_cache(maxsize=None)
-def _push_gen(g: int, word: tuple):
-    """Move one commutative generator g from the left of a word to the right.
-
-    Returns a tuple of ((word, exps), coeff) terms in normal form; the
-    moved generator (or its rewrite product) lands in the exps block.
-    """
-    if not word:
-        exps = list(ZERO_EXPS)
-        exps[g] = 1
-        return (((word, tuple(exps)), 1),)
-    head, rest = word[0], word[1:]
-    if head == A9 and g in _B_TO_A:
-        out = []
-        for (w, e), c in _push_gen(g, rest):
-            out.append((((A9,) + w, e), c))
-        for (w, e), c in _push_gen(_B_TO_A[g], rest):
-            out.append((((C17,) + w, e), c))
-        return tuple(out)
-    return tuple((((head,) + w, e), c) for (w, e), c in _push_gen(g, rest))
-
-
-def mono_mul(m1: Monomial, m2: Monomial) -> dict:
-    """Product of two normal-form monomials, as Monomial -> coeff."""
-    if not m2.word:
-        # nothing to push through: the exponents just add
-        return {Monomial(m1.word,
-                         tuple(a + b for a, b in zip(m1.exps, m2.exps))): 1}
-    return _pushed_product(m1, m2)
-
-
-def _pushed_product(m1: Monomial, m2: Monomial) -> dict:
-    """The general route of `mono_mul`, for any pair of monomials."""
-    # push the commutative part of m1 through the word of m2
-    terms = {(m2.word, ZERO_EXPS): 1}
-    for g, e in enumerate(m1.exps):
-        for _ in range(e):
-            nxt = {}
-            for (w, q), c in terms.items():
-                for (w2, dq), c2 in _push_gen(g, w):
-                    key = (w2, tuple(a + b for a, b in zip(q, dq)))
-                    cc = (nxt.get(key, 0) + c * c2) % 3
-                    if cc:
-                        nxt[key] = cc
-                    else:
-                        nxt.pop(key, None)
-            terms = nxt
-    out = {}
-    for (w, q), c in terms.items():
-        mono = Monomial(m1.word + w,
-                        tuple(a + b for a, b in zip(q, m2.exps)))
-        _merge(out, mono, c)
-    return out
-
-
 # -- flat integer keys ----------------------------------------------------
 #
 # The bases and the differential's recursion work on monomials packed into
@@ -191,6 +140,33 @@ def times_a9(k: int) -> list:
         if e:
             out.append((with_c17 - UNIT[b] + UNIT[a], e))
     return out
+
+
+def mono_mul(m1: Monomial, m2: Monomial) -> dict:
+    """Product of two normal-form monomials, as Monomial -> coeff.
+
+    The commutative part of m1 is pushed through the word of m2 one letter
+    at a time: past a9 by ``times_a9``, past c17 for free (c17 commutes
+    with every even generator); then the exponents of m2 are added.  With a
+    word on the right, the product must lie within ``MAX_KEY_DEGREE``.
+    """
+    if not m2.word:
+        # nothing to push through: the exponents just add
+        return {Monomial(m1.word,
+                         tuple(a + b for a, b in zip(m1.exps, m2.exps))): 1}
+    if m1.degree() + m2.degree() > MAX_KEY_DEGREE:
+        raise ValueError(f"product is beyond degree {MAX_KEY_DEGREE}")
+    terms = {encode(m1): 1}
+    for x in m2.word:
+        pushed = {}
+        for k, c in terms.items():
+            # appending c17 turns the word bits w into 2w + 1
+            for k2, c2 in (times_a9(k) if x == A9 else
+                           ((k + ((k >> WORD_SHIFT) + 1 << WORD_SHIFT), 1),)):
+                pushed[k2] = pushed.get(k2, 0) + c * c2
+        terms = pushed
+    e2 = int.from_bytes(bytes(m2.exps), "big")
+    return {decode(k + e2): c % 3 for k, c in terms.items() if c % 3}
 
 
 def grading(k: int) -> int:

@@ -10,6 +10,7 @@ evaluation are uncapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import cohomology
 from .cache import MatrixCache
@@ -46,8 +47,6 @@ class Engine:
         self._bases: dict[int, DegreeBasis] = {}
         self._matrices: dict[int, SparseMatrixF3] = {}
         self._ranks: dict[int, int] = {}
-        self._named = None
-        self._named_ev = None
         self._additive_bases: dict[int, CotorBasis] = {}
         self._representatives: dict[BasisClass, Element] = {}
         self._class_columns: dict[int, tuple] = {}
@@ -115,18 +114,14 @@ class Engine:
 
     # -- named generators and additive basis ----------------------------------
 
-    @property
+    @cached_property
     def named(self) -> dict:
         """The 18 named cocycles, built and checked once per engine."""
-        if self._named is None:
-            self._named = build_named_generators(self.d)
-        return self._named
+        return build_named_generators(self.d)
 
-    @property
+    @cached_property
     def named_evaluator(self):
-        if self._named_ev is None:
-            self._named_ev = named_evaluator(self.named)
-        return self._named_ev
+        return named_evaluator(self.named)
 
     def additive_basis(self, n: int) -> CotorBasis:
         b = self._additive_bases.get(n)

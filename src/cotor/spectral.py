@@ -25,6 +25,7 @@ independent of the page recursion.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -33,6 +34,9 @@ from .dga import WEIGHT_SCHEMES, key_weight
 from .gf3 import Echelon, SparseMatrixF3
 
 SCHEMES = tuple(WEIGHT_SCHEMES)
+
+# the highest page that active_pages and collapsed_at look at
+LAST_PAGE = 9
 
 
 @dataclass
@@ -70,15 +74,8 @@ class DegreeProfile:
                 [a + b for a, b in zip(self.counts[-1], at_least)])
 
     def cols_ge(self, q: int) -> int:
-        # descending list: count entries >= q
-        lo, hi = 0, len(self.col_weights_desc)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.col_weights_desc[mid] >= q:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # the negated weights ascend: count those <= -q
+        return bisect.bisect_right(self.col_weights_desc, -q, key=operator.neg)
 
     def rank_sub(self, q: int, w) -> int:
         i = (len(self.row_levels) if w is None
@@ -234,20 +231,22 @@ class SpectralSequence:
                 bad.append((n, total, self.engine.dim_h(n)))
         return bad
 
-    def active_pages(self, n_max: int, r_max: int = 8) -> list:
-        """Pages r where E_r != E_{r+1} somewhere (measured, not assumed)."""
+    def active_pages(self, n_max: int) -> list:
+        """Pages r < LAST_PAGE where E_r != E_{r+1} somewhere (measured,
+        not assumed)."""
         active = []
         prev = self.page_table(0, n_max)
-        for r in range(r_max + 1):
+        for r in range(LAST_PAGE):
             nxt = self.page_table(r + 1, n_max)
             if prev != nxt:
                 active.append(r)
             prev = nxt
         return active
 
-    def collapsed_at(self, n_max: int, r_max: int = 9) -> int | None:
-        """Smallest page already equal to the limit everywhere (measured)."""
-        for r in range(1, r_max + 1):
+    def collapsed_at(self, n_max: int) -> int | None:
+        """Smallest page <= LAST_PAGE already equal to the limit everywhere
+        (measured)."""
+        for r in range(1, LAST_PAGE + 1):
             if not self.collapse_check(r, n_max):
                 return r
         return None

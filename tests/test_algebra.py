@@ -1,14 +1,61 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
 from cotor import dga
 from cotor.dga import (
-    COMM_NAMES, GEN_NAMES, Element, Monomial, comm_keys, comm_monomial,
-    decode, element_planes, encode, enumerate_basis, gen, mono_mul,
-    parse_monomial, times_a9,
+    A9, C17, COMM_NAMES, GEN_NAMES, ZERO_EXPS, Element, Monomial, comm_keys,
+    comm_monomial, decode, element_planes, encode, enumerate_basis, gen,
+    mono_mul, parse_monomial, times_a9,
 )
+
+# -- reference: the rewrite applied one exponent unit at a time -------------
+
+# b12 -> a4, b16 -> a8, b18 -> a10 (index into the commutative block)
+B_TO_A = {3: 0, 4: 1, 5: 2}
+
+
+@lru_cache(maxsize=None)
+def push_gen(g: int, word: tuple):
+    """Move one commutative generator g from the left of a word to the right.
+
+    Returns a tuple of ((word, exps), coeff) terms in normal form; the
+    moved generator (or its rewrite product) lands in the exps block.
+    """
+    if not word:
+        exps = list(ZERO_EXPS)
+        exps[g] = 1
+        return (((word, tuple(exps)), 1),)
+    head, rest = word[0], word[1:]
+    if head == A9 and g in B_TO_A:
+        out = []
+        for (w, e), c in push_gen(g, rest):
+            out.append((((A9,) + w, e), c))
+        for (w, e), c in push_gen(B_TO_A[g], rest):
+            out.append((((C17,) + w, e), c))
+        return tuple(out)
+    return tuple((((head,) + w, e), c) for (w, e), c in push_gen(g, rest))
+
+
+def pushed_product(m1: Monomial, m2: Monomial) -> dict:
+    """m1 * m2 by pushing the commutative part of m1, one generator at a
+    time, through the word of m2."""
+    terms = {(m2.word, ZERO_EXPS): 1}
+    for g, e in enumerate(m1.exps):
+        for _ in range(e):
+            nxt = {}
+            for (w, q), c in terms.items():
+                for (w2, dq), c2 in push_gen(g, w):
+                    key = (w2, tuple(a + b for a, b in zip(q, dq)))
+                    nxt[key] = (nxt.get(key, 0) + c * c2) % 3
+            terms = {key: c for key, c in nxt.items() if c}
+    out = {}
+    for (w, q), c in terms.items():
+        mono = Monomial(m1.word + w, tuple(a + b for a, b in zip(q, m2.exps)))
+        out[mono] = (out.get(mono, 0) + c) % 3
+    return {m: c for m, c in out.items() if c}
 
 
 def E(name):
@@ -39,11 +86,13 @@ def test_iterated_rewrite():
 
 
 def test_times_a9_closed_form_matches_the_rewrite():
+    # mono_mul is built on times_a9, so the push-through loop is the
+    # reference here
     a9 = parse_monomial("a9")
     for n in range(49):
         for m in enumerate_basis(n).monomials:
             product = {decode(k): c for k, c in times_a9(encode(m))}
-            assert product == mono_mul(m, a9), m.text()
+            assert product == pushed_product(m, a9), m.text()
 
 
 def test_word_free_fast_path_matches_the_general_route():
@@ -56,10 +105,34 @@ def test_word_free_fast_path_matches_the_general_route():
             for n2 in range(49 - n1):
                 for k in comm_keys(n2):
                     m2 = decode(k)
-                    assert mono_mul(m1, m2) == dga._pushed_product(m1, m2), \
+                    assert mono_mul(m1, m2) == pushed_product(m1, m2), \
                         (m1.text(), m2.text())
                     pairs += 1
     assert pairs > 5_000
+
+
+def test_word_on_the_right_matches_the_push_through():
+    # a right factor with a word is folded letter by letter over times_a9;
+    # the push-through loop is the reference, on every such pair of total
+    # degree <= 48
+    pairs = 0
+    for n1 in range(49):
+        for m1 in enumerate_basis(n1).monomials:
+            for n2 in range(9, 49 - n1):
+                for m2 in enumerate_basis(n2).monomials:
+                    if m2.word:
+                        assert mono_mul(m1, m2) == pushed_product(m1, m2), \
+                            (m1.text(), m2.text())
+                        pairs += 1
+    assert pairs == 3_825
+
+
+def test_products_past_the_key_range_are_refused():
+    # a4^300 would overflow its 8-bit field; it is refused, never wrapped
+    a4_200 = Monomial((), (200, 0, 0, 0, 0, 0))
+    a9_a4_100 = Monomial((A9,), (100, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        mono_mul(a4_200, a9_a4_100)
 
 
 def test_word_letters_multiply_freely():

@@ -121,6 +121,18 @@ def test_spectral_page_grid_csv(capsys):
     assert "0,0,1" in lines[1]
 
 
+def test_csv_refused_without_a_csv_form(capsys):
+    # the page grid has a CSV form (pinned in test_golden.py); the scheme
+    # checks and verify do not, and exit 2 instead of printing text
+    for argv, command in ((("verify", "--group", "ii"), "verify"),
+                          (("spectral", "--max-degree", "20"), "spectral")):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            f"error: --format csv is not available for {command}\n")
+
+
 def test_table40_subcommand(capsys):
     code, out, _ = run_cli(capsys, "table40", "--format", "json")
     assert code == 0
@@ -204,6 +216,22 @@ def test_cache_fingerprint_sees_construction_source(tmp_path, monkeypatch):
     source.write_text(source.read_text() + "\nDEFAULT_CONVENTION = 'plus'\n")
     cache_mod.construction_digest.cache_clear()
     assert fingerprint("parity") != before
+
+
+def test_cache_fingerprint_ignores_comments(tmp_path, monkeypatch):
+    # comments and blank lines are not code: editing them keeps the cache
+    for name in CONSTRUCTION_SOURCES:
+        shutil.copy(os.path.join(cache_mod.SOURCE_DIR, name), tmp_path)
+    before = fingerprint("parity")
+    monkeypatch.setattr(cache_mod, "SOURCE_DIR", str(tmp_path))
+    source = tmp_path / "dga.py"
+    text = source.read_text()
+    assert "    w = k >> WORD_SHIFT\n" in text
+    source.write_text(
+        "# a new first line\n\n"
+        + text.replace("    w = k >> WORD_SHIFT\n",
+                       "    w = k >> WORD_SHIFT   # the word bits\n\n", 1))
+    assert fingerprint("parity") == before
 
 
 def test_cache_fingerprint_same_in_two_processes():

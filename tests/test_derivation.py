@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cotor.dga import Element, enumerate_basis, gen
+from cotor.dga import Element, Monomial, enumerate_basis, gen
 from cotor.derivation import (
     DERIVATIVE_CATALOG, NAMED_GENERATOR_NAMES, build_named_generators,
     check_bridge_identity, check_coboundary_factorizations,
@@ -177,3 +177,27 @@ def test_quoted_power_rule_has_corrected_exponent():
             lhs = (b ** n) * a9
             rhs = a9 * b ** n + (c17 * a * b ** (n - 1)).scaled(n)
             assert lhs == rhs
+
+
+def per_b_partial(m) -> Element:
+    """Reference derivation of a word-free monomial: b_j -> -a_{j-8}, one
+    b-generator at a time."""
+    out = Element.zero()
+    for b, a in ((3, 0), (4, 1), (5, 2)):       # b12, b16, b18 -> a4, a8, a10
+        if m.exps[b]:
+            exps = list(m.exps)
+            exps[b] -= 1
+            exps[a] += 1
+            out = out + Element({Monomial((), tuple(exps)): -m.exps[b]})
+    return out
+
+
+def test_partial_matches_the_per_generator_rule_through_80():
+    # partial is read off times_a9; the per-b_j loop is the reference
+    count = 0
+    for n in range(0, 81, 2):
+        for m in enumerate_basis(n).monomials:
+            if not m.word:
+                assert partial(Element({m: 1})) == per_b_partial(m), m.text()
+                count += 1
+    assert count == 2_670

@@ -112,16 +112,19 @@ def test_scheme_reports(prepared):
 
 def test_rank_table_matches_prefix_ranks(engine):
     # every (rows, cols) breakpoint of the weight orders through degree
-    # 60: the cumulative table against a walk over the pivot list
+    # 60: the cumulative table against a walk over the pivot list, and
+    # cols_ge against a direct count
     for scheme in SCHEMES:
         ss = SpectralSequence(engine, scheme)
         for n in range(61):
             prof = ss.profile(n)
             rows_w, cols_w = prof.row_weights_asc, prof.col_weights_desc
-            qs = sorted(set(cols_w)) + [max(cols_w, default=0) + 1]
+            qs = ([min(cols_w, default=0) - 1] + sorted(set(cols_w))
+                  + [max(cols_w, default=0) + 1])
             ws = sorted(set(rows_w)) + [max(rows_w, default=0) + 1, None]
             for q in qs:
                 cols = sum(1 for x in cols_w if x >= q)
+                assert prof.cols_ge(q) == cols, (scheme, n, q)
                 for w in ws:
                     rows = (len(rows_w) if w is None
                             else bisect.bisect_left(rows_w, w))
