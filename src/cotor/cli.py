@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .cache import ENGINE_VERSION, fingerprint
 from .differential import DEFAULT_CONVENTION
@@ -31,6 +32,9 @@ from .engine import DEFAULT_MAX_DEGREE, Engine
 # Memory about doubles every 10 degrees.  150 was measured for cold
 # `homology` only; the other subcommands have not been run at the cap.
 MAX_SUPPORTED_DEGREE = 150
+
+# the commands with a CSV form; ``spectral`` has one only with --page
+CSV_COMMANDS = ("basis", "diff", "homology", "poincare")
 
 
 def _add_common(p, suppress: bool):
@@ -90,14 +94,11 @@ def _default_degree(args, fallback: int) -> int:
 
 
 def _emit(args, payload, text_fn, csv_rows=None):
-    """Print the report in the requested format (ConfigError for CSV from
-    a command that has no CSV form)."""
+    """Print the report in the requested format (``main`` has refused CSV
+    for a command without ``csv_rows``)."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
-        if csv_rows is None:
-            raise ConfigError(
-                f"--format csv is not available for {args.command}")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -111,8 +112,10 @@ def _header(args):
     header = {
         "schema": "cotor-report/1",
         "engine_version": ENGINE_VERSION,
-        # the rule the selection audit picks, without running the audit
-        "fingerprint": fingerprint(DEFAULT_CONVENTION),
+        # the cache's key under the rule the selection audit picks, without
+        # running the audit; hashing the code is paid only with a cache
+        "fingerprint": (fingerprint(DEFAULT_CONVENTION)
+                        if args.cache_dir else None),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": {
             "command": args.command,
@@ -242,28 +245,45 @@ def cmd_discover(args) -> int:
 
     engine = _engine(args)
     support = [s.strip() for s in args.support.split(",") if s.strip()]
+    _check_support(support, args.degree, engine)
     result = discover_relation(support, args.degree, engine)
-    _emit(args, result.as_json(), lambda: json.dumps(result.as_json()))
+    payload = asdict(result)
+    _emit(args, payload, lambda: json.dumps(payload))
     return 0
 
 
-def cmd_table40(args) -> int:
-    from .derivation import derivative_catalog_report
+def _check_support(support, degree: int, engine):
+    """ConfigError unless each support entry is one monomial in known
+    names of formal degree ``degree``, and ``degree`` is within the cap
+    when a factor is word-type; checked before anything is evaluated."""
+    from .derivation import NAMED_DEGREES
+    from .dga import GEN_DEGREES
+    from .formal import monomial_degree, parse_poly
 
-    engine = _engine(args)
-    rows = derivative_catalog_report(engine.d)
-    payload = [{
-        "q": r.q,
-        "partial": r.partial_machine,
-        "partial2": r.partial2_machine,
-        "partial_display": {"text": r.partial_display.text,
-                            "verdict": r.partial_display.verdict,
-                            "flips": list(r.partial_display.flips)},
-        "partial2_displays": [
-            {"text": v.text, "verdict": v.verdict, "flips": list(v.flips)}
-            for v in r.partial2_displays],
-        "expanded_ok": r.expanded_ok,
-    } for r in rows]
+    degrees = GEN_DEGREES | NAMED_DEGREES
+    table = engine.named_evaluator.table
+    for text in support:
+        try:
+            ((mono, _),) = parse_poly(text).items()
+            formal_degree = monomial_degree(mono, degrees)
+        except (ValueError, KeyError):
+            raise ConfigError(f"support entry {text!r} is not one monomial "
+                              "in known generators") from None
+        if formal_degree != degree:
+            raise ConfigError(f"support entry {text!r} is not of degree "
+                              f"{degree}")
+        if degree > engine.max_degree and not all(
+                table[n].in_commutative_subalgebra() for n, _ in mono):
+            raise ConfigError(
+                f"word-type support entry {text!r} at degree {degree} is "
+                f"beyond --max-degree {engine.max_degree}")
+
+
+def cmd_table40(args) -> int:
+    from .relations import derivative_catalog_report
+
+    rows = derivative_catalog_report(_engine(args))
+    payload = [asdict(r) for r in rows]
 
     def text():
         lines = []
@@ -354,10 +374,17 @@ def main(argv=None) -> int:
         if args.max_degree is not None and not (
                 0 <= args.max_degree <= MAX_SUPPORTED_DEGREE):
             raise ConfigError("--max-degree out of range")
+        if args.format == "csv" and args.command not in CSV_COMMANDS and not (
+                args.command == "spectral" and args.page is not None):
+            raise ConfigError(
+                f"--format csv is not available for {args.command}")
         _header(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

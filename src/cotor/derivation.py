@@ -13,19 +13,19 @@ through the bridge identity
 
 which is what makes the relation catalog mechanically checkable, and it
 defines the high-degree cocycles y58, y60, y64, y76 as second derivatives
-of cube-free b-monomials.
+of cube-free b-monomials.  The bridge identity is the x26 member of the
+five family identities w * partial2(Q) = d(witness) built below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .dga import (
     COMM_NAMES, ONE_KEY, WORD_SHIFT, Element, decode, encode, gen, times_a9,
 )
 from .differential import Differential, select_x26
-from .formal import Evaluator, parse_poly
+from .formal import Evaluator
 
 
 def partial(q: Element) -> Element:
@@ -130,7 +130,14 @@ FAMILY_WITNESS = {
 }
 
 
-# -- structural identities --------------------------------------------------
+def family_identities(q: Element, named: dict) -> list:
+    """``(w, w * partial2(Q), witness)`` for the five multipliers w of
+    ``FAMILY_WITNESS``, so that w * partial2(Q) = d(witness).  The x26
+    entry is the bridge identity with Q -> -Q."""
+    p = partial(q)
+    p2 = partial(p)
+    return [(w, named[w].element * p2, witness(q, p))
+            for w, witness in FAMILY_WITNESS.items()]
 
 
 @dataclass(frozen=True)
@@ -140,156 +147,11 @@ class IdentityCheck:
     residual: Element
 
 
-def check_bridge_identity(q: Element, d: Differential) -> IdentityCheck:
-    """x26 * partial2(-Q) = d(a9*Q + c17*partial(Q)), Q in S."""
-    _, x26 = select_x26(d)
-    lhs = x26 * partial2(-q)
-    rhs = d(gen("a9") * q + gen("c17") * partial(q))
-    res = lhs - rhs
-    return IdentityCheck("bridge", res.is_zero(), res)
-
-
-def check_coboundary_factorizations(q: Element, d: Differential) -> list:
-    """The five ways a second derivative becomes a coboundary.
-
-    Each returns an IdentityCheck for  w * partial2(Q) = d(witness).
-    """
-    named = build_named_generators(d)
-    p, p2 = partial(q), partial2(q)
+def check_coboundary_factorizations(q: Element, named: dict,
+                                    d: Differential) -> list:
+    """One IdentityCheck of w * partial2(Q) = d(witness) per family."""
     out = []
-    for label, witness in FAMILY_WITNESS.items():
-        res = named[label].element * p2 - d(witness(q, p))
-        out.append(IdentityCheck(label, res.is_zero(), res))
+    for w, lhs, witness in family_identities(q, named):
+        res = lhs - d(witness)
+        out.append(IdentityCheck(w, res.is_zero(), res))
     return out
-
-
-# -- the catalog of first and second derivative images ----------------------
-
-# One row per cube-free b-monomial: (Q, displayed dQ, displayed d2Q forms).
-# The last d2Q form of each multi-form row is the fully expanded polynomial;
-# y-symbols refer to the named cocycles above.
-DERIVATIVE_CATALOG = (
-    ("b12", "-a4", ("0",)),
-    ("b16", "-a8", ("0",)),
-    ("b18", "-a10", ("0",)),
-    ("b12^2", "a4*b12", ("-a4^2",)),
-    ("b16^2", "a8*b16", ("-a8^2",)),
-    ("b18^2", "a10*b18", ("-a10^2",)),
-    ("b12*b16", "-a4*b16 - a8*b12", ("-a4*a8",)),
-    ("b12*b18", "-a4*b18 - a10*b12", ("-a4*a10",)),
-    ("b16*b18", "-a8*b18 - a10*b16", ("-a8*a10",)),
-    ("b12^2*b16", "a4*b12*b16 - a8*b12^2",
-     ("-a4*y20", "-a4^2*b16 + a4*a8*b12")),
-    ("b12*b16^2", "-a4*b16^2 + a8*b12*b16",
-     ("a8*y20", "a4*a8*b16 - a8^2*b12")),
-    ("b12^2*b18", "a4*b12*b18 - a10*b12^2",
-     ("-a4*y22", "-a4^2*b18 + a4*a10*b12")),
-    ("b12*b18^2", "-a4*b18^2 + a10*b12*b18",
-     ("a10*y22", "a4*a10*b18 - a10^2*b12")),
-    ("b16^2*b18", "a8*b16*b18 - a10*b16^2",
-     ("-a8*y26", "-a8^2*b18 + a8*a10*b16")),
-    ("b16*b18^2", "-a8*b18^2 + a10*b16*b18",
-     ("a10*y26", "a8*a10*b18 - a10^2*b16")),
-    ("b12*b16*b18", "-a4*b16*b18 - a8*b12*b18 - a10*b12*b16",
-     ("-a4*y26 + a10*y20", "-a8*y22 - a10*y20", "a4*y26 + a8*y22",
-      "-a4*a8*b18 - a4*a10*b16 - a8*a10*b12")),
-    ("b12^2*b16^2", "a4*b12*b16^2 + a8*b12^2*b16",
-     ("-y20^2", "-a4^2*b16^2 - a4*a8*b12*b16 - a8^2*b12^2")),
-    ("b12^2*b18^2", "a4*b12*b18^2 + a10*b12^2*b18",
-     ("-y22^2", "-a4^2*b18^2 - a4*a10*b12*b18 - a10^2*b12^2")),
-    ("b16^2*b18^2", "a8*b16*b18^2 + a10*b16^2*b18",
-     ("-y26^2", "-a8^2*b18^2 - a8*a10*b16*b18 - a10^2*b16^2")),
-    ("b12^2*b16*b18", "a4*b12*b16*b18 - a8*b12^2*b18 - a10*b12^2*b16",
-     ("-y20*y22",
-      "-a4^2*b16*b18 + a4*a8*b12*b18 + a4*a10*b12*b16 - a8*a10*b12^2")),
-    ("b12*b16^2*b18", "-a4*b16^2*b18 + a8*b12*b16*b18 - a10*b12*b16^2",
-     ("y20*y26",
-      "a4*a8*b16*b18 - a4*a10*b16^2 - a8^2*b12*b18 + a8*a10*b12*b16")),
-    ("b12*b16*b18^2", "-a4*b16*b18^2 - a8*b12*b18^2 + a10*b12*b16*b18",
-     ("-y22*y26",
-      "-a4*a8*b18^2 + a4*a10*b16*b18 + a8*a10*b12*b18 - a10^2*b12*b16")),
-    ("b12^2*b16^2*b18",
-     "a4*b12*b16^2*b18 + a8*b12^2*b16*b18 - a10*b12^2*b16^2",
-     ("y58",
-      "-a4^2*b16^2*b18 - a4*a8*b12*b16*b18 + a4*a10*b12*b16^2"
-      " - a8^2*b12^2*b18 + a8*a10*b12^2*b16")),
-    ("b12^2*b16*b18^2",
-     "a4*b12*b16*b18^2 - a8*b12^2*b18^2 + a10*b12^2*b16*b18",
-     ("y60",
-      "-a4^2*b16*b18^2 + a4*a8*b12*b18^2 - a4*a10*b12*b16*b18"
-      " + a8*a10*b12^2*b18 - a10^2*b12^2*b16")),
-    ("b12*b16^2*b18^2",
-     "-a4*b16^2*b18^2 + a8*b12*b16*b18^2 + a10*b12*b16^2*b18",
-     ("y64",
-      "a4*a8*b16*b18^2 + a4*a10*b16^2*b18 - a8^2*b12*b18^2"
-      " - a8*a10*b12*b16*b18 - a10^2*b12*b16^2")),
-    ("b12^2*b16^2*b18^2",
-     "a4*b12*b16^2*b18^2 + a8*b12^2*b16*b18^2 + a10*b12^2*b16^2*b18",
-     ("y76",
-      "-a4^2*b16^2*b18^2 - a4*a8*b12*b16*b18^2 - a4*a10*b12*b16^2*b18"
-      " - a8^2*b12^2*b18^2 - a8*a10*b12^2*b16*b18 - a10^2*b12^2*b16^2")),
-)
-
-# generators whose sign may be flipped when classifying displayed forms
-_FLIPPABLE = ("y20", "y22", "y26", "y58", "y60", "y64", "y76")
-
-
-@dataclass(frozen=True)
-class DisplayVerdict:
-    text: str
-    verdict: str            # "exact" | "sign_flip" | "mismatch"
-    flips: tuple = ()       # generator names flipped (possibly with "row")
-
-
-@dataclass(frozen=True)
-class CatalogRow:
-    q: str
-    partial_machine: str
-    partial2_machine: str
-    partial_display: DisplayVerdict
-    partial2_displays: tuple
-    expanded_ok: bool       # last display matches machine up to one row sign
-
-
-def _classify(display: str, machine: Element, ev: Evaluator) -> DisplayVerdict:
-    poly = parse_poly(display)
-    names = sorted({n for mono in poly for n, _ in mono if n in _FLIPPABLE})
-    best = None
-    for flips in product((1, -1), repeat=len(names)):
-        fl = dict(zip(names, flips))
-        val = Element.zero()
-        for mono, c in poly.items():
-            s = c
-            for n, e in mono:
-                if n in fl and e % 2:
-                    s *= fl[n]
-            val = val + ev.monomial(mono).scaled(s)
-        for row_sign in (1, -1):
-            if val.scaled(row_sign) == machine:
-                used = tuple(n for n in names if fl[n] < 0)
-                if row_sign < 0:
-                    used = used + ("row",)
-                if best is None or len(used) < len(best):
-                    best = used
-    if best is None:
-        return DisplayVerdict(display, "mismatch")
-    if not best:
-        return DisplayVerdict(display, "exact")
-    return DisplayVerdict(display, "sign_flip", best)
-
-
-def derivative_catalog_report(d: Differential) -> list:
-    """Machine verification of every catalog row against its displays."""
-    ev = named_evaluator(build_named_generators(d))
-    rows = []
-    for q_text, dq_text, d2q_texts in DERIVATIVE_CATALOG:
-        q = ev(q_text)
-        p, p2 = partial(q), partial2(q)
-        dq_verdict = _classify(dq_text, p, ev)
-        d2q_verdicts = tuple(_classify(t, p2, ev) for t in d2q_texts)
-        expanded = d2q_verdicts[-1]
-        rows.append(CatalogRow(
-            q_text, p.text(), p2.text(), dq_verdict, d2q_verdicts,
-            expanded.verdict == "exact"
-            or expanded.flips in ((), ("row",))))
-    return rows

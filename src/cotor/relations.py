@@ -1,4 +1,5 @@
-"""Machine verification of the relation ideal and its coboundary witnesses.
+"""Machine verification of the printed catalogs: the relation ideal with
+its coboundary witnesses, and the table of derivative images.
 
 Three groups of relations present the cohomology ring over the 18 named
 generators:
@@ -18,15 +19,21 @@ system; one free overall sign per identity, realized by the witness sign
 where there is a witness), and anything the assignment cannot reconcile
 is emitted as errata with the machine-corrected coefficient vector from
 relation discovery, re-verified exact before it is reported.
+
+One search reconciles printed signs (`_match_vector`): a printed vector
+against the linear relations the machine finds, up to sign flips of
+named generators.  It serves relation discovery and, with the sign of a
+whole displayed row as one more flippable name, the derivative-image
+catalog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .derivation import (
-    DERIVATIVE_CATALOG, FAMILY_WITNESS, NAMED_DEGREES, NAMED_GENERATOR_NAMES,
-    partial, partial2, raw_evaluator,
+    NAMED_DEGREES, NAMED_GENERATOR_NAMES, family_identities, partial, partial2,
 )
 from .dga import Element, element_planes
 from .formal import mono_text, monomial_degree, parse_poly, poly_text
@@ -176,6 +183,71 @@ GROUP_III = (
     ("-y27*y20 - y21*y26", "-b12*b16*b18"),
 )
 
+# One row per cube-free b-monomial: (Q, displayed dQ, displayed d2Q forms).
+# The last d2Q form of each multi-form row is the fully expanded polynomial;
+# y-symbols refer to the named cocycles.
+DERIVATIVE_CATALOG = (
+    ("b12", "-a4", ("0",)),
+    ("b16", "-a8", ("0",)),
+    ("b18", "-a10", ("0",)),
+    ("b12^2", "a4*b12", ("-a4^2",)),
+    ("b16^2", "a8*b16", ("-a8^2",)),
+    ("b18^2", "a10*b18", ("-a10^2",)),
+    ("b12*b16", "-a4*b16 - a8*b12", ("-a4*a8",)),
+    ("b12*b18", "-a4*b18 - a10*b12", ("-a4*a10",)),
+    ("b16*b18", "-a8*b18 - a10*b16", ("-a8*a10",)),
+    ("b12^2*b16", "a4*b12*b16 - a8*b12^2",
+     ("-a4*y20", "-a4^2*b16 + a4*a8*b12")),
+    ("b12*b16^2", "-a4*b16^2 + a8*b12*b16",
+     ("a8*y20", "a4*a8*b16 - a8^2*b12")),
+    ("b12^2*b18", "a4*b12*b18 - a10*b12^2",
+     ("-a4*y22", "-a4^2*b18 + a4*a10*b12")),
+    ("b12*b18^2", "-a4*b18^2 + a10*b12*b18",
+     ("a10*y22", "a4*a10*b18 - a10^2*b12")),
+    ("b16^2*b18", "a8*b16*b18 - a10*b16^2",
+     ("-a8*y26", "-a8^2*b18 + a8*a10*b16")),
+    ("b16*b18^2", "-a8*b18^2 + a10*b16*b18",
+     ("a10*y26", "a8*a10*b18 - a10^2*b16")),
+    ("b12*b16*b18", "-a4*b16*b18 - a8*b12*b18 - a10*b12*b16",
+     ("-a4*y26 + a10*y20", "-a8*y22 - a10*y20", "a4*y26 + a8*y22",
+      "-a4*a8*b18 - a4*a10*b16 - a8*a10*b12")),
+    ("b12^2*b16^2", "a4*b12*b16^2 + a8*b12^2*b16",
+     ("-y20^2", "-a4^2*b16^2 - a4*a8*b12*b16 - a8^2*b12^2")),
+    ("b12^2*b18^2", "a4*b12*b18^2 + a10*b12^2*b18",
+     ("-y22^2", "-a4^2*b18^2 - a4*a10*b12*b18 - a10^2*b12^2")),
+    ("b16^2*b18^2", "a8*b16*b18^2 + a10*b16^2*b18",
+     ("-y26^2", "-a8^2*b18^2 - a8*a10*b16*b18 - a10^2*b16^2")),
+    ("b12^2*b16*b18", "a4*b12*b16*b18 - a8*b12^2*b18 - a10*b12^2*b16",
+     ("-y20*y22",
+      "-a4^2*b16*b18 + a4*a8*b12*b18 + a4*a10*b12*b16 - a8*a10*b12^2")),
+    ("b12*b16^2*b18", "-a4*b16^2*b18 + a8*b12*b16*b18 - a10*b12*b16^2",
+     ("y20*y26",
+      "a4*a8*b16*b18 - a4*a10*b16^2 - a8^2*b12*b18 + a8*a10*b12*b16")),
+    ("b12*b16*b18^2", "-a4*b16*b18^2 - a8*b12*b18^2 + a10*b12*b16*b18",
+     ("-y22*y26",
+      "-a4*a8*b18^2 + a4*a10*b16*b18 + a8*a10*b12*b18 - a10^2*b12*b16")),
+    ("b12^2*b16^2*b18",
+     "a4*b12*b16^2*b18 + a8*b12^2*b16*b18 - a10*b12^2*b16^2",
+     ("y58",
+      "-a4^2*b16^2*b18 - a4*a8*b12*b16*b18 + a4*a10*b12*b16^2"
+      " - a8^2*b12^2*b18 + a8*a10*b12^2*b16")),
+    ("b12^2*b16*b18^2",
+     "a4*b12*b16*b18^2 - a8*b12^2*b18^2 + a10*b12^2*b16*b18",
+     ("y60",
+      "-a4^2*b16*b18^2 + a4*a8*b12*b18^2 - a4*a10*b12*b16*b18"
+      " + a8*a10*b12^2*b18 - a10^2*b12^2*b16")),
+    ("b12*b16^2*b18^2",
+     "-a4*b16^2*b18^2 + a8*b12*b16*b18^2 + a10*b12*b16^2*b18",
+     ("y64",
+      "a4*a8*b16*b18^2 + a4*a10*b16^2*b18 - a8^2*b12*b18^2"
+      " - a8*a10*b12*b16*b18 - a10^2*b12*b16^2")),
+    ("b12^2*b16^2*b18^2",
+     "a4*b12*b16^2*b18^2 + a8*b12^2*b16*b18^2 + a10*b12^2*b16^2*b18",
+     ("y76",
+      "-a4^2*b16^2*b18^2 - a4*a8*b12*b16*b18^2 - a4*a10*b12*b16^2*b18"
+      " - a8^2*b12^2*b18^2 - a8*a10*b12^2*b16*b18 - a10^2*b12^2*b16^2")),
+)
+
 
 @dataclass(frozen=True)
 class RelationRecord:
@@ -224,29 +296,22 @@ def relation_catalog(engine) -> list:
             f"i.{k:02d}", "i", lhs_text, rhs_text, None,
             ev(lhs_text) - ev(rhs_text), None,
             _formal_degree(parse_poly(lhs_text)), poly))
-    for k, (lhs_text, wit_text) in enumerate(GROUP_II, 1):
-        poly = parse_poly(lhs_text)
-        records.append(RelationRecord(
-            f"ii.{k:02d}", "ii", lhs_text, "0", wit_text,
-            ev(lhs_text), ev(wit_text), _formal_degree(poly), poly))
-    for k, (lhs_text, wit_text) in enumerate(GROUP_III, 1):
-        poly = parse_poly(lhs_text)
-        records.append(RelationRecord(
-            f"iii.{k:02d}", "iii", lhs_text, "0", wit_text,
-            ev(lhs_text), ev(wit_text), _formal_degree(poly), poly))
-    raw = raw_evaluator()
+    for group, table in (("ii", GROUP_II), ("iii", GROUP_III)):
+        for k, (lhs_text, wit_text) in enumerate(table, 1):
+            poly = parse_poly(lhs_text)
+            records.append(RelationRecord(
+                f"{group}.{k:02d}", group, lhs_text, "0", wit_text,
+                ev(poly), ev(wit_text), _formal_degree(poly), poly))
     k = len(GROUP_III)
     for q_text, _, _ in DERIVATIVE_CATALOG:
-        q = raw(q_text)
-        p, p2 = partial(q), partial2(q)
-        if p2.is_zero():
+        q = ev(q_text)
+        if partial2(q).is_zero():
             continue
-        for name, builder in FAMILY_WITNESS.items():
+        for name, lhs, witness in family_identities(q, engine.named):
             k += 1
-            lhs = engine.named[name].element * p2
             records.append(RelationRecord(
                 f"iii.{k:02d}", "iii", f"{name}*partial2({q_text})", "0",
-                f"[{name}-witness of {q_text}]", lhs, builder(q, p),
+                f"[{name}-witness of {q_text}]", lhs, witness,
                 lhs.degree(), {}))
     return records
 
@@ -290,14 +355,12 @@ def verify_witness(record: RelationRecord, engine) -> RelationVerdict:
     if record.witness is None:
         raise ValueError(f"record {record.rid} has no witness")
     dw = engine.d(record.witness)
-    sign = None
     if (record.lhs - dw).is_zero():
         sign = 1
     elif (record.lhs + dw).is_zero():
         sign = -1
-    if sign is None:
-        return RelationVerdict(record, "FAIL",
-                               note=(record.lhs - dw).text())
+    else:
+        return RelationVerdict(record, "FAIL", note=(record.lhs - dw).text())
     n = record.degree
     if 0 < n <= engine.max_degree:
         basis_n, basis_w = engine.basis(n), engine.basis(n - 1)
@@ -322,17 +385,6 @@ class DiscoveryResult:
     verdict: str | None = None   # exact | sign_flips | absent
     sign_flips: tuple = ()
 
-    def as_json(self) -> dict:
-        return {
-            "support": list(self.support),
-            "degree": self.degree,
-            "solutions": [list(map(int, v)) for v in self.solutions],
-            "paper_vector": (list(map(int, self.paper_vector))
-                             if self.paper_vector else None),
-            "verdict": self.verdict,
-            "sign_flips": list(self.sign_flips),
-        }
-
 
 def _canonical_rows(vectors):
     """The nonzero rows of the RREF of the matrix with the given rows."""
@@ -342,6 +394,15 @@ def _canonical_rows(vectors):
     rows = ech.rref()
     return tuple(tuple(rows.entries.get((i, j), 0) for j in range(rows.n_cols))
                  for i in range(ech.rank))
+
+
+def _linear_relations(elements) -> tuple:
+    """Canonical basis of the vectors c with sum_j c_j * elements[j] = 0,
+    solved in the coordinates of the monomials the elements use."""
+    monos = sorted({m for el in elements for m in el.terms})
+    idx = {m: i for i, m in enumerate(monos)}
+    return _canonical_rows(Echelon(Planes.from_columns(
+        len(monos), (element_planes(el, idx) for el in elements))).kernel())
 
 
 def discover_relation(support, degree, engine, paper_vector=None):
@@ -358,10 +419,7 @@ def discover_relation(support, degree, engine, paper_vector=None):
         if el.degree() not in (None, degree):
             raise ValueError("support monomial of wrong degree")
     if all(el.in_commutative_subalgebra() for el in elements):
-        monos = sorted({m for el in elements for m in el.terms})
-        idx = {m: i for i, m in enumerate(monos)}
-        projected = Echelon(Planes.from_columns(
-            len(monos), (element_planes(el, idx) for el in elements))).kernel()
+        solutions = _linear_relations(elements)
     else:
         if degree > engine.max_degree:
             raise ValueError("degree beyond cap for word-type discovery")
@@ -375,29 +433,31 @@ def discover_relation(support, degree, engine, paper_vector=None):
             cols, start = hstack(d, cols), d.n_cols
         else:
             start = 0
-        projected = [v[start:] for v in Echelon(cols).kernel(start=start)]
-    solutions = _canonical_rows(projected)
+        solutions = _canonical_rows(
+            [v[start:] for v in Echelon(cols).kernel(start=start)])
     result = DiscoveryResult(tuple(str(s) for s in support), degree,
                              solutions, paper_vector)
     if paper_vector is not None:
+        monos = [next(iter(parse_poly(s))) for s in support]
         result.verdict, result.sign_flips = _match_vector(
-            support, paper_vector, solutions)
+            monos, paper_vector, solutions, NAMED_GENERATOR_NAMES)
     return result
 
 
-def _match_vector(support, paper_vector, solutions):
-    """Is the printed vector in the solution span, up to generator flips?
+def _match_vector(monos, paper_vector, solutions, flippable):
+    """Is the printed vector in the solution span, up to sign flips of the
+    names in ``flippable``?
 
+    ``monos`` are the formal monomials under the vector's entries; a flip
+    of a name negates the entries whose monomial has it to an odd power.
     Membership is one solve against the solution rows, taken as the
     columns of one `Echelon`.  Flip subsets are walked by size, then in
-    lexicographic order; a flip only changes the vector through the sign
-    pattern it puts on the support, so each pattern is tested once, and
-    it negates the entries under the pattern by swapping their planes.
+    lexicographic order of the sorted names, so the first match flips the
+    fewest names; each sign pattern is tested once, and it negates the
+    entries under it by swapping their planes.
     """
-    from itertools import combinations
-
-    width = len(paper_vector)
-    span = Echelon(Planes.from_columns(width, map(to_planes, solutions)))
+    span = Echelon(Planes.from_columns(
+        len(paper_vector), map(to_planes, solutions)))
     vp, vq = to_planes(paper_vector)
 
     def in_span(flip: int) -> bool:
@@ -407,18 +467,15 @@ def _match_vector(support, paper_vector, solutions):
 
     if in_span(0):
         return "exact", ()
-    monos = []
-    for s in support:
-        ((mono, _),) = parse_poly(s).items()
-        monos.append(dict(mono))
-    names = sorted({n for mono in monos for n in mono
-                    if n in NAMED_GENERATOR_NAMES})
-    # bit j of odd[n]: generator n has an odd exponent in support monomial j
-    odd = {n: sum(1 << j for j, mono in enumerate(monos)
-                  if mono.get(n, 0) % 2) for n in names}
+    # bit j of odd[n]: name n has an odd exponent in monomial j
+    odd = {}
+    for j, mono in enumerate(monos):
+        for n, e in mono:
+            if n in flippable and e % 2:
+                odd[n] = odd.get(n, 0) | 1 << j
     tried = {0}
-    for r in range(1, len(names) + 1):
-        for subset in combinations(names, r):
+    for r in range(1, len(odd) + 1):
+        for subset in combinations(sorted(odd), r):
             pattern = 0
             for n in subset:
                 pattern ^= odd[n]
@@ -430,6 +487,69 @@ def _match_vector(support, paper_vector, solutions):
     return "absent", ()
 
 
+# -- the derivative-image catalog ----------------------------------------------
+
+# generators whose sign may be flipped when classifying displayed forms
+_FLIPPABLE = ("y20", "y22", "y26", "y58", "y60", "y64", "y76")
+
+
+@dataclass(frozen=True)
+class DisplayVerdict:
+    text: str
+    verdict: str            # "exact" | "sign_flip" | "mismatch"
+    flips: tuple = ()       # generator names flipped (possibly with "row")
+
+
+@dataclass(frozen=True)
+class CatalogRow:
+    q: str
+    partial: str            # the machine values, as text
+    partial2: str
+    partial_display: DisplayVerdict
+    partial2_displays: tuple
+    expanded_ok: bool       # last display matches machine up to one row sign
+
+
+def _display_verdict(text: str, machine: Element, ev) -> DisplayVerdict:
+    """Does the display sum_j c_j t_j equal the machine value M, up to
+    flips of ``_FLIPPABLE`` names and of the whole row's sign?
+
+    With flips f and row sign r it does exactly when (f*c, -r) is a linear
+    relation among t_1, ..., t_k, M, so the display is matched against
+    those relations, the row sign being one more flippable name on the
+    last entry.  "row" sorts before the y-names, so it wins a tie with
+    one of them.
+    """
+    poly = parse_poly(text)
+    solutions = _linear_relations([ev.monomial(m) for m in poly] + [machine])
+    verdict, flips = _match_vector(
+        [*poly, (("row", 1),)], [*poly.values(), -1], solutions,
+        _FLIPPABLE + ("row",))
+    if verdict == "absent":
+        return DisplayVerdict(text, "mismatch")
+    if verdict == "exact":
+        return DisplayVerdict(text, "exact")
+    # reported with the row sign last
+    return DisplayVerdict(text, "sign_flip",
+                          tuple(sorted(flips, key="row".__eq__)))
+
+
+def derivative_catalog_report(engine) -> list:
+    """Machine verification of every catalog row against its displays."""
+    ev = engine.named_evaluator
+    rows = []
+    for q_text, dq_text, d2q_texts in DERIVATIVE_CATALOG:
+        p = partial(ev(q_text))
+        p2 = partial(p)
+        d2q_verdicts = tuple(_display_verdict(t, p2, ev) for t in d2q_texts)
+        expanded = d2q_verdicts[-1]
+        rows.append(CatalogRow(
+            q_text, p.text(), p2.text(), _display_verdict(dq_text, p, ev),
+            d2q_verdicts, expanded.verdict != "mismatch"
+            and expanded.flips in ((), ("row",))))
+    return rows
+
+
 def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
     """EXACT / IN-IMAGE / CORRECTED / FAIL for one record."""
     z = record.lhs
@@ -439,11 +559,13 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
         # nonzero in S: not a coboundary (image purity), so the printed
         # coefficients are off; discover the machine relation on the support
         if _is_homogeneous(record.paper_poly):
-            support = [mono_text(m) for m in record.paper_poly]
-            paper_vec = [record.paper_poly[m] for m in record.paper_poly]
-            disc = discover_relation(support, record.degree, engine,
-                                     tuple(paper_vec))
-            rows = _solution_rows(disc)
+            disc = discover_relation(
+                [mono_text(m) for m in record.paper_poly], record.degree,
+                engine, tuple(record.paper_poly.values()))
+            # each machine solution as a signed sum of the support
+            rows = [" ".join(f"{'+' if c == 1 else '-'}{s}"
+                             for c, s in zip(sol, disc.support) if c) or "0"
+                    for sol in disc.solutions]
             if disc.verdict == "sign_flips":
                 return RelationVerdict(record, "SIGNED",
                                        sign_flips=disc.sign_flips,
@@ -467,13 +589,15 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
         if wv.ok:
             return RelationVerdict(record, "IN-IMAGE",
                                    witness_sign=wv.witness_sign)
-    if record.degree <= engine.max_degree:
-        vp, vq = element_planes(z, engine.basis(record.degree).index)
-        x, _ = Echelon(engine.d_matrix(record.degree - 1)).solve_planes(vp, vq)
-        if x is not None:
-            return RelationVerdict(record, "IN-IMAGE")
+    if record.degree > engine.max_degree:
+        return RelationVerdict(record, "FAIL", note="degree beyond cap")
+    # a cocycle is in im(d) exactly when it decomposes with no class part;
+    # the engine checks z - 0 = d(witness) before it answers
+    if not engine.d(z).is_zero():
+        return RelationVerdict(record, "FAIL", note="not a cocycle")
+    if engine.decompose(z, record.degree).coefficients:
         return RelationVerdict(record, "FAIL", note="not in image")
-    return RelationVerdict(record, "FAIL", note="degree beyond cap")
+    return RelationVerdict(record, "IN-IMAGE")
 
 
 def c_class_coordinates(element: Element, degree: int, engine):
@@ -503,13 +627,6 @@ def express_in_c_classes(element: Element, degree: int, engine) -> str | None:
     return terms or "0"
 
 
-def _solution_rows(disc: DiscoveryResult) -> list:
-    """Each machine solution of a discovery as a signed sum of its support."""
-    return [" ".join(f"{'+' if c == 1 else '-'}{s}"
-                     for c, s in zip(sol, disc.support) if c) or "0"
-            for sol in disc.solutions]
-
-
 # -- global sign reconciliation ----------------------------------------------
 
 
@@ -522,16 +639,14 @@ class SignSystem:
 
     names: tuple = NAMED_GENERATOR_NAMES
     rows: list = field(default_factory=list)
-    labels: list = field(default_factory=list)
 
-    def add_pair_constraint(self, mono_a, mono_b, bit, label):
+    def add_pair_constraint(self, mono_a, mono_b, bit):
         row = (bit & 1) << len(self.names)
         for mono in (mono_a, mono_b):
             for name, e in mono:
                 if name in self.names and e % 2:
                     row ^= 1 << self.names.index(name)
         self.rows.append(row)
-        self.labels.append(label)
 
     def solve(self):
         """Particular solution (prefers all-plus), or None if inconsistent."""
@@ -569,27 +684,26 @@ def build_sign_system(verdicts, engine, include_group_i=True) -> SignSystem:
             continue
         if rec.group == "i" and not include_group_i:
             continue
+        monos = list(rec.paper_poly)
         if rec.group == "i":
-            support = [mono_text(m) for m in rec.paper_poly]
             paper_vec = list(rec.paper_poly.values())
-            disc = discover_relation(support, rec.degree, engine)
+            disc = discover_relation(
+                [mono_text(m) for m in monos], rec.degree, engine)
             if len(disc.solutions) != 1:
                 continue
             machine = disc.solutions[0]
             if any(bool(p) != bool(mv)
                    for p, mv in zip(paper_vec, machine)):
                 continue
-            monos = list(rec.paper_poly.keys())
             ratios = [1 if (p - mv) % 3 == 0 else -1
                       for p, mv in zip(paper_vec, machine)]
         else:
             # machine truth = printed coefficients (witness verified):
             # all ratios +1, constraints are pairwise-equal flip sums
-            monos = list(rec.paper_poly.keys())
             ratios = [1] * len(monos)
         for t in range(1, len(monos)):
             bit = 0 if ratios[t] == ratios[0] else 1
-            system.add_pair_constraint(monos[0], monos[t], bit, rec.rid)
+            system.add_pair_constraint(monos[0], monos[t], bit)
     return system
 
 
@@ -669,18 +783,11 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
     n_max = degree_bound or engine.max_degree
     report = IdealSplitReport(n_max)
     named = engine.named
-    d_classes, c_classes = [], []
+    d_classes, c_classes, side = [], [], {}
     for n in range(n_max + 1):
         for cls in engine.additive_basis(n).classes:
             (d_classes if cls.side == "D" else c_classes).append((n, cls))
-    sides: dict[int, dict] = {}
-
-    def side(label: str, degree: int) -> str:
-        table = sides.get(degree)
-        if table is None:
-            table = sides[degree] = {
-                c.label: c.side for c in engine.additive_basis(degree).classes}
-        return table[label]
+            side[cls.label] = cls.side      # a label fixes its degree
 
     for n, cls in d_classes:
         rep = engine.representative(cls)
@@ -693,7 +800,7 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
                 continue
             dec = engine.decompose(product, m)
             bad = {lbl: c for lbl, c in dec.coefficients.items()
-                   if side(lbl, m) == "C"}
+                   if side[lbl] == "C"}
             report.ideal_products += 1
             if bad:
                 report.ideal_violations.append(
@@ -715,8 +822,7 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
             if sample_countdown > 0 and not product.is_zero():
                 sample_countdown -= 1
                 dec = engine.decompose(product, m)
-                d_side = [lbl for lbl in dec.coefficients
-                          if side(lbl, m) == "D"]
+                d_side = [lbl for lbl in dec.coefficients if side[lbl] == "D"]
                 if d_side or not dec.witness.is_zero():
                     report.split_violations.append(
                         (c1.label, c2.label, "decompose route"))

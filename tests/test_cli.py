@@ -84,6 +84,27 @@ def test_discover_subcommand(capsys):
     assert payload["solutions"] == [[1, 2, 2]]
 
 
+@pytest.mark.parametrize("support,degree", [
+    ("a4*y22,a10*y20", "26"),       # a support monomial of another degree
+    ("a4*q22", "26"),               # an unknown name
+    ("a4*y22^", "26"),              # unparsable
+    ("a4 + y22", "26"),             # not one monomial
+    ("a9^10", "90"),                # word-type, beyond the degree cap
+])
+def test_discover_bad_input_exits_two(capsys, monkeypatch, support, degree):
+    # refused before the support is evaluated, with no traceback
+    import cotor.relations as relations
+
+    def no_discovery(*args):
+        raise AssertionError("discover_relation ran on bad input")
+
+    monkeypatch.setattr(relations, "discover_relation", no_discovery)
+    code, out, err = run_cli(capsys, "discover", "--support", support,
+                             "--degree", degree)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_spectral_subcommand(capsys):
     # degree 36 is the first place the second page differential acts
     code, out, _ = run_cli(capsys, "spectral", "--scheme", "may_s5",
@@ -119,6 +140,53 @@ def test_spectral_page_grid_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "p,n,dim"
     assert "0,0,1" in lines[1]
+
+
+def test_csv_refused_before_any_work(capsys, monkeypatch):
+    import cotor.relations as relations
+
+    def no_verification(*args):
+        raise AssertionError("verify ran although CSV was refused")
+
+    monkeypatch.setattr(relations, "verify_all", no_verification)
+    code, out, err = run_cli(capsys, "verify", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: --format csv is not available for verify\n"
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    # planted in the command: nothing is allocated for real
+    import cotor.relations as relations
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(relations, "ideal_and_split_check", exhausted)
+    code, out, err = run_cli(capsys, "ideal-check", "--max-degree", "10")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: out of memory"
+
+
+def test_header_fingerprint_only_with_a_cache(capsys, monkeypatch, tmp_path):
+    # hashing the construction code is paid only when a cache is used
+    monkeypatch.delenv("COTOR_CACHE_DIR", raising=False)
+    calls = []
+    original = cache_mod.construction_digest
+
+    def counted(source_dir):
+        calls.append(source_dir)
+        return original(source_dir)
+
+    monkeypatch.setattr(cache_mod, "construction_digest", counted)
+    code, _, err = run_cli(capsys, "verify", "--group", "ii")
+    assert code == 0 and calls == []
+    assert json.loads(err.splitlines()[0])["fingerprint"] is None
+    code, _, err = run_cli(capsys, "homology", "--max-degree", "4",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and calls
+    header = json.loads(err.splitlines()[0])
+    assert header["fingerprint"] == fingerprint("parity")
+    assert os.listdir(tmp_path) == [header["fingerprint"]]
 
 
 def test_csv_refused_without_a_csv_form(capsys):

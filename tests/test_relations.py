@@ -1,5 +1,6 @@
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,13 +9,17 @@ from conftest import class_element
 from cotor import derivation, engine as engine_module, relations
 from cotor.dga import Element, gen
 from cotor.engine import Engine
-from cotor.formal import parse_poly, monomial_degree
-from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
+from cotor.formal import parse_poly, poly_text, monomial_degree
+from cotor.derivation import (
+    NAMED_DEGREES, NAMED_GENERATOR_NAMES, partial, partial2,
+)
 from cotor.gf3 import Echelon, SparseMatrixF3
 from cotor.relations import (
-    GROUP_I, GROUP_II, GROUP_III, _match_vector, c_class_coordinates,
-    discover_relation, express_in_c_classes, ideal_and_split_check,
-    relation_catalog, verify_all, verify_relation, verify_witness,
+    DERIVATIVE_CATALOG, GROUP_I, GROUP_II, GROUP_III, DisplayVerdict,
+    RelationRecord, _display_verdict, _match_vector, c_class_coordinates,
+    derivative_catalog_report, discover_relation, express_in_c_classes,
+    ideal_and_split_check, relation_catalog, verify_all, verify_relation,
+    verify_witness,
 )
 
 
@@ -129,10 +134,39 @@ def test_verify_relation_examples(engine, catalog):
     ev = engine.named_evaluator
     assert ev("a4*y26 - a8*y22 - a10*y20").is_zero()
     # a tautology
-    from cotor.relations import RelationRecord
     zero = RelationRecord("z", "i", "0", "0", None, Element.zero(), None,
                           0, {})
     assert verify_relation(zero, engine).verdict == "EXACT"
+
+
+def _word_record(lhs: Element, witness=None) -> RelationRecord:
+    return RelationRecord("w", "iii", lhs.text(), "0", None, lhs, witness,
+                          lhs.degree(), {})
+
+
+def test_verify_relation_image_test_goes_through_decompose(
+        engine, monkeypatch):
+    # with no working witness, a word-type record is tested for im(d) by
+    # Engine.decompose alone: relations builds no elimination of its own
+    def no_echelon(*args, **kwargs):
+        raise AssertionError("verify_relation built an Echelon")
+
+    monkeypatch.setattr(relations, "Echelon", no_echelon)
+    named = engine.named
+    a9a4 = named["a9"].element * named["a4"].element
+    assert verify_relation(_word_record(a9a4), engine).verdict == "IN-IMAGE"
+    # a wrong witness falls back to the same test
+    wrong = _word_record(a9a4, witness=gen("b16"))
+    assert verify_relation(wrong, engine).verdict == "IN-IMAGE"
+    # a nonzero class is not in the image
+    x26y20 = named["x26"].element * named["y20"].element
+    v = verify_relation(_word_record(x26y20), engine)
+    assert (v.verdict, v.note) == ("FAIL", "not in image")
+    # a non-cocycle is a FAIL verdict, not an exception
+    chain = gen("a9") * gen("b12")
+    assert not engine.d(chain).is_zero()
+    v = verify_relation(_word_record(chain), engine)
+    assert (v.verdict, v.note) == ("FAIL", "not a cocycle")
 
 
 def test_exact_group_i_relation(engine, catalog):
@@ -255,6 +289,13 @@ def test_ideal_spot_products(engine):
 # -- the sign-flip search ------------------------------------------------------
 
 
+def match(support, paper_vector, solutions):
+    """The matcher as relation discovery calls it, on support texts."""
+    monos = [next(iter(parse_poly(s))) for s in support]
+    return _match_vector(monos, paper_vector, solutions,
+                         NAMED_GENERATOR_NAMES)
+
+
 def _brute_force_match(support, paper_vector, solutions):
     """Reference search: every flip subset, by size, each tested by a solve."""
 
@@ -305,7 +346,7 @@ MATCH_CASES = {
 def test_match_vector_against_brute_force(case):
     support, paper_vector, solutions, expected = MATCH_CASES[case]
     assert _brute_force_match(support, paper_vector, solutions) == expected
-    assert _match_vector(support, paper_vector, solutions) == expected
+    assert match(support, paper_vector, solutions) == expected
 
 
 def test_match_vector_random_cases_against_brute_force():
@@ -327,9 +368,98 @@ def test_match_vector_random_cases_against_brute_force():
             vec = rng.integers(-1, 2, len(support))
         paper_vector = tuple(int(x) for x in vec)
         expected = _brute_force_match(support, paper_vector, solutions)
-        assert _match_vector(support, paper_vector, solutions) == expected
+        assert match(support, paper_vector, solutions) == expected
         outcomes.add(expected[0])
     assert outcomes == {"exact", "sign_flips", "absent"}
+
+
+def _classify(display: str, machine: Element, ev) -> DisplayVerdict:
+    """Reference display matcher: every sign tuple of the flippable names
+    in the display and both row signs, each display re-evaluated; the
+    fewest flips win ("row" counts as one), ties going to the first tuple
+    in ``product`` order."""
+    poly = parse_poly(display)
+    names = sorted({n for mono in poly for n, _ in mono
+                    if n in relations._FLIPPABLE})
+    best = None
+    for flips in product((1, -1), repeat=len(names)):
+        fl = dict(zip(names, flips))
+        val = Element.zero()
+        for mono, c in poly.items():
+            s = c
+            for n, e in mono:
+                if n in fl and e % 2:
+                    s *= fl[n]
+            val = val + ev.monomial(mono).scaled(s)
+        for row_sign in (1, -1):
+            if val.scaled(row_sign) == machine:
+                used = tuple(n for n in names if fl[n] < 0)
+                if row_sign < 0:
+                    used = used + ("row",)
+                if best is None or len(used) < len(best):
+                    best = used
+    if best is None:
+        return DisplayVerdict(display, "mismatch")
+    if not best:
+        return DisplayVerdict(display, "exact")
+    return DisplayVerdict(display, "sign_flip", best)
+
+
+def catalog_displays(engine) -> list:
+    """(display, machine value) for every display of the catalog."""
+    ev = engine.named_evaluator
+    out = []
+    for q_text, dq_text, d2q_texts in DERIVATIVE_CATALOG:
+        q = ev(q_text)
+        out.append((dq_text, partial(q)))
+        out += [(t, partial2(q)) for t in d2q_texts]
+    return out
+
+
+def test_display_matcher_against_reference_on_the_catalog(engine):
+    ev = engine.named_evaluator
+    displays = catalog_displays(engine)
+    assert len(displays) == 71
+    verdicts = Counter()
+    for text, machine in displays:
+        got = _display_verdict(text, machine, ev)
+        assert got == _classify(text, machine, ev), text
+        verdicts[got.verdict] += 1
+    assert verdicts == {"exact": 65, "sign_flip": 6}
+
+
+def test_display_matcher_against_reference_on_planted_slips(engine):
+    # each display with a random subset of its terms negated, against the
+    # machine value or its negative: sign flips, row flips, both, and
+    # mismatches where no flippable name covers a slipped term
+    ev = engine.named_evaluator
+    rng = random.Random(11)
+    outcomes = Counter()
+    for text, machine in catalog_displays(engine):
+        poly = parse_poly(text)
+        for _ in range(5):
+            planted = {m: c * rng.choice((1, -1)) for m, c in poly.items()}
+            target = machine.scaled(rng.choice((1, -1)))
+            display = poly_text(planted)
+            got = _display_verdict(display, target, ev)
+            assert got == _classify(display, target, ev), (text, display)
+            outcomes[got.verdict, got.flips] += 1
+    # single-term displays tie a row flip with a name flip: the row wins
+    assert set(outcomes) >= {("exact", ()), ("mismatch", ()),
+                             ("sign_flip", ("row",)),
+                             ("sign_flip", ("y20",))}
+
+
+def test_expanded_ok_needs_a_match(engine, monkeypatch):
+    # the expanded form must match up to the row sign; a mismatch is not ok
+    monkeypatch.setattr(relations, "DERIVATIVE_CATALOG", (
+        ("b12^2", "a4*b12", ("a4^2",)),
+        ("b16^2", "a8*b16", ("-a8^2 + a4^2",)),
+    ))
+    rows = derivative_catalog_report(engine)
+    assert [r.partial2_displays[-1].verdict for r in rows] == [
+        "sign_flip", "mismatch"]
+    assert [r.expanded_ok for r in rows] == [True, False]
 
 
 def test_class_solver_is_engine_owned(engine):
