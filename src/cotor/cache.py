@@ -72,7 +72,7 @@ class MatrixCache:
                 pass
             return None
 
-    def store(self, degree: int, matrix: SparseMatrixF3) -> str:
+    def store(self, degree: int, matrix) -> str:
         os.makedirs(self.dir, exist_ok=True)
         path = self.path(degree)
         tmp = path + ".tmp"

@@ -23,14 +23,14 @@ from .cache import ENGINE_VERSION, fingerprint
 from .differential import DEFAULT_CONVENTION
 from .engine import DEFAULT_MAX_DEGREE, Engine
 
-# Largest --max-degree any command accepts.  Cold `cotor homology` runs
-# within a 6,000,000 KB address-space limit (`ulimit -v 6000000`),
-# measured on 2 vCPUs / 8 GB, Python 3.11, cold cache, peak RSS of the
-# process:
-#   N = 120: 2.6 s, 171 MB    N = 140: 11 s, 548 MB
-#   N = 130: 5.1 s, 298 MB    N = 150: 26 s, 1.0 GB
-# Memory about doubles every 10 degrees.  150 was measured for cold
-# `homology` only; the other subcommands have not been run at the cap.
+# Largest --max-degree any command accepts.  Cold `cotor homology` (empty
+# --cache-dir) within RLIMIT_AS = 6,000,000 KB, set in the child only, on
+# 2 vCPUs / 8 GB, Python 3.11, one run each; wall time, peak RSS:
+#   N = 120: 3.7 s, 102 MB    N = 140: 15.8 s, 318 MB
+#   N = 130: 7.1 s, 177 MB    N = 150: 28.9 s, 581 MB
+# Memory grows about 1.8x every 10 degrees; the library's d plus ranks to
+# 160 took 40 s and 989 MB.  150 was measured for cold `homology` only;
+# the other subcommands have not been run at the cap.
 MAX_SUPPORTED_DEGREE = 150
 
 # the commands with a CSV form; ``spectral`` has one only with --page

@@ -33,7 +33,6 @@ WORD_DEGREES = (9, 17)
 COMM_NAMES = ("a4", "a8", "a10", "b12", "b16", "b18")
 COMM_DEGREES = (4, 8, 10, 12, 16, 18)
 
-GEN_NAMES = COMM_NAMES + WORD_NAMES
 GEN_DEGREES = dict(zip(COMM_NAMES, COMM_DEGREES)) | dict(zip(WORD_NAMES, WORD_DEGREES))
 
 # b12 -> a4, b16 -> a8, b18 -> a10 (index into the commutative block)
@@ -309,14 +308,6 @@ def gen(name: str) -> Element:
     raise KeyError(f"unknown generator {name!r}")
 
 
-def comm_monomial(**exps) -> Monomial:
-    """Word-free monomial from keyword exponents, e.g. comm_monomial(b12=2)."""
-    e = [0] * 6
-    for name, k in exps.items():
-        e[COMM_NAMES.index(name)] = k
-    return Monomial((), tuple(e))
-
-
 # -- basis enumeration ---------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -357,10 +348,6 @@ class DegreeBasis:
         return len(self.keys)
 
     @cached_property
-    def key_index(self) -> dict:
-        return {k: i for i, k in enumerate(self.keys)}
-
-    @cached_property
     def monomials(self) -> tuple:
         return tuple(map(decode, self.keys))
 
@@ -370,9 +357,12 @@ class DegreeBasis:
         return {m: i for i, m in enumerate(self.monomials)}
 
     @cached_property
-    def blocks(self) -> list:
-        """The Z^4 degree (``grading``) of every basis monomial."""
-        return list(map(grading, self.keys))
+    def blocks(self) -> dict:
+        """Z^4 degree (``grading``) -> the ascending positions holding it."""
+        out = {}
+        for i, g in enumerate(map(grading, self.keys)):
+            out.setdefault(g, []).append(i)
+        return {g: tuple(at) for g, at in out.items()}
 
 
 def enumerate_basis(n: int) -> DegreeBasis:
@@ -406,22 +396,3 @@ def element_planes(x: Element, index) -> tuple:
         else:
             neg |= 1 << index[m]
     return pos, neg
-
-
-def parse_monomial(text: str) -> Monomial:
-    """Inverse of Monomial.text()."""
-    text = text.strip()
-    if text == "1":
-        return ONE
-    if "|" in text:
-        wpart, cpart = text.split("|")
-    elif text.split()[0] in WORD_NAMES:
-        wpart, cpart = text, ""
-    else:
-        wpart, cpart = "", text
-    word = tuple(WORD_NAMES.index(t) for t in wpart.split())
-    exps = [0] * 6
-    for tok in cpart.split():
-        name, _, e = tok.partition("^")
-        exps[COMM_NAMES.index(name)] = int(e) if e else 1
-    return Monomial(word, tuple(exps))

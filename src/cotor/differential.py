@@ -26,7 +26,7 @@ from .dga import (
     ZERO_EXPS, DegreeBasis, Element, Monomial, decode, encode,
     enumerate_basis, gen, times_a9,
 )
-from .gf3 import SparseMatrixF3
+from .gf3 import BlockDiagonalF3
 
 CONVENTIONS = ("parity", "plus", "minus")
 DEFAULT_CONVENTION = "parity"
@@ -157,24 +157,22 @@ class Differential:
         """d(x*y) computed through the product rule (for the audit)."""
         return self(x) * y + (x * self(y)).scaled(self.eps(x))
 
-    def matrix(self, n: int, basis_n: DegreeBasis | None = None,
-               basis_n1: DegreeBasis | None = None) -> SparseMatrixF3:
-        """Matrix of d from degree n to degree n+1 in basis coordinates.
-
-        Memo layers more than ``MEMO_DEPTH`` below n are dropped
-        afterwards: building degree n + 1 no longer reads them.
-        """
-        bn = basis_n if basis_n is not None else enumerate_basis(n)
-        bn1 = basis_n1 if basis_n1 is not None else enumerate_basis(n + 1)
-        index = bn1.key_index
-        image = self._image
-        entries = {}
-        for j, m in enumerate(bn.keys):
-            for t, c in image(m, n).items():
-                entries[(index[t], j)] = c
+    def matrix(self, n: int, bn: DegreeBasis,
+               bn1: DegreeBasis) -> BlockDiagonalF3:
+        """Matrix of d from degree n, basis ``bn``, to degree n+1, basis
+        ``bn1``, one block per internal Z^4 degree (d preserves it; an image
+        term outside its column's block is a RuntimeError).  Memo layers
+        more than ``MEMO_DEPTH`` below n are dropped afterwards: building
+        degree n + 1 no longer reads them."""
+        try:
+            m = BlockDiagonalF3.from_columns(
+                bn1.blocks, bn.blocks, bn1.keys,
+                lambda c: self._image(bn.keys[c], n).items())
+        except ValueError as exc:
+            raise RuntimeError(f"d of degree {n} leaves a Z^4 block: {exc}")
         for k in [k for k in self._memo if k < n - MEMO_DEPTH]:
             del self._memo[k]
-        return SparseMatrixF3(len(bn1), len(bn), entries)
+        return m
 
 
 # -- audit ----------------------------------------------------------------

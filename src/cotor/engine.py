@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import cohomology
-from .cache import MatrixCache
+from .cache import MatrixCache, log
 from .cohomology import BasisClass, CotorBasis, additive_basis_classes
 from .derivation import build_named_generators, named_evaluator
 from .dga import (
     DegreeBasis, Element, decode, element_planes, enumerate_basis,
 )
 from .differential import Differential, audit_conventions
-from .gf3 import Echelon, Planes, SparseMatrixF3, hstack
+from .gf3 import BlockDiagonalF3, Echelon, Planes, bits, hstack
 
 DEFAULT_MAX_DEGREE = 80
 
@@ -45,7 +45,7 @@ class Engine:
         self.d = Differential(convention)
         self.cache = MatrixCache(cache_dir, convention) if cache_dir else None
         self._bases: dict[int, DegreeBasis] = {}
-        self._matrices: dict[int, SparseMatrixF3] = {}
+        self._matrices: dict[int, BlockDiagonalF3] = {}
         self._ranks: dict[int, int] = {}
         self._additive_bases: dict[int, CotorBasis] = {}
         self._representatives: dict[BasisClass, Element] = {}
@@ -63,22 +63,26 @@ class Engine:
             b = self._bases[n] = enumerate_basis(n)
         return b
 
-    def d_matrix(self, n: int) -> SparseMatrixF3:
+    def d_matrix(self, n: int) -> BlockDiagonalF3:
         m = self._matrices.get(n)
         if m is not None:
             return m
-        if self.cache is not None:
-            m = self.cache.load(n)
-            if m is not None and (m.n_rows, m.n_cols) != (
-                    len(self.basis(n + 1)), len(self.basis(n))):
-                m = None        # wrong shape: treat as corrupt, rebuild
-            if m is not None:
-                self._matrices[n] = m
-                return m
-        m = self.d.matrix(n, self.basis(n), self.basis(n + 1))
+        rows, cols = self.basis(n + 1), self.basis(n)
+        loaded = self.cache.load(n) if self.cache is not None else None
+        if loaded is not None:
+            try:                # a corrupt file is rebuilt and rewritten
+                if (loaded.n_rows, loaded.n_cols) != (len(rows), len(cols)):
+                    raise ValueError("wrong shape")
+                m = BlockDiagonalF3.from_sparse(
+                    loaded, rows.blocks, cols.blocks)
+            except ValueError as exc:   # or an entry joining two Z^4 blocks
+                log.warning("corrupted cache file %s (%s); rebuilding",
+                            self.cache.path(n), exc)
+        if m is None:
+            m = self.d.matrix(n, cols, rows)
+            if self.cache is not None:
+                self.cache.store(n, m)
         self._matrices[n] = m
-        if self.cache is not None:
-            self.cache.store(n, m)
         return m
 
     def build_range(self, n_max: int):
@@ -95,9 +99,9 @@ class Engine:
             return 0
         r = self._ranks.get(n)
         if r is None:
-            r = self._ranks[n] = Echelon.by_blocks(
-                self.d_matrix(n), self.basis(n + 1).blocks,
-                self.basis(n).blocks).rank
+            r = self._ranks[n] = sum(
+                Echelon(Planes(len(rs), len(cs), p, q), transform=False).rank
+                for rs, cs, p, q in self.d_matrix(n).blocks)
         return r
 
     # -- cohomology ----------------------------------------------------------
@@ -204,12 +208,8 @@ class Engine:
         k = len(classes)
         xp, xq = x
         coeffs, witness, recon = {}, {}, Element.zero()
-        bits = xp | xq
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            j = low.bit_length() - 1
-            c = 1 if xp & low else 2
+        for j in bits(xp | xq):
+            c = 1 if xp >> j & 1 else 2
             if j < k:
                 coeffs[classes[j].label] = c
                 recon = recon + self.representative(classes[j]).scaled(c)

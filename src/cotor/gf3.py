@@ -3,16 +3,18 @@
 Scalars are canonical residues in {0, 1, 2}; every operation reduces
 eagerly, so equality of values is equality of representations.
 
-The public matrix type is sparse-by-triples (the per-degree differential
-matrices are tall, thin and very sparse).  All elimination goes through
-one primitive, `Echelon`: a greedy column-echelon pass that reads rank,
-prefix ranks, kernels and solves off the same reduction.  It works on
-bitsliced vectors (after Boothby and Bradshaw, arXiv:0901.1413): a
-vector is a pair of Python integers ``(pos, neg)`` whose bit ``i`` says
-that entry ``i`` is +1, respectively -1 (= 2), so one vector addition is
-a handful of word-parallel bit operations.  Bit planes are the one
-vector format: `Echelon` takes a `SparseMatrixF3` or `Planes`, and the
-vectors it hands back are plain tuples of residues.
+`SparseMatrixF3`, a dict of triples, is the generic matrix type and the
+one read from GF3MAT text; a block-diagonal matrix (a differential that
+preserves an internal grading) is a `BlockDiagonalF3`, the bit planes of
+each block.  All elimination goes through one primitive, `Echelon`: a
+greedy column-echelon pass that reads rank, prefix ranks, kernels and
+solves off the same reduction.  It works on bitsliced vectors (after
+Boothby and Bradshaw, arXiv:0901.1413): a vector is a pair of Python
+integers ``(pos, neg)`` whose bit ``i`` says that entry ``i`` is +1,
+respectively -1 (= 2), so one vector addition is a handful of
+word-parallel bit operations.  Bit planes are the one vector format:
+`Echelon` takes `Planes` or either matrix type, and the vectors it hands
+back are plain tuples of residues.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SparseMatrixF3:
                 and self.entries == other.entries)
 
     def __repr__(self):
-        return (f"SparseMatrixF3({self.n_rows}x{self.n_cols}, "
+        return (f"{type(self).__name__}({self.n_rows}x{self.n_cols}, "
                 f"nnz={self.nnz})")
 
     # -- canonical text serialization (cache format) --------------------
@@ -100,15 +102,15 @@ class SparseMatrixF3:
         n_rows, n_cols, nnz = int(head[2]), int(head[3]), int(head[4])
         if len(lines) - 1 != nnz:
             raise ValueError("GF3MAT entry count does not match header")
-        ent = {}
+        m = cls(n_rows, n_cols)         # checks the shape
         for line in lines[1:]:
             r, c, v = map(int, line.split())
-            if v not in (1, 2):
-                raise ValueError("GF3MAT scalar out of range")
-            if (r, c) in ent:
+            if v not in (1, 2) or not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"GF3MAT entry {line!r} out of range")
+            if (r, c) in m.entries:
                 raise ValueError("GF3MAT duplicate entry")
-            ent[(r, c)] = v
-        return cls(n_rows, n_cols, ent)
+            m.entries[r, c] = v
+        return m
 
 
 def _add(ap, an, bp, bn):
@@ -146,12 +148,12 @@ class Planes(NamedTuple):
 
     @classmethod
     def of(cls, a) -> "Planes":
-        """The columns of a `SparseMatrixF3` (`Planes` pass through)."""
+        """The columns of a matrix (`Planes` pass through)."""
         if isinstance(a, Planes):
             return a
-        if not isinstance(a, SparseMatrixF3):
+        if not isinstance(a, (SparseMatrixF3, BlockDiagonalF3)):
             raise TypeError(
-                f"expected a SparseMatrixF3 or Planes, got {type(a).__name__}")
+                f"expected a GF(3) matrix or Planes, got {type(a).__name__}")
         pos, neg = [0] * a.n_cols, [0] * a.n_cols
         for (r, c), v in a.entries.items():
             if v == 1:
@@ -169,34 +171,126 @@ class Planes(NamedTuple):
 
 
 def hstack(a, b) -> Planes:
-    """The columns of a and then of b (`SparseMatrixF3` or `Planes`)."""
+    """The columns of a and then of b (matrices or `Planes`)."""
     a, b = Planes.of(a), Planes.of(b)
     if a.n_rows != b.n_rows:
         raise ValueError(f"hstack: {a.n_rows} rows against {b.n_rows}")
     return Planes(a.n_rows, a.n_cols + b.n_cols, a.pos + b.pos, a.neg + b.neg)
 
 
-def _positions(blocks):
-    """(position of each index within its block, block -> its indices)."""
-    members = {}
-    at = []
-    for i, b in enumerate(blocks):
-        same = members.get(b)
-        if same is None:
-            same = members[b] = []
-        at.append(len(same))
-        same.append(i)
-    return at, members
+class BlockDiagonalF3(NamedTuple):
+    """A GF(3) matrix that is block diagonal once its rows and columns are
+    grouped: ``blocks`` lists ``(rows, cols, pos, neg)``, a block's rows
+    and columns, ascending, and its columns' bit planes over its rows, all
+    tuples of ints (which the garbage collector skips).  A row or column in
+    no block is zero; ``entries`` is built on each use."""
+
+    n_rows: int
+    n_cols: int
+    blocks: list
+
+    @classmethod
+    def from_columns(cls, row_blocks: dict, col_blocks: dict, labels,
+                     column) -> "BlockDiagonalF3":
+        """The matrix whose column c has the entries ``column(c)``, pairs
+        (``labels[r]`` for row r, value in {1, 2}); ``row_blocks`` and
+        ``col_blocks`` map each block's name to its rows and columns,
+        ascending.  An entry joining two blocks is a ValueError."""
+        blocks = []
+        for b, cols in col_blocks.items():
+            rows = row_blocks.get(b, ())
+            at = {labels[r]: i for i, r in enumerate(rows)}
+            planes = ([0] * len(cols), [0] * len(cols))
+            for j, c in enumerate(cols):
+                for r, v in column(c):
+                    i = at.get(r)
+                    if i is None:
+                        raise ValueError(f"column {c} has an entry in row "
+                                         f"{r} of another block")
+                    planes[v - 1][j] |= 1 << i
+            if rows:
+                blocks.append((tuple(rows), tuple(cols), *map(tuple, planes)))
+        return cls(sum(map(len, row_blocks.values())),
+                   sum(map(len, col_blocks.values())), blocks)
+
+    @classmethod
+    def from_sparse(cls, a, row_blocks, col_blocks) -> "BlockDiagonalF3":
+        """``a``, of the blocks' shape, cut into them (see `from_columns`)."""
+        by_col = [[] for _ in range(a.n_cols)]
+        for (r, c), v in a.entries.items():
+            by_col[c].append((r, v))
+        return cls.from_columns(row_blocks, col_blocks, range(a.n_rows),
+                                by_col.__getitem__)
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries, by column, then row."""
+        by_col = [((), 0, 0)] * self.n_cols
+        for rows, cols, pos, neg in self.blocks:
+            for c, p, q in zip(cols, pos, neg):
+                by_col[c] = rows, p, q
+        out = {}
+        for c, (rows, p, q) in enumerate(by_col):
+            x = p | q
+            while x:                    # `bits`, inlined: this is hot
+                low = x & -x
+                x ^= low
+                out[rows[low.bit_length() - 1], c] = 1 if p & low else 2
+        return out
+
+    # through ``entries``
+    nnz, __repr__ = SparseMatrixF3.nnz, SparseMatrixF3.__repr__
+
+    def matvec(self, v) -> tuple:
+        """`SparseMatrixF3.matvec`, reading only the blocks v touches."""
+        keep = [b for b in self.blocks if any(v[c] % 3 for c in b[1])
+                ] if len(v) == self.n_cols else self.blocks
+        return SparseMatrixF3.matvec(self._replace(blocks=keep), v)
+
+    def serialize(self) -> str:
+        """`SparseMatrixF3.serialize`'s text; ``entries`` is in its order."""
+        ent = self.entries
+        head = f"GF3MAT v1 {self.n_rows} {self.n_cols} {len(ent)}\n"
+        return head + "".join([f"{r} {c} {v}\n" for (r, c), v in ent.items()])
+
+    def pivots(self, row_at, col_at) -> list:
+        """The pivots of ``Echelon(a, transform=False)``, ``a`` being this
+        matrix with row r at ``row_at[r]`` and column c at ``col_at[c]``, one
+        block at a time: a prefix submatrix of ``a`` is the direct sum of its
+        blocks' ones, so (the rank profile is unique) their pivots are a's."""
+        out = []
+        for rows, cols, pos, neg in self.blocks:
+            moved = [row_at[r] for r in rows]
+            new_rows = sorted(moved)
+            if moved != new_rows:       # the rows change order: move bits
+                place = {r: i for i, r in enumerate(new_rows)}
+                shift = [place[r] for r in moved]
+                pos, neg = ([sum(1 << shift[i] for i in bits(x)) for x in xs]
+                            for xs in (pos, neg))
+            order = sorted(range(len(cols)), key=lambda j: col_at[cols[j]])
+            ech = Echelon(Planes(len(rows), len(cols), [pos[j] for j in order],
+                                 [neg[j] for j in order]), transform=False)
+            out.extend((new_rows[i], col_at[cols[order[j]]])
+                       for i, j in ech.pivots)
+        return sorted(out, key=lambda p: p[1])
+
+
+def bits(x: int):
+    """The positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        x ^= low
+        yield low.bit_length() - 1
 
 
 def _combination(cp, cq, pos, neg, index=None):
     """The sum of c_i times column i (or column ``index[i]``) over the
     nonzero entries i of the bit-plane vector c."""
     sp = sq = 0
-    bits = cp | cq
-    while bits:
-        low = bits & -bits
-        bits ^= low
+    rest = cp | cq
+    while rest:
+        low = rest & -rest
+        rest ^= low
         i = low.bit_length() - 1
         if index is not None:
             i = index[i]
@@ -265,7 +359,9 @@ class Echelon:
                     p, q = _add(p, q, red_pos[k], red_neg[k])
                     if transform:
                         tp, tn = _add(tp, tn, tr_pos[k], tr_neg[k])
-        self._set_pivots(pivots)
+        self.pivots = pivots
+        self.rank = len(pivots)
+        self.pivot_columns = [c for _, c in pivots]
         self.transform = transform
         if transform:
             self._cols = (pos, neg)
@@ -274,58 +370,6 @@ class Echelon:
             self._trans = (tr_pos, tr_neg)
             self._kernel = kernel
             self._back_reduced = False
-
-    def _set_pivots(self, pivots: list):
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.pivot_columns = [c for _, c in pivots]
-
-    @classmethod
-    def by_blocks(cls, a: SparseMatrixF3, row_blocks, col_blocks) -> "Echelon":
-        """The pivot-only pass over a block-diagonal matrix, one block at
-        a time.
-
-        ``row_blocks[i]`` and ``col_blocks[j]`` name the blocks of row i
-        and column j; an entry joining two different blocks is a
-        ValueError.  Rows and columns need not be grouped: a block keeps
-        the order they have in ``a``.  A prefix submatrix is then the
-        direct sum of the blocks' prefix submatrices, so the blocks'
-        pivots, put back in place, are the pivots of
-        ``Echelon(a, transform=False)`` (the rank profile is unique), and
-        no vector in the pass is wider than its block.
-        """
-        row_at, rows_of = _positions(row_blocks)
-        col_at, cols_of = _positions(col_blocks)
-        planes = {}                 # block -> its columns' bit planes
-        for (r, c), v in a.entries.items():
-            b = col_blocks[c]
-            if row_blocks[r] != b:
-                raise ValueError(
-                    f"entry ({r}, {c}) joins blocks {row_blocks[r]} and {b}")
-            block = planes.get(b)
-            if block is None:
-                k = len(cols_of[b])
-                block = planes[b] = ([0] * k, [0] * k)
-            block[v - 1][col_at[c]] |= 1 << row_at[r]
-        pivots = []
-        for b, (pos, neg) in planes.items():
-            rows, cols = rows_of[b], cols_of[b]
-            block = cls(Planes(len(rows), len(cols), pos, neg),
-                        transform=False)
-            pivots.extend((rows[i], cols[j]) for i, j in block.pivots)
-        pivots.sort(key=lambda p: p[1])
-        ech = cls.__new__(cls)
-        ech.n_rows, ech.n_cols = a.n_rows, a.n_cols
-        ech._set_pivots(pivots)
-        ech.transform = False
-        return ech
-
-    def prefix_rank(self, rows: int | None = None,
-                    cols: int | None = None) -> int:
-        """Rank of the top-left ``rows`` x ``cols`` submatrix."""
-        rows = self.n_rows if rows is None else rows
-        cols = self.n_cols if cols is None else cols
-        return sum(1 for (r, c) in self.pivots if r < rows and c < cols)
 
     # -- reading the transform ------------------------------------------
 

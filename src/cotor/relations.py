@@ -324,6 +324,7 @@ class RelationVerdict:
     sign_flips: tuple = ()
     engine_coeffs: str | None = None   # canonical machine relation (errata)
     note: str = ""
+    solutions: tuple = ()              # discovered on the support (SIGNED)
 
     @property
     def ok(self) -> bool:
@@ -569,7 +570,8 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
             if disc.verdict == "sign_flips":
                 return RelationVerdict(record, "SIGNED",
                                        sign_flips=disc.sign_flips,
-                                       engine_coeffs=" ; ".join(rows))
+                                       engine_coeffs=" ; ".join(rows),
+                                       solutions=disc.solutions)
             if rows and all(engine.named_evaluator(row).is_zero()
                             for row in rows):
                 return RelationVerdict(record, "CORRECTED",
@@ -687,11 +689,11 @@ def build_sign_system(verdicts, engine, include_group_i=True) -> SignSystem:
         monos = list(rec.paper_poly)
         if rec.group == "i":
             paper_vec = list(rec.paper_poly.values())
-            disc = discover_relation(
-                [mono_text(m) for m in monos], rec.degree, engine)
-            if len(disc.solutions) != 1:
+            solutions = v.solutions or discover_relation(
+                [mono_text(m) for m in monos], rec.degree, engine).solutions
+            if len(solutions) != 1:
                 continue
-            machine = disc.solutions[0]
+            machine = solutions[0]
             if any(bool(p) != bool(mv)
                    for p, mv in zip(paper_vec, machine)):
                 continue

@@ -31,7 +31,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .dga import WEIGHT_SCHEMES, key_weight
-from .gf3 import Echelon, SparseMatrixF3
 
 SCHEMES = tuple(WEIGHT_SCHEMES)
 
@@ -49,10 +48,9 @@ class DegreeProfile:
     so a query is two bisections, not a walk over the pivots.
     """
 
-    n_cols: int
     col_weights_desc: list          # weights of columns, descending
     row_weights_asc: list           # weights of rows, ascending
-    table: Echelon                  # pivot list only (`Echelon.by_blocks`)
+    pivots: list                    # (row, col), in weight order
     row_levels: list = field(init=False, repr=False)
     col_levels: list = field(init=False, repr=False)
     counts: list = field(init=False, repr=False)
@@ -63,7 +61,7 @@ class DegreeProfile:
         row_at = {w: i for i, w in enumerate(self.row_levels)}
         col_at = {w: j for j, w in enumerate(self.col_levels)}
         grid = [[0] * len(self.col_levels) for _ in self.row_levels]
-        for r, c in self.table.pivots:
+        for r, c in self.pivots:
             grid[row_at[self.row_weights_asc[r]]][
                 col_at[self.col_weights_desc[c]]] += 1
         # counts[i][j]: pivots on row levels < i and column levels >= j
@@ -122,30 +120,16 @@ class SpectralSequence:
         prof = self._profiles.get(m)
         if prof is not None:
             return prof
-        if m < 0:
-            prof = DegreeProfile(
-                0, [], [], Echelon(SparseMatrixF3(0, 0), transform=False))
-            self._profiles[m] = prof
-            return prof
         colw, roww = self._weights(m), self._weights(m + 1)
+        # weight order, ties by basis position; sorting the positions by
+        # the order gives each position's place in it
         col_order = sorted(range(len(colw)), key=lambda j: -colw[j])
         row_order = sorted(range(len(roww)), key=lambda i: roww[i])
-        # the differential with rows and columns in weight order; sorting
-        # the positions by the order gives the inverse permutation
         row_at = sorted(range(len(roww)), key=row_order.__getitem__)
         col_at = sorted(range(len(colw)), key=col_order.__getitem__)
-        d = self.engine.d_matrix(m)
-        permuted = SparseMatrixF3(d.n_rows, d.n_cols, {
-            (row_at[r], col_at[c]): v for (r, c), v in d.entries.items()})
-        row_blocks = self.engine.basis(m + 1).blocks
-        col_blocks = self.engine.basis(m).blocks
-        prof = DegreeProfile(
-            len(colw),
-            [colw[j] for j in col_order],
-            [roww[i] for i in row_order],
-            Echelon.by_blocks(permuted, [row_blocks[i] for i in row_order],
-                              [col_blocks[j] for j in col_order]))
-        self._profiles[m] = prof
+        prof = self._profiles[m] = DegreeProfile(
+            [colw[j] for j in col_order], [roww[i] for i in row_order],
+            self.engine.d_matrix(m).pivots(row_at, col_at))
         return prof
 
     def max_weight(self, n: int) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from cotor.dga import Element
+from cotor.dga import COMM_NAMES, ONE, WORD_NAMES, Element, Monomial
 from cotor.engine import Engine
 
 # criterion index -> (label, passed); printed at the end of the run
@@ -33,6 +33,25 @@ def class_element(cls, named: dict) -> Element:
     for name, e in cls.powers:
         out = out * (named[name].element ** e)
     return out
+
+
+def parse_monomial(text: str) -> Monomial:
+    """Inverse of Monomial.text()."""
+    text = text.strip()
+    if text == "1":
+        return ONE
+    if "|" in text:
+        wpart, cpart = text.split("|")
+    elif text.split()[0] in WORD_NAMES:
+        wpart, cpart = text, ""
+    else:
+        wpart, cpart = "", text
+    word = tuple(WORD_NAMES.index(t) for t in wpart.split())
+    exps = [0] * 6
+    for tok in cpart.split():
+        name, _, e = tok.partition("^")
+        exps[COMM_NAMES.index(name)] = int(e) if e else 1
+    return Monomial(word, tuple(exps))
 
 
 def pytest_terminal_summary(terminalreporter):

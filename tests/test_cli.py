@@ -11,6 +11,7 @@ from cotor import cache as cache_mod
 from cotor.cache import CONSTRUCTION_SOURCES, MatrixCache, fingerprint
 from cotor.cli import MAX_SUPPORTED_DEGREE, main
 from cotor.engine import Engine
+from cotor.gf3 import SparseMatrixF3
 
 
 def run_cli(capsys, *argv):
@@ -117,19 +118,27 @@ def test_spectral_subcommand(capsys):
 
 
 def test_spectral_builds_each_profile_once(capsys, monkeypatch):
-    from cotor.gf3 import Echelon
+    from cotor import engine as engine_module, spectral
+    from cotor.gf3 import BlockDiagonalF3, Echelon
 
-    # profiles and ranks both eliminate through Echelon.by_blocks
-    builds = []
-    by_blocks = Echelon.by_blocks
-    monkeypatch.setattr(Echelon, "by_blocks",
-                        lambda *a: builds.append(1) or by_blocks(*a))
+    # each weight profile is built once, from one pass over d_n; each rank
+    # of d is one pass too, block by block
+    profiles, passes, rank_blocks = [], [], []
+    profile, pivots = spectral.DegreeProfile, BlockDiagonalF3.pivots
+    monkeypatch.setattr(spectral, "DegreeProfile",
+                        lambda *a: profiles.append(1) or profile(*a))
+    monkeypatch.setattr(BlockDiagonalF3, "pivots",
+                        lambda *a: passes.append(1) or pivots(*a))
+    monkeypatch.setattr(engine_module, "Echelon", lambda *a, **k: (
+        rank_blocks.append(1) or Echelon(*a, **k)))
     code, out, _ = run_cli(capsys, "spectral", "--scheme", "may_s5",
                            "--max-degree", "20", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
     # one weight profile and one rank of d per degree 0..20
-    assert len(builds) == 2 * 21
+    assert len(profiles) == len(passes) == 21
+    d = Engine(convention="parity").d_matrix
+    assert len(rank_blocks) == sum(len(d(n).blocks) for n in range(21))
 
 
 def test_spectral_page_grid_csv(capsys):
@@ -262,7 +271,7 @@ def test_cache_roundtrip(tmp_path, engine):
     cache = MatrixCache(tmp_path, "parity")
     m = engine.d_matrix(17)
     cache.store(17, m)
-    assert cache.load(17) == m
+    assert cache.load(17) == SparseMatrixF3(m.n_rows, m.n_cols, m.entries)
 
 
 def test_cache_fingerprint_mismatch_is_a_miss(tmp_path, engine):
@@ -326,6 +335,30 @@ def test_cache_corruption_rebuilds(tmp_path, engine, caplog):
     with caplog.at_level("WARNING"):
         assert cache.load(17) is None
     assert any("corrupted" in r.message for r in caplog.records)
+
+
+def test_cached_entry_across_blocks_is_rebuilt(tmp_path, capsys, caplog):
+    # a cached d_12 with an entry joining two Z^4 blocks is corrupt: it is
+    # reported and rewritten, and the report is that of a run without a
+    # cache
+    args = ("homology", "--max-degree", "20", "--format", "json")
+    _, plain, _ = run_cli(capsys, *args)
+    cached = args + ("--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *cached)[:2] == (0, plain)
+    path = MatrixCache(tmp_path, "parity").path(12)
+    with open(path) as fh:
+        good = fh.read()
+    m = SparseMatrixF3.deserialize(good)
+    assert (0, 1) not in m.entries
+    with open(path, "w") as fh:
+        fh.write(SparseMatrixF3(m.n_rows, m.n_cols,
+                                {**m.entries, (0, 1): 1}).serialize())
+    with caplog.at_level("WARNING"):
+        assert run_cli(capsys, *cached)[:2] == (0, plain)
+    assert any("corrupted" in r.message and "another block" in r.message
+               for r in caplog.records)
+    with open(path) as fh:
+        assert fh.read() == good
 
 
 def test_cache_dir_created_on_demand(tmp_path, engine):

@@ -1,11 +1,16 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cotor
+from conftest import parse_monomial
 from cotor.dga import (
     A9, C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, Element, Monomial,
-    encode, enumerate_basis, gen, mono_mul, parse_monomial,
+    encode, enumerate_basis, gen, mono_mul,
 )
 from cotor import differential
 from cotor.differential import (
@@ -134,7 +139,7 @@ def test_image_purity(d):
 
 
 def test_matrix_degree_zero(d):
-    m = d.matrix(0)
+    m = d.matrix(0, enumerate_basis(0), enumerate_basis(1))
     assert (m.n_rows, m.n_cols) == (0, 1)
     assert m.nnz == 0
 
@@ -143,19 +148,19 @@ def test_matrix_degree_17(d):
     # three monomials upstairs; only the word letter of degree 17 maps,
     # hitting the squared odd letter with coefficient 1
     b17, b18 = enumerate_basis(17), enumerate_basis(18)
-    m = d.matrix(17)
+    m = d.matrix(17, b17, b18)
     assert (m.n_rows, m.n_cols) == (4, 3)
-    col = b17.key_index[encode(parse_monomial("c17"))]
-    row = b18.key_index[encode(parse_monomial("a9 a9"))]
+    col = b17.keys.index(encode(parse_monomial("c17")))
+    row = b18.keys.index(encode(parse_monomial("a9 a9")))
     assert m.entries == {(row, col): 1}
 
 
 def test_matrix_degree_12_column(d):
     b12, b13 = enumerate_basis(12), enumerate_basis(13)
-    m = d.matrix(12)
-    col = b12.key_index[encode(parse_monomial("b12"))]
+    m = d.matrix(12, b12, b13)
+    col = b12.keys.index(encode(parse_monomial("b12")))
     entries = {r: v for (r, c), v in m.entries.items() if c == col}
-    assert entries == {b13.key_index[encode(parse_monomial("a9 | a4"))]: 2}
+    assert entries == {b13.keys.index(encode(parse_monomial("a9 | a4"))): 2}
 
 
 def test_unsigned_rule_is_inconsistent():
@@ -254,6 +259,34 @@ def test_of_mono_matches_the_factor_loop(convention):
             assert d.of_mono(m) == d_mono(m, convention), (n, m.text())
 
 
+def test_construction_refuses_a_term_outside_its_block():
+    # d(b16) = -a9*a8, planted with c17, a term of degree 17 in another
+    # Z^4 block (c17 carries the a9-degree twice)
+    b16, b17 = enumerate_basis(16), enumerate_basis(17)
+    col, row, outside = (encode(parse_monomial(t))
+                         for t in ("b16", "a9 | a8", "c17"))
+    d = Differential("parity")
+    m = d.matrix(16, b16, b17)
+    assert m.entries[b17.keys.index(row), b16.keys.index(col)] == 2
+    assert d._image(col, 16) == {row: 2}
+    d._memo[16][col] = {row: 2, outside: 1}
+    with pytest.raises(RuntimeError, match="leaves a Z.4 block"):
+        d.matrix(16, b16, b17)
+
+
+def test_construction_refusal_survives_python_O():
+    # the refusal is not an assert: the test above passes under python -O
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
+    code = ("import test_differential as t; "
+            "t.test_construction_refuses_a_term_outside_its_block(); "
+            "print('refused')")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          cwd=os.path.dirname(__file__), capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
+
+
 @pytest.mark.parametrize("text", ["a9 c17 | a8 b12 b16 b18",
                                   "a9 a9 | a4 b12^2 b16 b18",
                                   "a9 a9 | a10 b12^3 b16"])
@@ -307,10 +340,15 @@ def test_d_preserves_the_internal_grading(engine):
         cols, rows = engine.basis(n), engine.basis(n + 1)
         for (r, c) in engine.d_matrix(n).entries:
             assert _grading(rows.monomials[r]) == _grading(cols.monomials[c])
-        # the packed labels the blocked rank uses name the same blocks
-        pairs = set(zip(cols.blocks, map(_grading, cols.monomials)))
-        assert len(pairs) == len(set(cols.blocks)) == len(
-            {g for _, g in pairs})
+        # the packed labels the blocks are keyed by name the same blocks,
+        # and the blocks' ascending positions cover the basis once
+        assert sorted(i for at in cols.blocks.values() for i in at) == list(
+            range(len(cols)))
+        assert all(list(at) == sorted(at) for at in cols.blocks.values())
+        label = {i: g for g, at in cols.blocks.items() for i in at}
+        pairs = set(zip(map(label.get, range(len(cols))),
+                        map(_grading, cols.monomials)))
+        assert len(pairs) == len(cols.blocks) == len({g for _, g in pairs})
 
 
 def test_memo_keeps_only_the_last_generator_degrees():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import cotor
 from cotor import gf3
 from cotor.gf3 import (
-    Echelon, SparseMatrixF3, kernel_basis, rref, solve_in_image,
+    BlockDiagonalF3, Echelon, SparseMatrixF3, kernel_basis, rref,
+    solve_in_image,
 )
 
 
@@ -186,6 +187,11 @@ def test_deserialize_rejects_garbage():
         SparseMatrixF3.deserialize("GF3MAT v1 2 2 1\n0 0 3")
     with pytest.raises(ValueError):
         SparseMatrixF3.deserialize("GF3MAT v1 2 2 2\n0 0 1")
+    for entry in ("2 0 1", "0 2 1", "-1 0 1"):     # outside the shape
+        with pytest.raises(ValueError):
+            SparseMatrixF3.deserialize(f"GF3MAT v1 2 2 1\n{entry}")
+    with pytest.raises(ValueError):
+        SparseMatrixF3.deserialize("GF3MAT v1 -1 2 0")
 
 
 def test_entries_validation():
@@ -263,8 +269,13 @@ def test_prefix_rank_table_matches_direct_ranks():
     table = Echelon(sparse(a), transform=False)
     for r, c in [(0, 0), (5, 7), (12, 3), (30, 30), (17, 29)]:
         direct = rref(sparse(a[:r, :c])).rank
-        assert table.prefix_rank(rows=r, cols=c) == direct
-    assert table.prefix_rank() == table.rank
+        assert prefix_rank(table.pivots, r, c) == direct
+    assert prefix_rank(table.pivots, 30, 30) == table.rank
+
+
+def prefix_rank(pivots, rows: int, cols: int) -> int:
+    """rank a[:rows, :cols], read off the pivots of a's echelon pass."""
+    return sum(1 for r, c in pivots if r < rows and c < cols)
 
 
 def _set_entry(planes, i, value):
@@ -386,13 +397,16 @@ def test_echelon_matches_reference_on_d_matrices(engine):
     for n in range(61):
         dense = to_dense(engine.d_matrix(n))
         _check_against_reference(dense, rng)
-        # the matrix itself (what Engine.rank passes) gives the same pass
+        # the matrix itself gives the same pass, and its blocks' passes
+        # (what Engine.rank counts) the same pivots
         direct = Echelon(engine.d_matrix(n), transform=False)
         assert direct.pivots == Echelon(sparse(dense)).pivots
+        d = engine.d_matrix(n)
+        assert direct.pivots == d.pivots(range(d.n_rows), range(d.n_cols))
         assert direct.rank == engine.rank(n)
 
 
-def test_by_blocks_matches_one_global_pass():
+def test_block_diagonal_matches_one_global_pass():
     # block-diagonal matrices with their rows and columns shuffled
     rng = np.random.default_rng(77)
     for _ in range(30):
@@ -408,16 +422,35 @@ def test_by_blocks_matches_one_global_pass():
             for j in range(n):
                 if row_blocks[i] == col_blocks[j] and rng.random() < 0.5:
                     a[i, j] = rng.integers(1, 3)
-        blocked = Echelon.by_blocks(SparseMatrixF3.from_dense(a),
-                                    row_blocks, col_blocks)
+        blocked = BlockDiagonalF3.from_sparse(
+            sparse(a), _members(row_blocks), _members(col_blocks))
+        assert (blocked.n_rows, blocked.n_cols, blocked.entries) == (
+            m, n, sparse(a).entries)
+        assert blocked.serialize() == sparse(a).serialize()
         whole = Echelon(sparse(a), transform=False)
-        assert blocked.pivots == whole.pivots
-        assert blocked.rank == whole.rank
-        assert blocked.prefix_rank(m // 2, n // 2) == whole.prefix_rank(
-            m // 2, n // 2)
+        pivots = blocked.pivots(range(m), range(n))
+        assert pivots == whole.pivots
+        assert len(pivots) == whole.rank
+        assert prefix_rank(pivots, m // 2, n // 2) == rref(
+            sparse(a[:m // 2, :n // 2])).rank
+        # and with rows and columns permuted: row i to row_at[i], ...
+        row_at, col_at = rng.permutation(m), rng.permutation(n)
+        b = np.zeros_like(a)
+        b[np.ix_(row_at, col_at)] = a
+        assert blocked.pivots(row_at.tolist(), col_at.tolist()) == Echelon(
+            sparse(b), transform=False).pivots
     # an entry joining two blocks is refused
     with pytest.raises(ValueError):
-        Echelon.by_blocks(SparseMatrixF3(2, 2, {(0, 1): 1}), [0, 1], [0, 1])
+        BlockDiagonalF3.from_sparse(SparseMatrixF3(2, 2, {(0, 1): 1}),
+                                    {0: [0], 1: [1]}, {0: [0], 1: [1]})
+
+
+def _members(labels) -> dict:
+    """label -> the ascending positions that carry it."""
+    out = {}
+    for i, b in enumerate(labels):
+        out.setdefault(b, []).append(i)
+    return out
 
 
 def test_solve_planes_is_solve_on_bit_planes():

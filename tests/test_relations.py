@@ -9,7 +9,7 @@ from conftest import class_element
 from cotor import derivation, engine as engine_module, relations
 from cotor.dga import Element, gen
 from cotor.engine import Engine
-from cotor.formal import parse_poly, poly_text, monomial_degree
+from cotor.formal import mono_text, monomial_degree, parse_poly, poly_text
 from cotor.derivation import (
     NAMED_DEGREES, NAMED_GENERATOR_NAMES, partial, partial2,
 )
@@ -247,6 +247,30 @@ def test_verify_all_summary(engine):
         assert outcome == pinned.get(rid, ("CORRECTED", [])), rid
     assert len(group_i) == 35
     assert len(report.errata) == 40
+
+
+def test_verify_all_discovers_once_per_record(engine, catalog,
+                                                monkeypatch):
+    # a SIGNED verdict carries the solutions its discovery found, so the
+    # sign system does not solve that record's support again (38 calls
+    # before, the four SIGNED group-i records twice each)
+    supports = []
+    discover = relations.discover_relation
+
+    def counted(support, *args, **kwargs):
+        supports.append((tuple(support), args[0]))
+        return discover(support, *args, **kwargs)
+
+    monkeypatch.setattr(relations, "discover_relation", counted)
+    report = verify_all(engine)
+    assert len(supports) == 34
+    # a support is solved more than once only for as many records print it
+    printed = Counter((tuple(map(mono_text, r.paper_poly)), r.degree)
+                      for r in catalog.values() if r.group == "i")
+    assert all(k == printed[s] for s, k in Counter(supports).items() if k > 1)
+    signed = [v for v in report.verdicts if v.verdict == "SIGNED"
+              and v.record.group == "i"]
+    assert len(signed) == 4 and all(len(v.solutions) == 1 for v in signed)
 
 
 @pytest.mark.parametrize("group", ["i", "ii", "iii"])
