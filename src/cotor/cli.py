@@ -23,14 +23,17 @@ from .cache import ENGINE_VERSION, fingerprint
 from .differential import DEFAULT_CONVENTION
 from .engine import DEFAULT_MAX_DEGREE, Engine
 
-# Largest --max-degree any command accepts.  Cold `cotor homology` (empty
-# --cache-dir) within RLIMIT_AS = 6,000,000 KB, set in the child only, on
-# 2 vCPUs / 8 GB, Python 3.11, one run each; wall time, peak RSS:
-#   N = 120: 3.7 s, 102 MB    N = 140: 15.8 s, 318 MB
-#   N = 130: 7.1 s, 177 MB    N = 150: 28.9 s, 581 MB
+# Largest --max-degree any command accepts.  Cold runs (empty --cache-dir)
+# within RLIMIT_AS = 6,000,000 KB, set in the child only, on 2 vCPUs /
+# 8 GB, Python 3.11, one run each, in one sitting; wall time, peak RSS:
+#   homology                 N = 120: 2.5 s, 97 MB     N = 140: 7.4 s, 294 MB
+#                            N = 130: 4.7 s, 165 MB    N = 150: 15.2 s, 537 MB
+#   homology --check-basis   N = 150: 22.0 s, 892 MB
+#   ideal-check              N = 100: 1.5 s, 65 MB     N = 140: 14.3 s, 526 MB
+#                            N = 120: 4.4 s, 172 MB    N = 150: 22.8 s, 937 MB
 # Memory grows about 1.8x every 10 degrees; the library's d plus ranks to
-# 160 took 40 s and 989 MB.  150 was measured for cold `homology` only;
-# the other subcommands have not been run at the cap.
+# 160 took 40 s and 989 MB.  The other subcommands have not been run at
+# the cap.
 MAX_SUPPORTED_DEGREE = 150
 
 # the commands with a CSV form; ``spectral`` has one only with --page

@@ -5,10 +5,18 @@ dimensions, class solvers) is memoized here; all cached values are
 immutable after construction.  The degree cap only bounds what the
 *matrix-backed* operations may touch; identity checks by direct
 evaluation are uncapped.
+
+d preserves the internal Z^4 degree (``dga.grading``), and so does every
+class representative (checked when the classes of a degree are first
+grouped, also under -O).  So rank d, and the matrix [class columns |
+d_{n-1}] behind ``decompose`` and ``check_additive_basis``, are worked
+one Z^4 block at a time: one small elimination per block, built on first
+use, in place of one over the whole degree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,12 +25,14 @@ from .cache import MatrixCache, log
 from .cohomology import BasisClass, CotorBasis, additive_basis_classes
 from .derivation import build_named_generators, named_evaluator
 from .dga import (
-    DegreeBasis, Element, decode, element_planes, enumerate_basis,
+    DegreeBasis, Element, decode, element_planes, enumerate_basis, grading,
 )
 from .differential import Differential, audit_conventions
-from .gf3 import BlockDiagonalF3, Echelon, Planes, bits, hstack
+from .gf3 import BlockDiagonalF3, Echelon, Planes, bits
 
 DEFAULT_MAX_DEGREE = 80
+
+_NO_COLUMNS = ((), (), ())      # a block of d with no columns: (cols, pos, neg)
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,8 @@ class Engine:
         self._ranks: dict[int, int] = {}
         self._additive_bases: dict[int, CotorBasis] = {}
         self._representatives: dict[BasisClass, Element] = {}
-        self._class_columns: dict[int, tuple] = {}
-        self._decompose_solvers: dict[int, Echelon] = {}
+        self._class_groups: dict[int, dict] = {}
+        self._block_solvers: dict[tuple, tuple] = {}
         self._split_solvers: dict[int, object] = {}
 
     # -- bases and matrices -------------------------------------------------
@@ -143,26 +153,52 @@ class Engine:
                 cls.powers)
         return rep
 
-    def class_columns(self, n: int):
-        """(classes, planes of their representatives) at degree n."""
-        cols = self._class_columns.get(n)
-        if cols is None:
-            basis = self.basis(n)
-            classes = self.additive_basis(n).classes
-            planes = []
-            for cls in classes:
-                rep = self.representative(cls)
-                if rep.degree() not in (None, n):
-                    raise RuntimeError(f"class {cls.label} has wrong degree")
-                planes.append(element_planes(rep, basis.index))
-            cols = self._class_columns[n] = (
-                classes, Planes.from_columns(len(basis), planes))
-        return cols
+    def _blocks_of(self, x: Element, n: int) -> dict:
+        """A degree-n element cut by Z^4 degree (``grading``): each degree
+        to the bit planes of x's part over that block of the degree-n
+        basis, at the positions within the block (KeyError for a term
+        outside the basis)."""
+        basis = self.basis(n)
+        index, keys, blocks = basis.index, basis.keys, basis.blocks
+        parts = {}
+        for m, c in x.terms.items():
+            i = index[m]
+            g = grading(keys[i])
+            bit = 1 << bisect_left(blocks[g], i)
+            p, q = parts.get(g, (0, 0))
+            parts[g] = (p | bit, q) if c == 1 else (p, q | bit)
+        return parts
 
-    def _classes_and_boundaries(self, n: int) -> Planes:
-        """The planes of [class columns | d_{n-1}] at degree n."""
-        _, cols = self.class_columns(n)
-        return hstack(cols, self.d_matrix(n - 1)) if n >= 1 else cols
+    def _class_blocks(self, n: int) -> dict:
+        """Z^4 degree -> (classes, pos, neg, (cols, pos, neg)) for each
+        block of the degree-n basis: the classes of that degree with their
+        representatives' planes over the block, and the block of d_{n-1}
+        landing there (columns are positions in degree n - 1; maybe none).
+        A representative that is not Z^4-homogeneous is a RuntimeError."""
+        out = self._class_groups.get(n)
+        if out is not None:
+            return out
+        out = {}
+        if n >= 1:
+            keys = self.basis(n).keys
+            for rows, cols, pos, neg in self.d_matrix(n - 1).blocks:
+                out[grading(keys[rows[0]])] = ([], [], [], (cols, pos, neg))
+        for cls in self.additive_basis(n).classes:
+            try:
+                parts = self._blocks_of(self.representative(cls), n)
+            except KeyError:
+                raise RuntimeError(f"class {cls.label} has wrong degree")
+            if len(parts) > 1:
+                raise RuntimeError(f"class {cls.label}: representative is "
+                                   "not Z^4-homogeneous")
+            for g, (p, q) in parts.items():
+                classes, pos, neg, _ = out.setdefault(
+                    g, ([], [], [], _NO_COLUMNS))
+                classes.append(cls)
+                pos.append(p)
+                neg.append(q)
+        self._class_groups[n] = out
+        return out
 
     def split_solver(self, n: int):
         """(solver, monomial index, classes) over the word-free basis
@@ -180,41 +216,58 @@ class Engine:
         return cached
 
     def check_additive_basis(self, n: int) -> bool:
-        """Count == dim H^n and representatives independent mod im(d)."""
-        classes, _ = self.class_columns(n)
-        if len(classes) != self.dim_h(n):
+        """Count == dim H^n and representatives independent mod im(d), one
+        Z^4 block at a time: with the block's d_{n-1} columns first, every
+        class column must be a pivot."""
+        count = len(self.additive_basis(n))
+        if count != self.dim_h(n):
             return False
-        rank = Echelon(self._classes_and_boundaries(n), transform=False).rank
-        return rank == len(classes) + self.rank(n - 1)
+        rows = self.basis(n).blocks
+        independent = 0
+        for g, (classes, pos, neg, (cols, dp, dq)) in self._class_blocks(
+                n).items():
+            if not classes:
+                continue
+            ech = Echelon(Planes(len(rows[g]), len(cols) + len(classes),
+                                 [*dp, *pos], [*dq, *neg]), transform=False)
+            independent += sum(c >= len(cols) for _, c in ech.pivots)
+        return independent == count
 
     def decompose(self, z: Element, n: int | None = None) -> ClassDecomposition:
-        """Write a cocycle as basis classes plus an explicit coboundary."""
+        """Write a cocycle as basis classes plus an explicit coboundary,
+        solving each Z^4 part of it in its own block."""
         if n is None:
             n = z.degree() or 0
         if not self.d(z).is_zero():
             raise ValueError("decompose: input is not a cocycle")
-        solver = self._decompose_solvers.get(n)
-        if solver is None:
-            solver = self._decompose_solvers[n] = Echelon(
-                self._classes_and_boundaries(n))
-        classes, _ = self.class_columns(n)
-        x, _ = solver.solve_planes(*element_planes(z, self.basis(n).index))
-        if x is None:
-            raise RuntimeError(
-                f"cocycle of degree {n} not spanned by classes + im(d); "
-                "additive basis is incomplete here")
-        # column j < k is class j, column k + i is basis monomial i of
-        # degree n - 1; x is 1 on its pos plane and 2 on its neg plane
-        k = len(classes)
-        xp, xq = x
+        rows, prev = self.basis(n).blocks, self.basis(n - 1).keys
         coeffs, witness, recon = {}, {}, Element.zero()
-        for j in bits(xp | xq):
-            c = 1 if xp >> j & 1 else 2
-            if j < k:
-                coeffs[classes[j].label] = c
-                recon = recon + self.representative(classes[j]).scaled(c)
-            else:
-                witness[decode(self.basis(n - 1).keys[j - k])] = c
+        for g, (vp, vq) in self._blocks_of(z, n).items():
+            cached = self._block_solvers.get((n, g))
+            if cached is None:          # [class columns | d_{n-1}] on block g
+                classes, pos, neg, (cols, dp, dq) = self._class_blocks(
+                    n).get(g, ((), (), (), _NO_COLUMNS))
+                cached = self._block_solvers[n, g] = (Echelon(Planes(
+                    len(rows[g]), len(classes) + len(cols),
+                    [*pos, *dp], [*neg, *dq])), classes, cols)
+            solver, classes, cols = cached
+            x, _ = solver.solve_planes(vp, vq)
+            if x is None:
+                raise RuntimeError(
+                    f"cocycle of degree {n} not spanned by classes + im(d); "
+                    "additive basis is incomplete here")
+            # column j < k is class j of the block, column k + i is basis
+            # monomial cols[i] of degree n - 1; x is 1 on its pos plane and
+            # 2 on its neg plane
+            k = len(classes)
+            xp, xq = x
+            for j in bits(xp | xq):
+                c = 1 if xp >> j & 1 else 2
+                if j < k:
+                    coeffs[classes[j].label] = c
+                    recon = recon + self.representative(classes[j]).scaled(c)
+                else:
+                    witness[decode(prev[cols[j - k]])] = c
         witness = Element(witness)
         # reconstruction identity, checked on every call (also under -O)
         if z - recon != self.d(witness):

@@ -29,7 +29,7 @@ catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .derivation import (
@@ -324,7 +324,6 @@ class RelationVerdict:
     sign_flips: tuple = ()
     engine_coeffs: str | None = None   # canonical machine relation (errata)
     note: str = ""
-    solutions: tuple = ()              # discovered on the support (SIGNED)
 
     @property
     def ok(self) -> bool:
@@ -436,13 +435,28 @@ def discover_relation(support, degree, engine, paper_vector=None):
             start = 0
         solutions = _canonical_rows(
             [v[start:] for v in Echelon(cols).kernel(start=start)])
-    result = DiscoveryResult(tuple(str(s) for s in support), degree,
-                             solutions, paper_vector)
-    if paper_vector is not None:
-        monos = [next(iter(parse_poly(s))) for s in support]
-        result.verdict, result.sign_flips = _match_vector(
-            monos, paper_vector, solutions, NAMED_GENERATOR_NAMES)
-    return result
+    return _matched(DiscoveryResult(tuple(str(s) for s in support), degree,
+                                    solutions), paper_vector)
+
+
+def _matched(result: DiscoveryResult, paper_vector) -> DiscoveryResult:
+    """The discovery with its verdict against a printed vector (if any)."""
+    if paper_vector is None:
+        return result
+    monos = [next(iter(parse_poly(s))) for s in result.support]
+    verdict, flips = _match_vector(
+        monos, paper_vector, result.solutions, NAMED_GENERATOR_NAMES)
+    return replace(result, paper_vector=paper_vector, verdict=verdict,
+                   sign_flips=flips)
+
+
+def _discover(support, degree, engine, solved: dict, paper_vector=None):
+    """`discover_relation`, solved once per (support, degree) among the
+    calls sharing ``solved``; the printed vector is matched on each call."""
+    key = tuple(support), degree
+    if key not in solved:
+        solved[key] = discover_relation(support, degree, engine)
+    return _matched(solved[key], paper_vector)
 
 
 def _match_vector(monos, paper_vector, solutions, flippable):
@@ -551,8 +565,10 @@ def derivative_catalog_report(engine) -> list:
     return rows
 
 
-def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
-    """EXACT / IN-IMAGE / CORRECTED / FAIL for one record."""
+def verify_relation(record: RelationRecord, engine,
+                    solved: dict | None = None) -> RelationVerdict:
+    """EXACT / IN-IMAGE / CORRECTED / FAIL for one record; ``solved`` holds
+    the discoveries already made on a support (see `_discover`)."""
     z = record.lhs
     if z.is_zero():
         return RelationVerdict(record, "EXACT")
@@ -560,9 +576,10 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
         # nonzero in S: not a coboundary (image purity), so the printed
         # coefficients are off; discover the machine relation on the support
         if _is_homogeneous(record.paper_poly):
-            disc = discover_relation(
+            disc = _discover(
                 [mono_text(m) for m in record.paper_poly], record.degree,
-                engine, tuple(record.paper_poly.values()))
+                engine, {} if solved is None else solved,
+                tuple(record.paper_poly.values()))
             # each machine solution as a signed sum of the support
             rows = [" ".join(f"{'+' if c == 1 else '-'}{s}"
                              for c, s in zip(sol, disc.support) if c) or "0"
@@ -570,8 +587,7 @@ def verify_relation(record: RelationRecord, engine) -> RelationVerdict:
             if disc.verdict == "sign_flips":
                 return RelationVerdict(record, "SIGNED",
                                        sign_flips=disc.sign_flips,
-                                       engine_coeffs=" ; ".join(rows),
-                                       solutions=disc.solutions)
+                                       engine_coeffs=" ; ".join(rows))
             if rows and all(engine.named_evaluator(row).is_zero()
                             for row in rows):
                 return RelationVerdict(record, "CORRECTED",
@@ -675,8 +691,10 @@ class SignSystem:
                 for j, name in enumerate(self.names)}
 
 
-def build_sign_system(verdicts, engine, include_group_i=True) -> SignSystem:
-    """Pairwise flip constraints from every magnitude-consistent record."""
+def build_sign_system(verdicts, engine, solved: dict,
+                      include_group_i=True) -> SignSystem:
+    """Pairwise flip constraints from every magnitude-consistent record
+    (``solved`` as for `verify_relation`)."""
     system = SignSystem()
     for v in verdicts:
         rec = v.record
@@ -689,8 +707,8 @@ def build_sign_system(verdicts, engine, include_group_i=True) -> SignSystem:
         monos = list(rec.paper_poly)
         if rec.group == "i":
             paper_vec = list(rec.paper_poly.values())
-            solutions = v.solutions or discover_relation(
-                [mono_text(m) for m in monos], rec.degree, engine).solutions
+            solutions = _discover([mono_text(m) for m in monos], rec.degree,
+                                  engine, solved).solutions
             if len(solutions) != 1:
                 continue
             machine = solutions[0]
@@ -739,17 +757,17 @@ def verify_all(engine, groups=("i", "ii", "iii")) -> VerificationReport:
     so a group's verdicts do not depend on which other groups are asked
     for.
     """
-    verdicts = []
+    verdicts, solved = [], {}       # a support printed twice is solved once
     for rec in relation_catalog(engine):
         if rec.group == "i":
-            verdicts.append(verify_relation(rec, engine))
+            verdicts.append(verify_relation(rec, engine, solved))
         else:
             verdicts.append(verify_witness(rec, engine))
-    assignment = build_sign_system(verdicts, engine).solve()
+    assignment = build_sign_system(verdicts, engine, solved).solve()
     reconcilable = assignment is not None
     if assignment is None:
         assignment = build_sign_system(
-            verdicts, engine, include_group_i=False).solve()
+            verdicts, engine, solved, include_group_i=False).solve()
     verdicts = [v for v in verdicts if v.record.group in groups]
     errata = [v.as_json() for v in verdicts
               if v.verdict in ("SIGNED", "CORRECTED")
@@ -773,6 +791,15 @@ class IdealSplitReport:
         return not self.ideal_violations and not self.split_violations
 
 
+def _packed_powers(powers) -> int:
+    """A formal monomial over the named generators as one int, an 8-bit
+    exponent field per name, so that multiplying monomials adds their
+    packed forms (an exponent of degree <= ``dga.MAX_KEY_DEGREE`` is at
+    most 255)."""
+    return sum(e << 8 * NAMED_GENERATOR_NAMES.index(name)
+               for name, e in powers)
+
+
 def ideal_and_split_check(engine, degree_bound: int | None = None,
                           decompose_samples: int = 25) -> IdealSplitReport:
     """The two structural facts behind the split extension.
@@ -781,6 +808,13 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
     picks up word-free class coefficients.  Splitting: a product of two
     word-free classes is an exact S-combination of word-free classes (zero
     ideal-side coefficients, zero coboundary correction).
+
+    Word-free representatives multiply by adding exponents (S is
+    commutative), so a split product depends only on its pair's summed
+    powers: it is multiplied and solved once per distinct sum, and every
+    pair is counted and reported with its sum's verdict.  The first
+    ``decompose_samples`` nonzero products, in pair order, also go through
+    ``Engine.decompose``, each multiplied from its own pair.
     """
     n_max = degree_bound or engine.max_degree
     report = IdealSplitReport(n_max)
@@ -808,22 +842,39 @@ def ideal_and_split_check(engine, degree_bound: int | None = None,
                 report.ideal_violations.append(
                     (cls.label, gname, sorted(bad)))
 
-    # splitting: solve products of word-free classes in S-coordinates
+    # splitting: solve products of word-free classes in S-coordinates, once
+    # per summed powers; c_classes ascend by degree
+    reps = [engine.representative(c) for _, c in c_classes]
+    for (_, cls), rep in zip(c_classes, reps):
+        if not rep.in_commutative_subalgebra():
+            raise RuntimeError(f"word-free class {cls.label} has a "
+                               "representative with a word")
+    keys = [_packed_powers(c.powers) for _, c in c_classes]
+    verdicts = {}       # summed powers -> (in the S-span, product is zero)
     sample_countdown = decompose_samples
     for i, (n1, c1) in enumerate(c_classes):
-        rep1 = engine.representative(c1)
-        for n2, c2 in c_classes[i:]:
+        if 2 * n1 > n_max:
+            break
+        for j in range(i, len(c_classes)):
+            n2, c2 = c_classes[j]
             m = n1 + n2
             if m > n_max:
-                continue
-            product = rep1 * engine.representative(c2)
+                break
             report.split_products += 1
-            if c_class_coordinates(product, m, engine) is None:
+            key = keys[i] + keys[j]
+            verdict = verdicts.get(key)
+            if verdict is None:
+                product = reps[i] * reps[j]
+                verdict = verdicts[key] = (
+                    c_class_coordinates(product, m, engine) is not None,
+                    product.is_zero())
+            spanned, zero = verdict
+            if not spanned:
                 report.split_violations.append((c1.label, c2.label))
                 continue
-            if sample_countdown > 0 and not product.is_zero():
+            if sample_countdown > 0 and not zero:
                 sample_countdown -= 1
-                dec = engine.decompose(product, m)
+                dec = engine.decompose(reps[i] * reps[j], m)
                 d_side = [lbl for lbl in dec.coefficients if side[lbl] == "D"]
                 if d_side or not dec.witness.is_zero():
                     report.split_violations.append(

@@ -224,6 +224,10 @@ def test_exit_code_two_on_config_errors(capsys):
     # one past the measured cap (see cli.MAX_SUPPORTED_DEGREE)
     assert MAX_SUPPORTED_DEGREE == 150
     assert run_cli(capsys, "homology", "--max-degree", "151")[0] == 2
+    # ideal-check was measured at the cap too, and shares it
+    code, out, err = run_cli(capsys, "ideal-check", "--max-degree", "151")
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert "Traceback" not in err
     # the sign rule is always the audited one; --convention is not a flag
     for value in ("bogus", "force:plus"):
         with pytest.raises(SystemExit) as exc:

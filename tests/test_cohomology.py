@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import cotor
 from conftest import class_element
 from cotor.cohomology import (
     additive_basis_classes, expand_rational, poincare_coeffs,
 )
-from cotor.dga import gen
-from cotor.gf3 import Echelon
+from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
+from cotor.dga import Element, decode, element_planes, gen
+from cotor.engine import Engine
+from cotor.gf3 import Echelon, Planes, bits, hstack
 
 
 def test_series_first_coefficients():
@@ -132,3 +139,117 @@ def test_rank_nullity_bookkeeping(engine):
         dim_v = len(engine.basis(n))
         kernel = dim_v - engine.rank(n)
         assert engine.dim_h(n) == kernel - engine.rank(n - 1)
+
+
+# -- the blocked routes against one global solve --------------------------
+
+
+def _global_columns(engine, n):
+    """[every degree-n class representative | d_{n-1}] over the whole
+    degree-n basis: the one matrix the engine now cuts into Z^4 blocks."""
+    basis = engine.basis(n)
+    cols = Planes.from_columns(len(basis), (
+        element_planes(engine.representative(c), basis.index)
+        for c in engine.additive_basis(n).classes))
+    return hstack(cols, engine.d_matrix(n - 1)) if n >= 1 else cols
+
+
+def _global_decompose(engine, z, n, solvers):
+    """(coefficients, witness) of z from one solve against
+    `_global_columns` (the solver is kept in ``solvers`` by degree)."""
+    if n not in solvers:
+        solvers[n] = Echelon(_global_columns(engine, n))
+    (xp, xq), _ = solvers[n].solve_planes(
+        *element_planes(z, engine.basis(n).index))
+    classes = engine.additive_basis(n).classes
+    prev = engine.basis(n - 1).keys
+    coeffs, witness = {}, {}
+    for j in bits(xp | xq):
+        c = 1 if xp >> j & 1 else 2
+        if j < len(classes):
+            coeffs[classes[j].label] = c
+        else:
+            witness[decode(prev[j - len(classes)])] = c
+    return coeffs, Element(witness)
+
+
+def _global_basis_check(engine, n):
+    """`Engine.check_additive_basis` from the rank of `_global_columns`."""
+    k = len(engine.additive_basis(n))
+    return k == engine.dim_h(n) and Echelon(
+        _global_columns(engine, n), transform=False).rank == (
+            k + engine.rank(n - 1))
+
+
+def test_blocked_decompose_matches_the_global_solve(full_engine):
+    # every ideal product ideal-check decomposes through degree 80, and per
+    # degree their sum (several Z^4 blocks at once): the same coefficients
+    # and the same witness as the global solve, and the witness is valid
+    engine, solvers, count = full_engine, {}, 0
+    products = {}
+    for n in range(81):
+        for cls in engine.additive_basis(n).classes:
+            if cls.side != "D":
+                continue
+            for name in NAMED_GENERATOR_NAMES:
+                m = n + NAMED_DEGREES[name]
+                z = engine.representative(cls) * engine.named[name].element
+                if m <= 80 and not z.is_zero():
+                    products.setdefault(m, []).append(z)
+    for m, zs in sorted(products.items()):
+        by_label = {c.label: c for c in engine.additive_basis(m).classes}
+        total = sum(zs, Element.zero())
+        for z in zs + [total]:
+            dec = engine.decompose(z, m)
+            assert (dec.coefficients, dec.witness) == _global_decompose(
+                engine, z, m, solvers)
+            recon = sum((engine.representative(by_label[lbl]).scaled(c)
+                         for lbl, c in dec.coefficients.items()),
+                        Element.zero())
+            assert engine.d(dec.witness) == z - recon
+        count += len(zs)
+    assert count == 372
+
+
+def test_blocked_basis_check_matches_the_global_rank(engine):
+    for n in range(101):
+        assert engine.check_additive_basis(n) is _global_basis_check(
+            engine, n) is True, n
+    # a repeated and a zero representative make the classes dependent:
+    # both routes see it
+    for plant in ("a4^5", None):
+        fresh = Engine(convention="parity")
+        by_label = {c.label: c for c in fresh.additive_basis(20).classes}
+        fresh._representatives[by_label["a10^2"]] = (
+            fresh.representative(by_label[plant]) if plant
+            else Element.zero())
+        assert fresh.check_additive_basis(20) is False
+        assert _global_basis_check(fresh, 20) is False
+
+
+def test_non_homogeneous_representative_is_refused():
+    # a representative spread over two Z^4 blocks cannot be solved one
+    # block at a time: the basis check and decompose refuse it (not an
+    # assert, so also under python -O)
+    fresh = Engine(convention="parity")
+    by_label = {c.label: c for c in fresh.additive_basis(20).classes}
+    spread = by_label["a10^2"]
+    fresh._representatives[spread] = (
+        fresh.representative(spread)
+        + fresh.representative(by_label["a4^5"]))
+    with pytest.raises(RuntimeError, match="not Z\\^4-homogeneous"):
+        fresh.check_additive_basis(20)
+    with pytest.raises(RuntimeError, match="not Z\\^4-homogeneous"):
+        fresh.decompose(fresh.named["y20"].element, 20)
+
+
+def test_non_homogeneous_refusal_survives_python_O():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
+    code = ("import test_cohomology as t; "
+            "t.test_non_homogeneous_representative_is_refused(); "
+            "print('refused')")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          cwd=os.path.dirname(__file__), capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr

@@ -251,9 +251,10 @@ def test_verify_all_summary(engine):
 
 def test_verify_all_discovers_once_per_record(engine, catalog,
                                                 monkeypatch):
-    # a SIGNED verdict carries the solutions its discovery found, so the
-    # sign system does not solve that record's support again (38 calls
-    # before, the four SIGNED group-i records twice each)
+    # verify_all solves each (support, degree) once, whichever records
+    # print it and whether the record or the sign system asks: 33 calls
+    # (38 before SIGNED verdicts reused their discovery, then 34 while
+    # i.04 and i.14, the same printed relation, each solved it)
     supports = []
     discover = relations.discover_relation
 
@@ -263,14 +264,13 @@ def test_verify_all_discovers_once_per_record(engine, catalog,
 
     monkeypatch.setattr(relations, "discover_relation", counted)
     report = verify_all(engine)
-    assert len(supports) == 34
-    # a support is solved more than once only for as many records print it
+    assert len(supports) == 33 and len(set(supports)) == 33
     printed = Counter((tuple(map(mono_text, r.paper_poly)), r.degree)
                       for r in catalog.values() if r.group == "i")
-    assert all(k == printed[s] for s, k in Counter(supports).items() if k > 1)
+    assert printed.most_common(1)[0][1] == 2    # the repeated print
     signed = [v for v in report.verdicts if v.verdict == "SIGNED"
               and v.record.group == "i"]
-    assert len(signed) == 4 and all(len(v.solutions) == 1 for v in signed)
+    assert len(signed) == 4
 
 
 @pytest.mark.parametrize("group", ["i", "ii", "iii"])
@@ -297,6 +297,79 @@ def test_ideal_and_split_small_bound(engine):
                                    decompose_samples=10)
     assert report.ok
     assert report.ideal_products > 0 and report.split_products > 0
+
+
+def _word_free_pairs(engine, bound):
+    """The pairs of word-free classes with degree sum <= bound, in the
+    order ideal-check walks them."""
+    c_classes = [(n, c) for n in range(bound + 1)
+                 for c in engine.additive_basis(n).classes if c.side == "C"]
+    return [(c1, c2, n1 + n2) for i, (n1, c1) in enumerate(c_classes)
+            for n2, c2 in c_classes[i:] if n1 + n2 <= bound]
+
+
+def _summed_powers(c1, c2):
+    return tuple(sorted((Counter(dict(c1.powers))
+                         + Counter(dict(c2.powers))).items()))
+
+
+def test_split_products_depend_only_on_summed_powers(engine):
+    # the premise of ideal-check's split memo, through degree 60: a pair's
+    # product is the product of the first pair with the same summed
+    # powers, and the packed keys of two sums agree exactly when they do
+    first, packed = {}, {}
+    pairs = _word_free_pairs(engine, 60)
+    for c1, c2, _ in pairs:
+        key = _summed_powers(c1, c2)
+        product = engine.representative(c1) * engine.representative(c2)
+        assert first.setdefault(key, product) == product, (c1.label, c2.label)
+        at = (relations._packed_powers(c1.powers)
+              + relations._packed_powers(c2.powers))
+        assert packed.setdefault(at, key) == key
+    assert len(packed) == len(first) < len(pairs)
+
+
+def test_split_memo_reports_every_pair_of_a_refused_product(engine,
+                                                           monkeypatch):
+    # refuse the product of the most shared summed powers: every pair with
+    # those powers is a violation, in the order an unmemoized walk finds
+    # them, and each distinct product is solved once
+    bound = 48
+    pairs = _word_free_pairs(engine, bound)
+    sums = Counter(_summed_powers(c1, c2) for c1, c2, _ in pairs)
+    key, shared = sums.most_common(1)[0]
+    c1, c2, _ = next(p for p in pairs if _summed_powers(p[0], p[1]) == key)
+    refused = engine.representative(c1) * engine.representative(c2)
+    coordinates = relations.c_class_coordinates
+    solved = []
+
+    def planted(element, degree, eng):
+        solved.append(degree)
+        return (None if element == refused
+                else coordinates(element, degree, eng))
+
+    decompose, decomposed = engine.decompose, []
+
+    def recorded(z, n=None):
+        decomposed.append(z)
+        return decompose(z, n)
+
+    monkeypatch.setattr(relations, "c_class_coordinates", planted)
+    monkeypatch.setattr(engine, "decompose", recorded)
+    report = ideal_and_split_check(engine, degree_bound=bound)
+    expected, samples = [], []
+    for c1, c2, m in pairs:
+        product = engine.representative(c1) * engine.representative(c2)
+        if product == refused or coordinates(product, m, engine) is None:
+            expected.append((c1.label, c2.label))
+        elif product and len(samples) < 25:
+            samples.append(product)
+    assert shared > 2 and len(expected) == shared
+    assert report.split_violations == expected
+    assert report.split_products == len(pairs)
+    assert len(solved) == len(sums)
+    # the decompose route: the first 25 nonzero products, in pair order
+    assert decomposed[report.ideal_products:] == samples
 
 
 def test_ideal_spot_products(engine):
