@@ -6,7 +6,7 @@ sign convention and a hash of the code of the modules that build the
 matrices (their tokens, without comments or blank lines), so a stale
 cache (also one written by an edited differential) is simply never found,
 while a comment edit keeps it; a corrupted file is rebuilt with a
-warning, never silently reused.
+warning, never silently reused; each write has a temporary file of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import os
 import tokenize
 
-from .gf3 import SparseMatrixF3
+from .gf3 import BlockDiagonalF3
 
 log = logging.getLogger("cotor.cache")
 
@@ -57,14 +57,19 @@ class MatrixCache:
     def path(self, degree: int) -> str:
         return os.path.join(self.dir, f"d_{degree}.gf3mat")
 
-    def load(self, degree: int) -> SparseMatrixF3 | None:
+    def load(self, degree: int, row_blocks: dict,
+             col_blocks: dict) -> BlockDiagonalF3 | None:
+        """d_degree, cut into the blocks, or None (a miss, or a refused file)."""
         path = self.path(degree)
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                return SparseMatrixF3.deserialize(fh.read())
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             return None
-        except (ValueError, OSError) as exc:
+        try:
+            return BlockDiagonalF3.deserialize(
+                raw.decode("ascii"), row_blocks, col_blocks)
+        except ValueError as exc:
             log.warning("corrupted cache file %s (%s); rebuilding", path, exc)
             try:
                 os.remove(path)
@@ -75,8 +80,14 @@ class MatrixCache:
     def store(self, degree: int, matrix) -> str:
         os.makedirs(self.dir, exist_ok=True)
         path = self.path(degree)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(matrix.serialize())
-        os.replace(tmp, path)
+        # a name no other writer picks; "x" keeps the umask's file mode
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        fh = open(tmp, "x", encoding="ascii")
+        try:
+            with fh:
+                fh.write(matrix.serialize())
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
         return path

@@ -5,7 +5,7 @@ Subcommands cover every verification surface; reports are deterministic
 configuration, while the config header with its timestamp goes to
 stderr).  Exit codes: 0 all checks pass (sign-reconciled records count as
 passes and appear in the errata section), 1 any FAIL verdict, 2 config
-error.
+error, I/O error (such as an unreadable cache file) or out of memory.
 """
 
 from __future__ import annotations
@@ -381,9 +381,15 @@ def main(argv=None) -> int:
                 args.command == "spectral" and args.page is not None):
             raise ConfigError(
                 f"--format csv is not available for {args.command}")
+        if args.cache_dir:      # a file, or a path that cannot be made
+            try:
+                os.makedirs(args.cache_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--cache-dir {args.cache_dir} is not a "
+                                  f"usable directory ({exc.strerror})")
         _header(args)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: say, an unreadable cache
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -338,7 +338,7 @@ def words_of_degree(k: int) -> tuple:
 
 class DegreeBasis:
     """Ordered monomial basis of one total degree, held as monomial keys;
-    the lookups and the decoded monomials are built on first use."""
+    the lookups by key and the decoded monomials are built on first use."""
 
     def __init__(self, degree: int, keys: tuple):
         self.degree = degree
@@ -353,8 +353,8 @@ class DegreeBasis:
 
     @cached_property
     def index(self) -> dict:
-        """Monomial -> position."""
-        return {m: i for i, m in enumerate(self.monomials)}
+        """Monomial key (``encode``) -> position."""
+        return {k: i for i, k in enumerate(self.keys)}
 
     @cached_property
     def blocks(self) -> dict:
@@ -385,14 +385,15 @@ def enumerate_basis(n: int) -> DegreeBasis:
     return DegreeBasis(n, tuple(keys))
 
 
-def element_planes(x: Element, index) -> tuple:
+def element_planes(x: Element, index, key=None) -> tuple:
     """The bit planes ``(pos, neg)`` of an element's coefficients over
-    ``index``, a mapping from monomials to positions (KeyError for a term
-    outside it)."""
+    ``index``, a mapping from monomials, or from their ``key(m)`` (say
+    ``encode``), to positions (KeyError for a term outside it)."""
     pos = neg = 0
     for m, c in x.terms.items():
+        bit = 1 << index[m if key is None else key(m)]
         if c == 1:
-            pos |= 1 << index[m]
+            pos |= bit
         else:
-            neg |= 1 << index[m]
+            neg |= bit
     return pos, neg

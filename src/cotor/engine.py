@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import cohomology
-from .cache import MatrixCache, log
+from .cache import MatrixCache
 from .cohomology import BasisClass, CotorBasis, additive_basis_classes
 from .derivation import build_named_generators, named_evaluator
 from .dga import (
-    DegreeBasis, Element, decode, element_planes, enumerate_basis, grading,
+    DegreeBasis, Element, decode, element_planes, encode, enumerate_basis,
+    grading,
 )
 from .differential import Differential, audit_conventions
 from .gf3 import BlockDiagonalF3, Echelon, Planes, bits
@@ -78,16 +79,8 @@ class Engine:
         if m is not None:
             return m
         rows, cols = self.basis(n + 1), self.basis(n)
-        loaded = self.cache.load(n) if self.cache is not None else None
-        if loaded is not None:
-            try:                # a corrupt file is rebuilt and rewritten
-                if (loaded.n_rows, loaded.n_cols) != (len(rows), len(cols)):
-                    raise ValueError("wrong shape")
-                m = BlockDiagonalF3.from_sparse(
-                    loaded, rows.blocks, cols.blocks)
-            except ValueError as exc:   # or an entry joining two Z^4 blocks
-                log.warning("corrupted cache file %s (%s); rebuilding",
-                            self.cache.path(n), exc)
+        if self.cache is not None:      # a refused file is rebuilt, rewritten
+            m = self.cache.load(n, rows.blocks, cols.blocks)
         if m is None:
             m = self.d.matrix(n, cols, rows)
             if self.cache is not None:
@@ -159,12 +152,11 @@ class Engine:
         basis, at the positions within the block (KeyError for a term
         outside the basis)."""
         basis = self.basis(n)
-        index, keys, blocks = basis.index, basis.keys, basis.blocks
+        index, blocks = basis.index, basis.blocks
         parts = {}
         for m, c in x.terms.items():
-            i = index[m]
-            g = grading(keys[i])
-            bit = 1 << bisect_left(blocks[g], i)
+            g = grading(k := encode(m))
+            bit = 1 << bisect_left(blocks[g], index[k])
             p, q = parts.get(g, (0, 0))
             parts[g] = (p | bit, q) if c == 1 else (p, q | bit)
         return parts

@@ -3,18 +3,18 @@
 Scalars are canonical residues in {0, 1, 2}; every operation reduces
 eagerly, so equality of values is equality of representations.
 
-`SparseMatrixF3`, a dict of triples, is the generic matrix type and the
-one read from GF3MAT text; a block-diagonal matrix (a differential that
-preserves an internal grading) is a `BlockDiagonalF3`, the bit planes of
-each block.  All elimination goes through one primitive, `Echelon`: a
-greedy column-echelon pass that reads rank, prefix ranks, kernels and
-solves off the same reduction.  It works on bitsliced vectors (after
-Boothby and Bradshaw, arXiv:0901.1413): a vector is a pair of Python
-integers ``(pos, neg)`` whose bit ``i`` says that entry ``i`` is +1,
-respectively -1 (= 2), so one vector addition is a handful of
-word-parallel bit operations.  Bit planes are the one vector format:
-`Echelon` takes `Planes` or either matrix type, and the vectors it hands
-back are plain tuples of residues.
+`SparseMatrixF3`, a dict of triples, is the generic matrix type; a
+block-diagonal matrix (a differential that preserves an internal grading)
+is a `BlockDiagonalF3`, the bit planes of each block, which is what GF3MAT
+text (the cache format) is read into and written from.  All elimination
+goes through one primitive, `Echelon`: a greedy column-echelon pass that
+reads rank, prefix ranks, kernels and solves off the same reduction.  It
+works on bitsliced vectors (after Boothby and Bradshaw, arXiv:0901.1413):
+a vector is a pair of Python integers ``(pos, neg)`` whose bit ``i`` says
+that entry ``i`` is +1, respectively -1 (= 2), so one vector addition is a
+handful of word-parallel bit operations.  Bit planes are the one vector
+format: `Echelon` takes `Planes` or either matrix type, and the vectors it
+hands back are plain tuples of residues.
 """
 
 from __future__ import annotations
@@ -82,36 +82,6 @@ class SparseMatrixF3:
     def __repr__(self):
         return (f"{type(self).__name__}({self.n_rows}x{self.n_cols}, "
                 f"nnz={self.nnz})")
-
-    # -- canonical text serialization (cache format) --------------------
-
-    def serialize(self) -> str:
-        """Canonical text form: bit-exact across platforms."""
-        lines = [f"GF3MAT v1 {self.n_rows} {self.n_cols} {self.nnz}"]
-        for (r, c), v in sorted(self.entries.items(),
-                                key=lambda rcv: (rcv[0][1], rcv[0][0])):
-            lines.append(f"{r} {c} {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "SparseMatrixF3":
-        lines = text.strip().split("\n")
-        head = lines[0].split()
-        if len(head) != 5 or head[0] != "GF3MAT" or head[1] != "v1":
-            raise ValueError("not a GF3MAT v1 header")
-        n_rows, n_cols, nnz = int(head[2]), int(head[3]), int(head[4])
-        if len(lines) - 1 != nnz:
-            raise ValueError("GF3MAT entry count does not match header")
-        m = cls(n_rows, n_cols)         # checks the shape
-        for line in lines[1:]:
-            r, c, v = map(int, line.split())
-            if v not in (1, 2) or not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"GF3MAT entry {line!r} out of range")
-            if (r, c) in m.entries:
-                raise ValueError("GF3MAT duplicate entry")
-            m.entries[r, c] = v
-        return m
-
 
 def _add(ap, an, bp, bn):
     """(a + b) mod 3 on bit-plane pairs."""
@@ -214,32 +184,75 @@ class BlockDiagonalF3(NamedTuple):
                    sum(map(len, col_blocks.values())), blocks)
 
     @classmethod
-    def from_sparse(cls, a, row_blocks, col_blocks) -> "BlockDiagonalF3":
-        """``a``, of the blocks' shape, cut into them (see `from_columns`)."""
-        by_col = [[] for _ in range(a.n_cols)]
-        for (r, c), v in a.entries.items():
-            by_col[c].append((r, v))
-        return cls.from_columns(row_blocks, col_blocks, range(a.n_rows),
-                                by_col.__getitem__)
+    def deserialize(cls, text: str, row_blocks: dict,
+                    col_blocks: dict) -> "BlockDiagonalF3":
+        """The matrix of GF3MAT text, cut into the blocks as in
+        `from_columns`; a bad header, count, shape, entry (as `serialize`
+        writes it) or duplicate, or one joining two blocks is a ValueError."""
+        lines = text.strip().split("\n")
+        head = lines[0].split()
+        if len(head) != 5 or head[0] != "GF3MAT" or head[1] != "v1":
+            raise ValueError("not a GF3MAT v1 header")
+        n_rows, n_cols, nnz = int(head[2]), int(head[3]), int(head[4])
+        shape = [sum(map(len, b.values())) for b in (row_blocks, col_blocks)]
+        if [n_rows, n_cols] != shape:
+            raise ValueError(f"GF3MAT shape {n_rows}x{n_cols}, not {shape}")
+        # keyed by text, so a line needs no int(): row -> (its block's
+        # planes, bit), column -> (planes, position), value -> plane
+        row_at, col_at, plane_of, blocks = {}, {}, {"1": 0, "2": 1}, []
+        for b, cols in col_blocks.items():
+            rows = row_blocks.get(b, ())
+            planes = [0] * len(cols), [0] * len(cols)
+            blocks.append((tuple(rows), tuple(cols), planes))
+            for i, r in enumerate(rows):
+                row_at[str(r)] = planes, 1 << i
+            for j, c in enumerate(cols):
+                col_at[str(c)] = planes, j
+        for line in lines[1:]:
+            r, c, v = line.split()
+            try:
+                planes, bit = row_at[r]
+                at, j = col_at[c]
+                plane = planes[plane_of[v]]
+            except KeyError:
+                raise ValueError(f"GF3MAT entry {line!r} out of range or "
+                                 "in no block") from None
+            if planes is not at:
+                raise ValueError(f"column {c} has an entry in row {r} of "
+                                 "another block")
+            plane[j] |= bit
+        m = cls(n_rows, n_cols, [(rows, cols, *map(tuple, planes))
+                                 for rows, cols, planes in blocks if rows])
+        # nnz lines, each setting a new bit: else one is missing or repeated
+        if len(lines) - 1 != nnz or m.nnz != nnz:
+            raise ValueError("GF3MAT entries: a duplicate, or not the count "
+                             "in the header")
+        return m
 
-    @property
-    def entries(self) -> dict:
-        """The nonzero entries, by column, then row."""
+    def triples(self):
+        """The nonzero entries ``(row, col, value)``, by column, then row."""
         by_col = [((), 0, 0)] * self.n_cols
         for rows, cols, pos, neg in self.blocks:
             for c, p, q in zip(cols, pos, neg):
                 by_col[c] = rows, p, q
-        out = {}
         for c, (rows, p, q) in enumerate(by_col):
             x = p | q
             while x:                    # `bits`, inlined: this is hot
                 low = x & -x
                 x ^= low
-                out[rows[low.bit_length() - 1], c] = 1 if p & low else 2
-        return out
+                yield rows[low.bit_length() - 1], c, 1 if p & low else 2
 
-    # through ``entries``
-    nnz, __repr__ = SparseMatrixF3.nnz, SparseMatrixF3.__repr__
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries, by column, then row."""
+        return {(r, c): v for r, c, v in self.triples()}
+
+    @property
+    def nnz(self) -> int:
+        return sum((p | q).bit_count() for _, _, pos, neg in self.blocks
+                   for p, q in zip(pos, neg))
+
+    __repr__ = SparseMatrixF3.__repr__
 
     def matvec(self, v) -> tuple:
         """`SparseMatrixF3.matvec`, reading only the blocks v touches."""
@@ -248,10 +261,12 @@ class BlockDiagonalF3(NamedTuple):
         return SparseMatrixF3.matvec(self._replace(blocks=keep), v)
 
     def serialize(self) -> str:
-        """`SparseMatrixF3.serialize`'s text; ``entries`` is in its order."""
-        ent = self.entries
-        head = f"GF3MAT v1 {self.n_rows} {self.n_cols} {len(ent)}\n"
-        return head + "".join([f"{r} {c} {v}\n" for (r, c), v in ent.items()])
+        """The canonical GF3MAT v1 text: ``GF3MAT v1 <rows> <cols> <nnz>``,
+        then one ``<row> <col> <value>`` line per entry, by column, then
+        row; bit-exact across platforms."""
+        body = [f"{r} {c} {v}\n" for r, c, v in self.triples()]
+        return (f"GF3MAT v1 {self.n_rows} {self.n_cols} {len(body)}\n"
+                + "".join(body))
 
     def pivots(self, row_at, col_at) -> list:
         """The pivots of ``Echelon(a, transform=False)``, ``a`` being this

@@ -35,7 +35,7 @@ from itertools import combinations
 from .derivation import (
     NAMED_DEGREES, NAMED_GENERATOR_NAMES, family_identities, partial, partial2,
 )
-from .dga import Element, element_planes
+from .dga import Element, element_planes, encode
 from .formal import mono_text, monomial_degree, parse_poly, poly_text
 from .gf3 import (
     Echelon, Planes, SparseMatrixF3, from_planes, hstack, to_planes,
@@ -364,10 +364,10 @@ def verify_witness(record: RelationRecord, engine) -> RelationVerdict:
     n = record.degree
     if 0 < n <= engine.max_degree:
         basis_n, basis_w = engine.basis(n), engine.basis(n - 1)
-        lhs_vec = from_planes(*element_planes(record.lhs, basis_n.index),
-                              len(basis_n))
-        wit_vec = from_planes(*element_planes(record.witness, basis_w.index),
-                              len(basis_w))
+        lhs_vec = from_planes(*element_planes(
+            record.lhs, basis_n.index, encode), len(basis_n))
+        wit_vec = from_planes(*element_planes(
+            record.witness, basis_w.index, encode), len(basis_w))
         img = engine.d_matrix(n - 1).matvec(wit_vec)
         if lhs_vec != tuple(x * sign % 3 for x in img):
             return RelationVerdict(record, "FAIL",
@@ -424,8 +424,8 @@ def discover_relation(support, degree, engine, paper_vector=None):
         if degree > engine.max_degree:
             raise ValueError("degree beyond cap for word-type discovery")
         basis = engine.basis(degree)
-        cols = Planes.from_columns(
-            len(basis), (element_planes(el, basis.index) for el in elements))
+        cols = Planes.from_columns(len(basis), (
+            element_planes(el, basis.index, encode) for el in elements))
         # im(d) columns first: only kernel vectors with a free support
         # column can have a nonzero support part, and those span it
         if degree >= 1:

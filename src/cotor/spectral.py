@@ -99,7 +99,7 @@ class SpectralSequence:
         for n in range(n_max + 1):
             colw, roww = self._weights(n), self._weights(n + 1)
             if any(roww[r] < colw[c]
-                   for r, c in self.engine.d_matrix(n).entries):
+                   for r, c, _ in self.engine.d_matrix(n).triples()):
                 return False
         return True
 

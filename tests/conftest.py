@@ -54,6 +54,17 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(word, tuple(exps))
 
 
+def gf3mat(m) -> str:
+    """GF3MAT v1 text of any matrix with ``entries`` (also one with an entry
+    joining two blocks), by sorting them: the reference the block writer's
+    bytes are checked against, and how tests write planted files."""
+    lines = [f"GF3MAT v1 {m.n_rows} {m.n_cols} {len(m.entries)}"]
+    for (r, c), v in sorted(m.entries.items(),
+                            key=lambda rcv: (rcv[0][1], rcv[0][0])):
+        lines.append(f"{r} {c} {v}")
+    return "\n".join(lines) + "\n"
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return

@@ -293,10 +293,13 @@ def test_element_planes_lookup():
     basis = enumerate_basis(18)
     x = Element({basis.monomials[1]: 2, basis.monomials[3]: 1})
     # entry 1 is 2 (neg plane), entry 3 is 1 (pos plane)
-    assert element_planes(x, basis.index) == (0b1000, 0b10)
-    assert [basis.index[m] for m in basis.monomials] == [0, 1, 2, 3]
+    assert element_planes(x, basis.index, encode) == (0b1000, 0b10)
+    assert [basis.index[encode(m)] for m in basis.monomials] == [0, 1, 2, 3]
     with pytest.raises(KeyError):
-        element_planes(gen("a4"), basis.index)
+        element_planes(gen("a4"), basis.index, encode)
+    # or over a mapping from the monomials themselves
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    assert element_planes(x, index) == (0b1000, 0b10)
 
 
 def test_generator_names_and_degrees():

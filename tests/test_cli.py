@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import cotor
+from conftest import gf3mat
 from cotor import cache as cache_mod
 from cotor.cache import CONSTRUCTION_SOURCES, MatrixCache, fingerprint
 from cotor.cli import MAX_SUPPORTED_DEGREE, main
+from cotor.differential import Differential
 from cotor.engine import Engine
 from cotor.gf3 import SparseMatrixF3
 
@@ -275,14 +277,19 @@ def test_cache_roundtrip(tmp_path, engine):
     cache = MatrixCache(tmp_path, "parity")
     m = engine.d_matrix(17)
     cache.store(17, m)
-    assert cache.load(17) == SparseMatrixF3(m.n_rows, m.n_cols, m.entries)
+    assert cache.load(17, *blocks_of(engine, 17)) == m
+
+
+def blocks_of(engine, n):
+    """The row and column blocks of d_n, as `MatrixCache.load` takes them."""
+    return engine.basis(n + 1).blocks, engine.basis(n).blocks
 
 
 def test_cache_fingerprint_mismatch_is_a_miss(tmp_path, engine):
     MatrixCache(tmp_path, "parity").store(17, engine.d_matrix(17))
     other = MatrixCache(tmp_path, "plus")
     assert fingerprint("parity") != fingerprint("plus")
-    assert other.load(17) is None
+    assert other.load(17, *blocks_of(engine, 17)) is None
 
 
 def test_cache_fingerprint_sees_construction_source(tmp_path, monkeypatch):
@@ -333,15 +340,99 @@ def test_jobs_flag_is_gone(capsys):
 
 def test_cache_corruption_rebuilds(tmp_path, engine, caplog):
     cache = MatrixCache(tmp_path, "parity")
-    path = cache.store(17, engine.d_matrix(17))
-    with open(path, "w") as fh:
-        fh.write("GF3MAT v1 not a matrix\n")
+    for garbage in (b"GF3MAT v1 not a matrix\n", b"GF3MAT v1 \xff\n"):
+        path = cache.store(17, engine.d_matrix(17))
+        with open(path, "wb") as fh:
+            fh.write(garbage)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert cache.load(17, *blocks_of(engine, 17)) is None
+        assert any("corrupted" in r.message for r in caplog.records)
+        assert not os.path.exists(path)
+
+
+def test_unreadable_cache_file_is_not_corruption(tmp_path, engine, capsys,
+                                                 caplog):
+    # a cache entry that cannot be read (here a directory) is not refused
+    # text: it is neither reported as corrupted nor removed, and the CLI
+    # stops with an error line and exit 2
+    cache = MatrixCache(tmp_path, "parity")
+    os.makedirs(cache.path(5))
     with caplog.at_level("WARNING"):
-        assert cache.load(17) is None
-    assert any("corrupted" in r.message for r in caplog.records)
+        with pytest.raises(OSError):
+            cache.load(5, *blocks_of(engine, 5))
+        code, out, err = run_cli(capsys, "homology", "--max-degree", "10",
+                                 "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+    assert not any("corrupted" in r.message for r in caplog.records)
+    assert os.path.isdir(cache.path(5))
 
 
-def test_cached_entry_across_blocks_is_rebuilt(tmp_path, capsys, caplog):
+def test_cache_dir_that_is_not_a_directory_exits_2(tmp_path):
+    # a regular file, or a path below one, is refused before any work
+    afile = tmp_path / "afile"
+    afile.write_text("not a cache\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cotor.__file__)))
+    for target in (afile, afile / "below"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cotor.cli", "homology", "--max-degree",
+             "10", "--cache-dir", str(target)],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"error: --cache-dir {target}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "corrupted" not in proc.stderr
+    assert afile.read_text() == "not a cache\n"
+
+
+def test_store_writes_through_its_own_temporary_file(tmp_path, engine,
+                                                      monkeypatch):
+    # two writers of one file use two temporary names; a write that fails
+    # leaves no file behind (perfbench refuses unexpected files)
+    cache = MatrixCache(tmp_path, "parity")
+    replaced, real = [], os.replace
+    monkeypatch.setattr(cache_mod.os, "replace",
+                        lambda a, b: (replaced.append(a), real(a, b))[1])
+    for _ in range(2):
+        cache.store(4, engine.d_matrix(4))
+    assert len(set(replaced)) == 2
+    assert all(os.path.dirname(t) == cache.dir for t in replaced)
+
+    class Unwritable:
+        def serialize(self):
+            return "GF3MAT v1 \u00e9"      # not ASCII: the write fails
+
+    with pytest.raises(UnicodeEncodeError):
+        cache.store(5, Unwritable())
+    assert os.listdir(cache.dir) == ["d_4.gf3mat"]
+    assert cache.load(4, *blocks_of(engine, 4)) == engine.d_matrix(4)
+    # the file has the mode a plain write gives it, not a private one
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(cache.path(4)).st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_warm_engine_builds_no_matrix(tmp_path, engine, monkeypatch):
+    # what perfbench's warm trace checks: a warm run reads every d_n from
+    # the cache, builds none, and gets the cold run's blocks
+    cold = Engine(convention="parity", cache_dir=tmp_path)
+    cold.build_range(40)
+    built, real = [], Differential.matrix
+    monkeypatch.setattr(Differential, "matrix", lambda self, n, *a: (
+        built.append(n) or real(self, n, *a)))
+    warm = Engine(convention="parity", cache_dir=tmp_path)
+    warm.build_range(40)
+    assert built == []
+    for n in range(41):
+        assert warm.d_matrix(n) == cold.d_matrix(n) == engine.d_matrix(n)
+    assert sorted(os.listdir(warm.cache.dir)) == sorted(
+        f"d_{n}.gf3mat" for n in range(41))
+
+
+def test_cached_entry_across_blocks_is_rebuilt(tmp_path, engine, capsys,
+                                              caplog):
     # a cached d_12 with an entry joining two Z^4 blocks is corrupt: it is
     # reported and rewritten, and the report is that of a run without a
     # cache
@@ -352,11 +443,12 @@ def test_cached_entry_across_blocks_is_rebuilt(tmp_path, capsys, caplog):
     path = MatrixCache(tmp_path, "parity").path(12)
     with open(path) as fh:
         good = fh.read()
-    m = SparseMatrixF3.deserialize(good)
+    m = engine.d_matrix(12)
+    assert m.serialize() == good
     assert (0, 1) not in m.entries
     with open(path, "w") as fh:
-        fh.write(SparseMatrixF3(m.n_rows, m.n_cols,
-                                {**m.entries, (0, 1): 1}).serialize())
+        fh.write(gf3mat(SparseMatrixF3(m.n_rows, m.n_cols,
+                                       {**m.entries, (0, 1): 1})))
     with caplog.at_level("WARNING"):
         assert run_cli(capsys, *cached)[:2] == (0, plain)
     assert any("corrupted" in r.message and "another block" in r.message
@@ -379,7 +471,7 @@ def test_cached_matrix_bit_exact(tmp_path, engine):
     eng = Engine(convention="parity", cache_dir=tmp_path)
     m = eng.d_matrix(26)
     text1 = m.serialize()
-    text2 = eng.cache.load(26).serialize()
+    text2 = eng.cache.load(26, *blocks_of(eng, 26)).serialize()
     assert text1 == text2
 
 

@@ -10,7 +10,7 @@ from cotor.cohomology import (
     additive_basis_classes, expand_rational, poincare_coeffs,
 )
 from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
-from cotor.dga import Element, decode, element_planes, gen
+from cotor.dga import Element, decode, element_planes, encode, gen
 from cotor.engine import Engine
 from cotor.gf3 import Echelon, Planes, bits, hstack
 
@@ -149,7 +149,7 @@ def _global_columns(engine, n):
     degree-n basis: the one matrix the engine now cuts into Z^4 blocks."""
     basis = engine.basis(n)
     cols = Planes.from_columns(len(basis), (
-        element_planes(engine.representative(c), basis.index)
+        element_planes(engine.representative(c), basis.index, encode)
         for c in engine.additive_basis(n).classes))
     return hstack(cols, engine.d_matrix(n - 1)) if n >= 1 else cols
 
@@ -160,7 +160,7 @@ def _global_decompose(engine, z, n, solvers):
     if n not in solvers:
         solvers[n] = Echelon(_global_columns(engine, n))
     (xp, xq), _ = solvers[n].solve_planes(
-        *element_planes(z, engine.basis(n).index))
+        *element_planes(z, engine.basis(n).index, encode))
     classes = engine.additive_basis(n).classes
     prev = engine.basis(n - 1).keys
     coeffs, witness = {}, {}

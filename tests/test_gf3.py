@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cotor
+from conftest import gf3mat
 from cotor import gf3
 from cotor.gf3 import (
     BlockDiagonalF3, Echelon, SparseMatrixF3, kernel_basis, rref,
@@ -172,26 +173,54 @@ def test_solve_dimension_mismatch_is_an_error():
 
 def test_serialization_roundtrip_and_format():
     m = M([[0, 2], [1, 0]])
-    text = m.serialize()
+    text = gf3mat(m)
     head, *lines = text.strip().split("\n")
     assert head == "GF3MAT v1 2 2 2"
     # triples sorted by (col, row)
     assert lines == ["1 0 1", "0 1 2"]
-    assert SparseMatrixF3.deserialize(text) == m
+    read = BlockDiagonalF3.deserialize(text, ONE_BLOCK, ONE_BLOCK)
+    assert read.entries == m.entries
+    assert read.serialize() == text
+
+
+# a 2 x 2 matrix read as one block, or as two 1 x 1 blocks on the diagonal
+ONE_BLOCK = {0: (0, 1)}
+TWO_BLOCKS = {0: (0,), 1: (1,)}
 
 
 def test_deserialize_rejects_garbage():
-    with pytest.raises(ValueError):
-        SparseMatrixF3.deserialize("BOGUS v1 1 1 0")
-    with pytest.raises(ValueError):
-        SparseMatrixF3.deserialize("GF3MAT v1 2 2 1\n0 0 3")
-    with pytest.raises(ValueError):
-        SparseMatrixF3.deserialize("GF3MAT v1 2 2 2\n0 0 1")
-    for entry in ("2 0 1", "0 2 1", "-1 0 1"):     # outside the shape
+    def read(text, rows=ONE_BLOCK, cols=ONE_BLOCK):
+        return BlockDiagonalF3.deserialize(text, rows, cols)
+
+    for text in (
+            "", "BOGUS v1 1 1 0", "GF3MAT v2 2 2 0",
+            "GF3MAT v1 2 2 1\n0 0 3",          # a value outside {1, 2}
+            "GF3MAT v1 2 2 1\n0 0 0", "GF3MAT v1 2 2 1\n0 0 12",
+            "GF3MAT v1 2 2 2\n0 0 1",          # fewer entries than the header
+            "GF3MAT v1 2 2 1\n0 0 1\n1 1 1",   # more
+            "GF3MAT v1 2 2 1\n0 0 1\n0 0 1",   # more, by a repeat
+            "GF3MAT v1 2 2 1\n0 x 1", "GF3MAT v1 2 2 1\n0 0 1 1",
+            "GF3MAT v1 -1 2 0",                # the wrong shape
+            "GF3MAT v1 3 2 0", "GF3MAT v1 2 1 0",
+            "GF3MAT v1 2 2 2\n0 0 1\n0 0 2",   # a duplicate entry
+            "GF3MAT v1 2 2 2\n1 0 1\n1 0 1"):
         with pytest.raises(ValueError):
-            SparseMatrixF3.deserialize(f"GF3MAT v1 2 2 1\n{entry}")
-    with pytest.raises(ValueError):
-        SparseMatrixF3.deserialize("GF3MAT v1 -1 2 0")
+            read(text)
+    for entry in ("2 0 1", "0 2 1", "-1 0 1", "0 -1 1"):    # outside the shape
+        with pytest.raises(ValueError):
+            read(f"GF3MAT v1 2 2 1\n{entry}")
+    # an entry joining two blocks, or in a block with no rows
+    for entry in ("0 1 1", "1 0 2"):
+        with pytest.raises(ValueError, match="another block"):
+            read(f"GF3MAT v1 2 2 1\n{entry}", TWO_BLOCKS, TWO_BLOCKS)
+    with pytest.raises(ValueError, match="another block"):
+        read("GF3MAT v1 1 2 1\n0 1 1", {0: (0,)}, TWO_BLOCKS)
+    # the same entries inside the blocks are read, and a block without
+    # rows is dropped
+    diag = read("GF3MAT v1 2 2 2\n0 0 1\n1 1 2\n", TWO_BLOCKS, TWO_BLOCKS)
+    assert diag.blocks == [((0,), (0,), (1,), (0,)), ((1,), (1,), (0,), (1,))]
+    assert read("GF3MAT v1 1 2 1\n0 0 2", {0: (0,)}, TWO_BLOCKS).blocks == [
+        ((0,), (0,), (0,), (1,))]
 
 
 def test_entries_validation():
@@ -406,6 +435,17 @@ def test_echelon_matches_reference_on_d_matrices(engine):
         assert direct.rank == engine.rank(n)
 
 
+def test_block_reader_round_trips_every_d_through_sixty(engine):
+    # the cache's route: the text of d_n, from its planes, is the generic
+    # writer's text, and reads back into the same blocks
+    for n in range(61):
+        d = engine.d_matrix(n)
+        text = d.serialize()
+        assert text == gf3mat(d)
+        assert BlockDiagonalF3.deserialize(
+            text, engine.basis(n + 1).blocks, engine.basis(n).blocks) == d
+
+
 def test_block_diagonal_matches_one_global_pass():
     # block-diagonal matrices with their rows and columns shuffled
     rng = np.random.default_rng(77)
@@ -422,11 +462,11 @@ def test_block_diagonal_matches_one_global_pass():
             for j in range(n):
                 if row_blocks[i] == col_blocks[j] and rng.random() < 0.5:
                     a[i, j] = rng.integers(1, 3)
-        blocked = BlockDiagonalF3.from_sparse(
-            sparse(a), _members(row_blocks), _members(col_blocks))
+        blocked = BlockDiagonalF3.deserialize(
+            gf3mat(sparse(a)), _members(row_blocks), _members(col_blocks))
         assert (blocked.n_rows, blocked.n_cols, blocked.entries) == (
             m, n, sparse(a).entries)
-        assert blocked.serialize() == sparse(a).serialize()
+        assert blocked.serialize() == gf3mat(sparse(a))
         whole = Echelon(sparse(a), transform=False)
         pivots = blocked.pivots(range(m), range(n))
         assert pivots == whole.pivots
@@ -441,8 +481,8 @@ def test_block_diagonal_matches_one_global_pass():
             sparse(b), transform=False).pivots
     # an entry joining two blocks is refused
     with pytest.raises(ValueError):
-        BlockDiagonalF3.from_sparse(SparseMatrixF3(2, 2, {(0, 1): 1}),
-                                    {0: [0], 1: [1]}, {0: [0], 1: [1]})
+        BlockDiagonalF3.deserialize(gf3mat(SparseMatrixF3(2, 2, {(0, 1): 1})),
+                                    TWO_BLOCKS, TWO_BLOCKS)
 
 
 def _members(labels) -> dict:

@@ -3,6 +3,7 @@ import bisect
 import numpy as np
 import pytest
 
+from conftest import gf3mat
 from cotor.engine import Engine
 from cotor.gf3 import BlockDiagonalF3, Echelon, SparseMatrixF3
 from cotor.spectral import (
@@ -186,8 +187,8 @@ def test_filtration_check_reports_a_planted_weight_drop():
         assert rows.monomials[r].weight(scheme) < cols.monomials[c].weight(
             scheme)
     d = engine.d_matrix(n)
-    engine._matrices[n] = BlockDiagonalF3.from_sparse(
-        SparseMatrixF3(d.n_rows, d.n_cols, {**d.entries, (r, c): 1}),
+    engine._matrices[n] = BlockDiagonalF3.deserialize(gf3mat(
+        SparseMatrixF3(d.n_rows, d.n_cols, {**d.entries, (r, c): 1})),
         rows.blocks, cols.blocks)
     for scheme in ("weight_s3", "may_s5"):
         assert not SpectralSequence(engine, scheme) \
