@@ -3,7 +3,8 @@
 Files live under ``<cache_dir>/<fingerprint>/d_<n>.gf3mat`` in the
 canonical GF3MAT v1 text format.  The fingerprint encodes engine version,
 sign convention and a hash of the code of the modules that build the
-matrices (their tokens, without comments or blank lines), so a stale
+matrices (their text without comments or blank lines, cut out by one
+regular-expression pass that leaves string literals whole), so a stale
 cache (also one written by an edited differential) is simply never found,
 while a comment edit keeps it; a corrupted file is rebuilt with a
 warning, never silently reused; each write has a temporary file of its own.
@@ -15,7 +16,7 @@ import functools
 import hashlib
 import logging
 import os
-import tokenize
+import re
 
 from .gf3 import BlockDiagonalF3
 
@@ -28,16 +29,32 @@ CONSTRUCTION_SOURCES = ("dga.py", "differential.py")
 SOURCE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
+# what ``code_text`` drops: a line of only whitespace and maybe a comment,
+# and a comment with the whitespace before it.  A string literal (group 1)
+# is matched whole, so a "#" or a blank line in it stays.  ``re`` compiles
+# this on the first digest, not at import.
+_NOISE = (r'''("""[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""'''
+          r"""|'''[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''"""
+          r'''|"[^"\\\n]*(?:\\.[^"\\\n]*)*"'''
+          r"""|'[^'\\\n]*(?:\\.[^'\\\n]*)*')"""
+          r"|^[ \t]*(?:#[^\n]*)?\n"
+          r"|[ \t]*#[^\n]*")
+
+
+def code_text(source: str) -> str:
+    """Python source without its comments and blank lines; string literals
+    are left as they are."""
+    return re.sub(_NOISE, r"\1", source, flags=re.MULTILINE | re.DOTALL)
+
+
 @functools.cache
 def construction_digest(source_dir: str) -> str:
-    """sha256 of the construction modules' tokens, comments and blank lines
-    left out, read once per process."""
+    """sha256 of the construction modules' code, comments and blank lines
+    left out (``code_text``), read once per process."""
     digest = hashlib.sha256()
     for name in CONSTRUCTION_SOURCES:
-        with open(os.path.join(source_dir, name), "rb") as fh:
-            for tok in tokenize.tokenize(fh.readline):
-                if tok.type not in (tokenize.COMMENT, tokenize.NL):
-                    digest.update(tok.string.encode() + b"\0")
+        with open(os.path.join(source_dir, name), encoding="utf-8") as fh:
+            digest.update(code_text(fh.read()).encode() + b"\0")
     return digest.hexdigest()
 
 

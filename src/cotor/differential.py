@@ -247,10 +247,12 @@ def audit_conventions(degree_bound: int = 40, pair_samples: int = 1000,
             rhs = d(x * y)
             if lhs != rhs:
                 v.admissible = False
-                diff = lhs - rhs
-                if len(v.factorization_failures) < 3:
-                    v.factorization_failures.append(
-                        (x.text(), y.text(), diff.text()))
+                v.factorization_failures.append(
+                    (x.text(), y.text(), (lhs - rhs).text()))
+                if len(v.factorization_failures) == 3:
+                    # the verdict keeps three counterexamples: the rule
+                    # is rejected and the rest would change nothing
+                    break
         if v.admissible:
             for n in range(degree_bound + 1):
                 for m in bases[n].monomials:

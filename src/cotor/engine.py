@@ -36,6 +36,16 @@ DEFAULT_MAX_DEGREE = 80
 _NO_COLUMNS = ((), (), ())      # a block of d with no columns: (cols, pos, neg)
 
 
+def _block_rank(block) -> int:
+    """The rank of one block ``(rows, cols, pos, neg)`` of d; with one row
+    or one column it is 1 exactly when the block is nonzero."""
+    rows, cols, pos, neg = block
+    if len(rows) == 1 or len(cols) == 1:
+        return int(any(pos) or any(neg))
+    return Echelon(Planes(len(rows), len(cols), pos, neg),
+                   transform=False).rank
+
+
 @dataclass(frozen=True)
 class ClassDecomposition:
     degree: int
@@ -96,15 +106,13 @@ class Engine:
             self.d_matrix(n)
 
     def rank(self, n: int) -> int:
-        """rank d_n, from one elimination per internal Z^4 degree (d
-        preserves it, so d_n is block diagonal)."""
+        """rank d_n, summed over its internal Z^4 blocks (d preserves the
+        Z^4 degree, so d_n is block diagonal), by ``_block_rank``."""
         if n < 0:
             return 0
         r = self._ranks.get(n)
         if r is None:
-            r = self._ranks[n] = sum(
-                Echelon(Planes(len(rs), len(cs), p, q), transform=False).rank
-                for rs, cs, p, q in self.d_matrix(n).blocks)
+            r = self._ranks[n] = sum(map(_block_rank, self.d_matrix(n).blocks))
         return r
 
     # -- cohomology ----------------------------------------------------------

@@ -160,6 +160,20 @@ def test_basis_deterministic_order():
     assert a.keys == tuple(map(encode, a.monomials))
 
 
+def test_blocks_from_word_runs_match_the_grading_of_every_key():
+    # blocks adds each word's grading to the cached gradings of its
+    # commutative run; it must name and order positions as grading does
+    assert enumerate_basis(0).blocks == {0: (0,)}
+    for n in range(151):
+        basis = enumerate_basis(n)
+        by_key = {}
+        for i, k in enumerate(basis.keys):
+            by_key.setdefault(dga.grading(k), []).append(i)
+        assert list(basis.blocks.items()) == [
+            (g, tuple(at)) for g, at in by_key.items()], n
+    assert dga.DegreeBasis(-1, ()).blocks == {}
+
+
 def test_basis_counts_against_series():
     # generating-function cross-check for the graded dimensions
     n_max = 50

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -10,7 +11,8 @@ import cotor
 from conftest import gf3mat
 from cotor import cache as cache_mod
 from cotor.cache import CONSTRUCTION_SOURCES, MatrixCache, fingerprint
-from cotor.cli import MAX_SUPPORTED_DEGREE, main
+from cotor import cli
+from cotor.cli import AUDIT_MAX_DEGREE, MAX_SUPPORTED_DEGREE, main
 from cotor.differential import Differential
 from cotor.engine import Engine
 from cotor.gf3 import SparseMatrixF3
@@ -124,15 +126,19 @@ def test_spectral_builds_each_profile_once(capsys, monkeypatch):
     from cotor.gf3 import BlockDiagonalF3, Echelon
 
     # each weight profile is built once, from one pass over d_n; each rank
-    # of d is one pass too, block by block
-    profiles, passes, rank_blocks = [], [], []
+    # of d is one pass too, block by block, and a block with one row or one
+    # column needs no elimination
+    profiles, passes, rank_blocks, eliminations = [], [], [], []
     profile, pivots = spectral.DegreeProfile, BlockDiagonalF3.pivots
+    block_rank = engine_module._block_rank
     monkeypatch.setattr(spectral, "DegreeProfile",
                         lambda *a: profiles.append(1) or profile(*a))
     monkeypatch.setattr(BlockDiagonalF3, "pivots",
                         lambda *a: passes.append(1) or pivots(*a))
+    monkeypatch.setattr(engine_module, "_block_rank", lambda b: (
+        rank_blocks.append(1) or block_rank(b)))
     monkeypatch.setattr(engine_module, "Echelon", lambda *a, **k: (
-        rank_blocks.append(1) or Echelon(*a, **k)))
+        eliminations.append(1) or Echelon(*a, **k)))
     code, out, _ = run_cli(capsys, "spectral", "--scheme", "may_s5",
                            "--max-degree", "20", "--format", "json")
     assert code == 0
@@ -140,7 +146,10 @@ def test_spectral_builds_each_profile_once(capsys, monkeypatch):
     # one weight profile and one rank of d per degree 0..20
     assert len(profiles) == len(passes) == 21
     d = Engine(convention="parity").d_matrix
-    assert len(rank_blocks) == sum(len(d(n).blocks) for n in range(21))
+    blocks = [b for n in range(21) for b in d(n).blocks]
+    assert len(rank_blocks) == len(blocks)
+    assert len(eliminations) == sum(len(rows) > 1 and len(cols) > 1
+                                    for rows, cols, _, _ in blocks)
 
 
 def test_spectral_page_grid_csv(capsys):
@@ -223,13 +232,9 @@ def test_table40_subcommand(capsys):
 def test_exit_code_two_on_config_errors(capsys):
     assert run_cli(capsys, "homology", "--max-degree", "-1")[0] == 2
     assert run_cli(capsys, "homology", "--max-degree", "400")[0] == 2
-    # one past the measured cap (see cli.MAX_SUPPORTED_DEGREE)
+    # the measured cap (see cli.MAX_SUPPORTED_DEGREE); every subcommand
+    # refuses one past it (test_every_subcommand_refuses_a_degree_past_the_cap)
     assert MAX_SUPPORTED_DEGREE == 150
-    assert run_cli(capsys, "homology", "--max-degree", "151")[0] == 2
-    # ideal-check was measured at the cap too, and shares it
-    code, out, err = run_cli(capsys, "ideal-check", "--max-degree", "151")
-    assert (code, out) == (2, "") and err.startswith("error:")
-    assert "Traceback" not in err
     # the sign rule is always the audited one; --convention is not a flag
     for value in ("bogus", "force:plus"):
         with pytest.raises(SystemExit) as exc:
@@ -241,6 +246,36 @@ def test_exit_code_two_on_config_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit",), ("basis",), ("diff",), ("homology",), ("poincare",),
+    ("verify",), ("discover", "--support", "a9*a4", "--degree", "13"),
+    ("table40",), ("spectral",), ("ideal-check",)], ids=lambda a: a[0])
+def test_every_subcommand_refuses_a_degree_past_the_cap(capsys, argv):
+    # the range check runs before dispatch, so nothing is computed
+    assert set(cli._COMMANDS) == {
+        "audit", "basis", "diff", "homology", "poincare", "verify",
+        "discover", "table40", "spectral", "ideal-check"}
+    code, out, err = run_cli(capsys, *argv, "--max-degree",
+                             str(MAX_SUPPORTED_DEGREE + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("degree", [AUDIT_MAX_DEGREE + 1, 100,
+                                    MAX_SUPPORTED_DEGREE])
+def test_audit_refuses_a_degree_past_its_bound(capsys, monkeypatch, degree):
+    # the audit's bound is below the CLI's cap: a degree past it is refused
+    # before any work, not audited to the bound under the asked degree
+    from cotor import differential
+
+    monkeypatch.setattr(differential, "audit_conventions", None)
+    code, out, err = run_cli(capsys, "audit", "--max-degree", str(degree))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --max-degree {degree} is beyond the audit's "
+                   f"bound {AUDIT_MAX_DEGREE} (it checks d(d(m)) = 0 one "
+                   "monomial at a time)\n")
 
 
 def test_exit_code_one_on_injected_failure(capsys, monkeypatch):
@@ -320,6 +355,48 @@ def test_cache_fingerprint_ignores_comments(tmp_path, monkeypatch):
         + text.replace("    w = k >> WORD_SHIFT\n",
                        "    w = k >> WORD_SHIFT   # the word bits\n\n", 1))
     assert fingerprint("parity") == before
+
+
+def test_code_text_keeps_every_module_s_syntax_tree():
+    # dropping comments and blank lines leaves the code as Python parses it
+    names = sorted(n for n in os.listdir(cache_mod.SOURCE_DIR)
+                   if n.endswith(".py"))
+    assert set(CONSTRUCTION_SOURCES) <= set(names)
+    for name in names:
+        with open(os.path.join(cache_mod.SOURCE_DIR, name)) as fh:
+            text = fh.read()
+        code = cache_mod.code_text(text)
+        assert ast.dump(ast.parse(code)) == ast.dump(ast.parse(text)), name
+        assert len(code) < len(text), name
+
+
+@pytest.mark.parametrize("edit", [
+    # a "#" in a string literal is not a comment
+    lambda text: (text + '\nNOTE = "a # b"\n',
+                  text + '\nNOTE = "a # c"\n'),
+    lambda text: (text + "\nNOTE = 'a # b'  # c\n",
+                  text + "\nNOTE = 'a # c'  # c\n"),
+    # a blank line in a triple-quoted string is part of its value
+    lambda text: (text, text.replace(
+        '"""The graded algebra under study, as a concrete rewriting system.\n',
+        '"""The graded algebra under study, as a concrete rewriting system.\n'
+        '\n', 1)),
+], ids=["hash-in-string", "hash-in-string-before-comment",
+        "blank-line-in-docstring"])
+def test_cache_fingerprint_sees_string_literals(tmp_path, monkeypatch, edit):
+    for name in CONSTRUCTION_SOURCES:
+        shutil.copy(os.path.join(cache_mod.SOURCE_DIR, name), tmp_path)
+    monkeypatch.setattr(cache_mod, "SOURCE_DIR", str(tmp_path))
+    source = tmp_path / "dga.py"
+    before, after = edit(source.read_text())
+    assert before != after
+    prints = []
+    for text in (before, after):
+        source.write_text(text)
+        cache_mod.construction_digest.cache_clear()
+        prints.append(fingerprint("parity"))
+    cache_mod.construction_digest.cache_clear()
+    assert prints[0] != prints[1]
 
 
 def test_cache_fingerprint_same_in_two_processes():

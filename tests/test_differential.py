@@ -186,6 +186,71 @@ def test_audit_fails_loudly_without_candidates():
                           candidates=("plus", "minus"))
 
 
+def _audit_every_pair(degree_bound, pair_samples, seed, pair_max_degree=20):
+    """Reference audit: every pair checked against every candidate, also
+    after the candidate's third counterexample."""
+    rng = random.Random(seed)
+    bases = [enumerate_basis(n)
+             for n in range(max(degree_bound, pair_max_degree) + 1)]
+    gens = [gen(n) for n in COMM_NAMES] + [gen("a9"), gen("c17")]
+    pairs = [(x, y) for x in gens for y in gens]
+    pairs += [(differential._random_homogeneous(rng, bases, pair_max_degree),
+               differential._random_homogeneous(rng, bases, pair_max_degree))
+              for _ in range(pair_samples)]
+    verdicts = []
+    for name in differential.CONVENTIONS:
+        d = Differential(name)
+        v = differential.ConventionVerdict(name, True)
+        for x, y in pairs:
+            try:
+                lhs = d.leibniz(x, y)
+            except ValueError:
+                v.admissible = False
+                break
+            rhs = d(x * y)
+            if lhs != rhs:
+                v.admissible = False
+                if len(v.factorization_failures) < 3:
+                    v.factorization_failures.append(
+                        (x.text(), y.text(), (lhs - rhs).text()))
+        if v.admissible:
+            for n in range(degree_bound + 1):
+                for m in bases[n].monomials:
+                    ddm = d(d.of_mono(m))
+                    if not ddm.is_zero():
+                        v.admissible = False
+                        if len(v.dd_failures) < 3:
+                            v.dd_failures.append((m.text(), ddm.text()))
+                if not v.admissible:
+                    break
+        verdicts.append(v)
+    return verdicts
+
+
+@pytest.mark.parametrize("degree_bound,pair_samples,seed",
+                         [(12, 60, 0), (15, 80, 2), (40, 1000, 0)])
+def test_audit_stops_a_rejected_rule_with_the_same_verdicts(
+        monkeypatch, degree_bound, pair_samples, seed):
+    calls = {}
+    leibniz = Differential.leibniz
+
+    def counted(self, x, y):
+        calls[self.convention] = calls.get(self.convention, 0) + 1
+        return leibniz(self, x, y)
+
+    monkeypatch.setattr(Differential, "leibniz", counted)
+    report = audit_conventions(degree_bound=degree_bound,
+                               pair_samples=pair_samples, seed=seed)
+    monkeypatch.setattr(Differential, "leibniz", leibniz)
+    assert report.verdicts == _audit_every_pair(degree_bound, pair_samples,
+                                                seed)
+    # parity checks every pair; plus stops at its third counterexample
+    assert calls["parity"] == 64 + pair_samples
+    assert calls["plus"] < 64
+    assert [len(v.factorization_failures) for v in report.verdicts] == [
+        0, 3, 3]
+
+
 def _sampler_before(rng, max_degree):
     """The audit's pair sampler as it was, enumerating the basis of every
     degree up to ``max_degree`` on every draw."""

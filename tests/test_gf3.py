@@ -10,7 +10,7 @@ import cotor
 from conftest import gf3mat
 from cotor import gf3
 from cotor.gf3 import (
-    BlockDiagonalF3, Echelon, SparseMatrixF3, kernel_basis, rref,
+    BlockDiagonalF3, Echelon, Planes, SparseMatrixF3, kernel_basis, rref,
     solve_in_image,
 )
 
@@ -433,6 +433,24 @@ def test_echelon_matches_reference_on_d_matrices(engine):
         d = engine.d_matrix(n)
         assert direct.pivots == d.pivots(range(d.n_rows), range(d.n_cols))
         assert direct.rank == engine.rank(n)
+
+
+def test_thin_blocks_are_ranked_without_elimination(engine):
+    # Engine.rank reads a block with one row or one column as rank 1 when
+    # it is nonzero; every block of d_0..d_90 against its own elimination
+    from cotor.engine import _block_rank
+
+    thin = 0
+    for n in range(91):
+        blocks = engine.d_matrix(n).blocks
+        ranks = [Echelon(Planes(len(rows), len(cols), pos, neg),
+                         transform=False).rank
+                 for rows, cols, pos, neg in blocks]
+        assert list(map(_block_rank, blocks)) == ranks, n
+        assert engine.rank(n) == sum(ranks)
+        thin += sum(len(rows) == 1 or len(cols) == 1
+                    for rows, cols, _, _ in blocks)
+    assert thin >= 1319
 
 
 def test_block_reader_round_trips_every_d_through_sixty(engine):
