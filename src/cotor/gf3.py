@@ -3,85 +3,25 @@
 Scalars are canonical residues in {0, 1, 2}; every operation reduces
 eagerly, so equality of values is equality of representations.
 
-`SparseMatrixF3`, a dict of triples, is the generic matrix type; a
-block-diagonal matrix (a differential that preserves an internal grading)
-is a `BlockDiagonalF3`, the bit planes of each block, which is what GF3MAT
-text (the cache format) is read into and written from.  All elimination
-goes through one primitive, `Echelon`: a greedy column-echelon pass that
-reads rank, prefix ranks, kernels and solves off the same reduction.  It
-works on bitsliced vectors (after Boothby and Bradshaw, arXiv:0901.1413):
-a vector is a pair of Python integers ``(pos, neg)`` whose bit ``i`` says
-that entry ``i`` is +1, respectively -1 (= 2), so one vector addition is a
-handful of word-parallel bit operations.  Bit planes are the one vector
-format: `Echelon` takes `Planes` or either matrix type, and the vectors it
-hands back are plain tuples of residues.
+A matrix is held as the bit planes of its columns: `Planes`, or, when it
+is block diagonal (a differential that preserves an internal grading),
+`BlockDiagonalF3`, the planes of each block, which is what GF3MAT text (the
+cache format) is read into and written from.  All elimination goes through
+one primitive, `Echelon`: a greedy column-echelon pass that reads rank,
+prefix ranks, kernels, solves and the reduced basis of the column span off
+the same reduction.  It works on bitsliced vectors (after Boothby and
+Bradshaw, arXiv:0901.1413): a vector is a pair of Python integers
+``(pos, neg)`` whose bit ``i`` says that entry ``i`` is +1, respectively
+-1 (= 2), so one vector addition is a handful of word-parallel bit
+operations.  Bit planes are the one vector format: solves and products take
+and give planes, and the kernel and reduced basis come back as plain tuples
+of residues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-
-class SparseMatrixF3:
-    """Immutable sparse matrix over GF(3), stored as (row, col) -> {1, 2}."""
-
-    __slots__ = ("n_rows", "n_cols", "entries")
-
-    def __init__(self, n_rows: int, n_cols: int, entries=None):
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        clean = {}
-        for (r, c), v in (entries or {}).items():
-            v %= 3
-            if v == 0:
-                continue
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"entry ({r}, {c}) out of range")
-            clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_dense(cls, rows) -> "SparseMatrixF3":
-        """The matrix whose rows are the given sequences of integers."""
-        rows = [list(row) for row in rows]
-        n_cols = len(rows[0]) if rows else 0
-        if any(len(row) != n_cols for row in rows):
-            raise ValueError("rows of different lengths")
-        return cls(len(rows), n_cols, {
-            (r, c): int(v) for r, row in enumerate(rows)
-            for c, v in enumerate(row) if v % 3})
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def transpose(self) -> "SparseMatrixF3":
-        return SparseMatrixF3(
-            self.n_cols, self.n_rows,
-            {(c, r): v for (r, c), v in self.entries.items()})
-
-    def matvec(self, v) -> tuple:
-        """The product with a vector of integers, as a tuple of residues."""
-        v = [int(x) for x in v]
-        if len(v) != self.n_cols:
-            raise ValueError("vector length does not match n_cols")
-        out = [0] * self.n_rows
-        for (r, c), a in self.entries.items():
-            out[r] += a * v[c]
-        return tuple(x % 3 for x in out)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrixF3)
-                and self.n_rows == other.n_rows
-                and self.n_cols == other.n_cols
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return (f"{type(self).__name__}({self.n_rows}x{self.n_cols}, "
-                f"nnz={self.nnz})")
 
 def _add(ap, an, bp, bn):
     """(a + b) mod 3 on bit-plane pairs."""
@@ -118,19 +58,23 @@ class Planes(NamedTuple):
 
     @classmethod
     def of(cls, a) -> "Planes":
-        """The columns of a matrix (`Planes` pass through)."""
+        """The columns of a matrix: `Planes` pass through, and anything
+        with ``n_rows``, ``n_cols`` and ``entries``, a dict (row, col) ->
+        value in {1, 2}, is read (else a TypeError)."""
         if isinstance(a, Planes):
             return a
-        if not isinstance(a, (SparseMatrixF3, BlockDiagonalF3)):
-            raise TypeError(
-                f"expected a GF(3) matrix or Planes, got {type(a).__name__}")
-        pos, neg = [0] * a.n_cols, [0] * a.n_cols
-        for (r, c), v in a.entries.items():
+        try:
+            n_rows, n_cols, entries = a.n_rows, a.n_cols, a.entries
+        except AttributeError:
+            raise TypeError(f"expected a GF(3) matrix or Planes, got "
+                            f"{type(a).__name__}") from None
+        pos, neg = [0] * n_cols, [0] * n_cols
+        for (r, c), v in entries.items():
             if v == 1:
                 pos[c] |= 1 << r
             else:
                 neg[c] |= 1 << r
-        return cls(a.n_rows, a.n_cols, pos, neg)
+        return cls(n_rows, n_cols, pos, neg)
 
     @classmethod
     def from_columns(cls, n_rows: int, columns) -> "Planes":
@@ -252,13 +196,27 @@ class BlockDiagonalF3(NamedTuple):
         return sum((p | q).bit_count() for _, _, pos, neg in self.blocks
                    for p, q in zip(pos, neg))
 
-    __repr__ = SparseMatrixF3.__repr__
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.n_rows}x{self.n_cols}, "
+                f"nnz={self.nnz})")
 
-    def matvec(self, v) -> tuple:
-        """`SparseMatrixF3.matvec`, reading only the blocks v touches."""
-        keep = [b for b in self.blocks if any(v[c] % 3 for c in b[1])
-                ] if len(v) == self.n_cols else self.blocks
-        return SparseMatrixF3.matvec(self._replace(blocks=keep), v)
+    def matvec(self, vp: int, vq: int) -> tuple:
+        """The product with the vector of bit planes ``(vp, vq)``, as bit
+        planes over the rows, one block at a time; planes that overlap or
+        run past the last column are not a vector (ValueError)."""
+        if vp & vq or (vp | vq) >> self.n_cols:
+            raise ValueError(
+                f"planes are not a vector of length {self.n_cols}")
+        ones, twos = set(bits(vp)), set(bits(vq))
+        out_p = out_q = 0
+        for rows, cols, pos, neg in self.blocks:
+            cp = sum(1 << j for j, c in enumerate(cols) if c in ones)
+            cq = sum(1 << j for j, c in enumerate(cols) if c in twos)
+            if cp | cq:
+                p, q = _combination(cp, cq, pos, neg)
+                out_p |= sum(1 << rows[i] for i in bits(p))
+                out_q |= sum(1 << rows[i] for i in bits(q))
+        return out_p, out_q
 
     def serialize(self) -> str:
         """The canonical GF3MAT v1 text: ``GF3MAT v1 <rows> <cols> <nnz>``,
@@ -325,13 +283,13 @@ class Echelon:
     with ``lead_row < r`` and ``col < c``.  With ``transform`` the pass
     also records, for every column, the combination of original columns
     it reduced to; the columns that reduce to zero give the kernel, and
-    the pivot columns (back-reduced once, on the first solve, to unit
-    vectors at the lead rows) give ``x = T v[leads]``.  Without it only
-    the pivot list is kept.
+    the pivot columns (back-reduced once, on the first solve or read of the
+    reduced basis, to unit vectors at the lead rows) give ``x = T v[leads]``
+    and the reduced basis.  Without it only the pivot list is kept.
 
-    Every kernel vector and every solution is checked against the
-    original columns before it is returned (``RuntimeError`` on failure,
-    also under ``python -O``).
+    Every kernel vector, solution and reduced basis vector is checked
+    against the original columns before it is returned (``RuntimeError``
+    on failure, also under ``python -O``).
     """
 
     def __init__(self, a, transform: bool = True):
@@ -416,19 +374,6 @@ class Echelon:
             out.append(from_planes(tp, tn, self.n_cols))
         return out
 
-    def rref(self) -> SparseMatrixF3:
-        """The reduced row-echelon form: row i is e_i on the pivot columns
-        and, on a free column j, minus the pivot part of j's (checked)
-        kernel vector."""
-        self._need_transform()
-        pivot_columns = self.pivot_columns
-        entries = {(i, c): 1 for i, c in enumerate(pivot_columns)}
-        for (j, _, _), k in zip(self._kernel, self.kernel()):
-            for i, c in enumerate(pivot_columns):
-                if k[c]:
-                    entries[(i, j)] = 3 - k[c]
-        return SparseMatrixF3(self.n_rows, self.n_cols, entries)
-
     def _back_reduce(self):
         """Clear every reduced pivot column at the other pivots' leads.
 
@@ -453,6 +398,26 @@ class Echelon:
                 cp, cq, tr_pos, tr_neg, lead_of))
         self._lead_mask = mask
         self._back_reduced = True
+
+    def reduced_basis(self) -> list:
+        """The reduced echelon basis of the column span: the back-reduced
+        pivot columns (tuples of length ``n_rows``) by lead row, each 1 at
+        its lead and 0 at the other leads, so they are the nonzero rows of
+        the RREF of the transpose; A times each one's transform is checked
+        to give it."""
+        self._need_transform()
+        if not self._back_reduced:
+            self._back_reduce()
+        (red_pos, red_neg), (tr_pos, tr_neg) = self._reduced, self._trans
+        out = []
+        for lead in sorted(lead for lead, _ in self.pivots):
+            k = self._lead_of[lead]
+            if self._apply(tr_pos[k], tr_neg[k]) != (red_pos[k], red_neg[k]):
+                raise RuntimeError(
+                    f"Echelon.reduced_basis: the column with lead row {lead} "
+                    "is not A times its transform")
+            out.append(from_planes(red_pos[k], red_neg[k], self.n_rows))
+        return out
 
     def solve_planes(self, vp: int, vq: int):
         """Solve A x = v for v given as bit planes ``(vp, vq)``, with x
@@ -481,51 +446,3 @@ class Echelon:
                 "Echelon.solve: v is in the column span but the solution "
                 "read off the transform does not solve")
         return None, _add(vp, vq, aq, ap)
-
-    def solve(self, v) -> "SolveResult":
-        """`solve_planes` on a vector of integers."""
-        v = list(v)
-        if len(v) != self.n_rows:
-            raise ValueError(
-                f"right-hand side has length {len(v)}, expected {self.n_rows}")
-        x, residual = self.solve_planes(*to_planes(v))
-        return SolveResult(
-            None if x is None else from_planes(*x, self.n_cols),
-            from_planes(*residual, self.n_rows))
-
-
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: SparseMatrixF3
-    rank: int
-    pivot_columns: list
-
-
-def rref(m: SparseMatrixF3) -> RrefResult:
-    """Reduced row-echelon form over GF(3), with rank and pivot columns."""
-    ech = Echelon(m)
-    return RrefResult(ech.rref(), ech.rank, ech.pivot_columns)
-
-
-def kernel_basis(m: SparseMatrixF3) -> list:
-    """Basis of the right kernel, as tuples of residues."""
-    return Echelon(m).kernel()
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    solution: tuple | None
-    residual: tuple
-
-    @property
-    def in_image(self) -> bool:
-        return self.solution is not None
-
-
-def solve_in_image(m: SparseMatrixF3, v) -> SolveResult:
-    """Solve m @ x = v, or report the residual left over the column space.
-
-    A dimension mismatch is a contract violation (ValueError), never a
-    "not in image" verdict.
-    """
-    return Echelon(m).solve(v)

@@ -37,9 +37,7 @@ from .derivation import (
 )
 from .dga import Element, element_planes, encode
 from .formal import mono_text, monomial_degree, parse_poly, poly_text
-from .gf3 import (
-    Echelon, Planes, SparseMatrixF3, from_planes, hstack, to_planes,
-)
+from .gf3 import Echelon, Planes, hstack, to_planes
 
 GROUP_I = (
     "a4*y26 = -a8*y22 + a10*y20",
@@ -363,13 +361,10 @@ def verify_witness(record: RelationRecord, engine) -> RelationVerdict:
         return RelationVerdict(record, "FAIL", note=(record.lhs - dw).text())
     n = record.degree
     if 0 < n <= engine.max_degree:
-        basis_n, basis_w = engine.basis(n), engine.basis(n - 1)
-        lhs_vec = from_planes(*element_planes(
-            record.lhs, basis_n.index, encode), len(basis_n))
-        wit_vec = from_planes(*element_planes(
-            record.witness, basis_w.index, encode), len(basis_w))
-        img = engine.d_matrix(n - 1).matvec(wit_vec)
-        if lhs_vec != tuple(x * sign % 3 for x in img):
+        lhs = element_planes(record.lhs, engine.basis(n).index, encode)
+        img = engine.d_matrix(n - 1).matvec(*element_planes(
+            record.witness, engine.basis(n - 1).index, encode))
+        if lhs != (img if sign == 1 else img[::-1]):
             return RelationVerdict(record, "FAIL",
                                    note="matrix route disagrees")
     verdict = "EXACT" if sign == 1 else "SIGNED"
@@ -387,13 +382,12 @@ class DiscoveryResult:
 
 
 def _canonical_rows(vectors):
-    """The nonzero rows of the RREF of the matrix with the given rows."""
+    """The nonzero rows of the RREF of the matrix with the given rows: the
+    reduced basis of the span of the vectors, taken as columns."""
     if not vectors:
         return ()
-    ech = Echelon(SparseMatrixF3.from_dense(vectors))
-    rows = ech.rref()
-    return tuple(tuple(rows.entries.get((i, j), 0) for j in range(rows.n_cols))
-                 for i in range(ech.rank))
+    return tuple(Echelon(Planes.from_columns(
+        len(vectors[0]), map(to_planes, vectors))).reduced_basis())
 
 
 def _linear_relations(elements) -> tuple:

@@ -1,7 +1,10 @@
+from typing import NamedTuple
+
 import pytest
 
 from cotor.dga import COMM_NAMES, ONE, WORD_NAMES, Element, Monomial
 from cotor.engine import Engine
+from cotor.gf3 import Echelon, from_planes, to_planes
 
 # criterion index -> (label, passed); printed at the end of the run
 ACCEPTANCE_RESULTS = {}
@@ -63,6 +66,114 @@ def gf3mat(m) -> str:
                             key=lambda rcv: (rcv[0][1], rcv[0][0])):
         lines.append(f"{r} {c} {v}")
     return "\n".join(lines) + "\n"
+
+
+class SparseMatrixF3:
+    """Reference GF(3) matrix, a dict (row, col) -> {1, 2}: what tests build
+    matrices, planted faults and products against.  `Echelon` reads it
+    through ``n_rows``, ``n_cols`` and ``entries``."""
+
+    __slots__ = ("n_rows", "n_cols", "entries")
+
+    def __init__(self, n_rows: int, n_cols: int, entries=None):
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError("negative matrix dimensions")
+        self.n_rows = n_rows
+        self.n_cols = n_cols
+        clean = {}
+        for (r, c), v in (entries or {}).items():
+            v %= 3
+            if v == 0:
+                continue
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"entry ({r}, {c}) out of range")
+            clean[(r, c)] = v
+        self.entries = clean
+
+    @classmethod
+    def from_dense(cls, rows) -> "SparseMatrixF3":
+        """The matrix whose rows are the given sequences of integers."""
+        rows = [list(row) for row in rows]
+        n_cols = len(rows[0]) if rows else 0
+        if any(len(row) != n_cols for row in rows):
+            raise ValueError("rows of different lengths")
+        return cls(len(rows), n_cols, {
+            (r, c): int(v) for r, row in enumerate(rows)
+            for c, v in enumerate(row) if v % 3})
+
+    def transpose(self) -> "SparseMatrixF3":
+        return SparseMatrixF3(
+            self.n_cols, self.n_rows,
+            {(c, r): v for (r, c), v in self.entries.items()})
+
+    def matvec(self, v) -> tuple:
+        """The product with a vector of integers, as a tuple of residues."""
+        v = [int(x) for x in v]
+        if len(v) != self.n_cols:
+            raise ValueError("vector length does not match n_cols")
+        out = [0] * self.n_rows
+        for (r, c), a in self.entries.items():
+            out[r] += a * v[c]
+        return tuple(x % 3 for x in out)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseMatrixF3)
+                and self.n_rows == other.n_rows
+                and self.n_cols == other.n_cols
+                and self.entries == other.entries)
+
+
+class RrefResult(NamedTuple):
+    matrix: SparseMatrixF3
+    rank: int
+    pivot_columns: list
+
+
+class SolveResult(NamedTuple):
+    solution: tuple | None
+    residual: tuple
+
+    @property
+    def in_image(self) -> bool:
+        return self.solution is not None
+
+
+def echelon_solve(ech: Echelon, v) -> SolveResult:
+    """`Echelon.solve_planes` on a vector of integers."""
+    v = list(v)
+    if len(v) != ech.n_rows:
+        raise ValueError(
+            f"right-hand side has length {len(v)}, expected {ech.n_rows}")
+    x, residual = ech.solve_planes(*to_planes(v))
+    return SolveResult(None if x is None else from_planes(*x, ech.n_cols),
+                       from_planes(*residual, ech.n_rows))
+
+
+def rref(m) -> RrefResult:
+    """Reduced row-echelon form over GF(3), with rank and pivot columns:
+    row i is e_i on the pivot columns and, on a free column j, minus the
+    pivot part of j's (checked) kernel vector."""
+    ech = Echelon(m)
+    pivot_columns = ech.pivot_columns
+    free = sorted(set(range(ech.n_cols)) - set(pivot_columns))
+    entries = {(i, c): 1 for i, c in enumerate(pivot_columns)}
+    for j, k in zip(free, ech.kernel()):
+        for i, c in enumerate(pivot_columns):
+            if k[c]:
+                entries[(i, j)] = 3 - k[c]
+    return RrefResult(SparseMatrixF3(ech.n_rows, ech.n_cols, entries),
+                      ech.rank, pivot_columns)
+
+
+def kernel_basis(m) -> list:
+    """Basis of the right kernel, as tuples of residues."""
+    return Echelon(m).kernel()
+
+
+def solve_in_image(m, v) -> SolveResult:
+    """Solve m @ x = v, or report the residual left over the column space;
+    a dimension mismatch is a ValueError, never a "not in image" verdict."""
+    return echelon_solve(Echelon(m), v)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -9,14 +9,13 @@ import random
 
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import SparseMatrixF3, record_acceptance
 
 from cotor.dga import Element, enumerate_basis, gen
 from cotor.derivation import (
     build_named_generators, check_coboundary_factorizations, partial,
 )
 from cotor.differential import audit_conventions
-from cotor.gf3 import SparseMatrixF3
 from cotor.relations import (
     derivative_catalog_report, ideal_and_split_check, verify_all,
 )
@@ -184,7 +183,7 @@ def test_criterion_8_spectral_claims(full_engine):
 
 
 def test_criterion_9_property_floor(full_engine):
-    from cotor.gf3 import SparseMatrixF3, kernel_basis, rref, solve_in_image
+    from conftest import SparseMatrixF3, kernel_basis, rref, solve_in_image
 
     ok = True
     rng = np.random.default_rng(90)

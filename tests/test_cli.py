@@ -8,14 +8,13 @@ import sys
 import pytest
 
 import cotor
-from conftest import gf3mat
+from conftest import SparseMatrixF3, gf3mat
 from cotor import cache as cache_mod
 from cotor.cache import CONSTRUCTION_SOURCES, MatrixCache, fingerprint
 from cotor import cli
 from cotor.cli import AUDIT_MAX_DEGREE, MAX_SUPPORTED_DEGREE, main
 from cotor.differential import Differential
 from cotor.engine import Engine
-from cotor.gf3 import SparseMatrixF3
 
 
 def run_cli(capsys, *argv):

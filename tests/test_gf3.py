@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cotor
-from conftest import gf3mat
-from cotor import gf3
-from cotor.gf3 import (
-    BlockDiagonalF3, Echelon, Planes, SparseMatrixF3, kernel_basis, rref,
-    solve_in_image,
+from conftest import (
+    SparseMatrixF3, echelon_solve, gf3mat, kernel_basis, rref, solve_in_image,
 )
+from cotor.gf3 import BlockDiagonalF3, Echelon, Planes, from_planes, to_planes
+from cotor.relations import _canonical_rows
 
 
 # -- reference: the dense numpy kernels the library used before Echelon -------
@@ -284,7 +283,7 @@ def test_solver_repeated_solves_and_kernel():
     for _ in range(5):
         x = rng.integers(0, 3, 25).astype(np.uint8)
         v = m.matvec(x)
-        res = solver.solve(v)
+        res = echelon_solve(solver, v)
         assert res.in_image
         assert np.array_equal(m.matvec(res.solution), v)
     for k in solver.kernel():
@@ -328,10 +327,12 @@ def _plant_pivot_transform(ech, index, value):
 # (call, matrix, plant into the Echelon it builds, message); each plant
 # changes one transform entry without touching rank or pivots
 _PLANTED = {
-    # the kernel vector of free column 1 is (2, 1, 0); rref reads row 0
-    # of column 1 off it, so a wrong entry must not reach the RREF
-    "rref": (lambda m: rref(m), [[1, 1, 0], [0, 0, 1]],
-             lambda e: _plant_kernel(e, 0, 1), "kernel"),
+    # the canonical rows of the unit vectors are the reduced pivot columns
+    # of the identity; a wrong transform must not pass their check
+    "canonical_rows": (lambda m: _canonical_rows(to_dense(m).tolist()),
+                       [[1, 0], [0, 1]],
+                       lambda e: _plant_pivot_transform(e, 1, 1),
+                       "reduced_basis"),
     "kernel_basis": (lambda m: kernel_basis(m), [[1, 1, 0], [0, 0, 1]],
                      lambda e: _plant_kernel(e, 2, 1), "kernel"),
     # the transform of pivot column 0 picks up column 1 as well
@@ -385,16 +386,18 @@ def _check_against_reference(a, rng):
     assert Echelon(sparse(a), transform=False).pivots == ech.pivots
     r, rank, pivots = ref_rref(a)
     assert ech.rank == rank and ech.pivot_columns == pivots
-    mine = to_dense(ech.rref())
+    # the reduced basis of the column span: the RREF rows of the transpose
+    rows = ref_rref(a.T)[0][:rank]
+    assert ech.reduced_basis() == [tuple(map(int, row)) for row in rows]
+    mine = to_dense(rref(sparse(a)).matrix)
     assert mine.shape == r.shape and mine.tobytes() == r.tobytes()
-    assert to_dense(rref(sparse(a)).matrix).tobytes() == r.tobytes()
     kernel = ech.kernel()
     assert len(kernel) == n - rank
     if kernel:
         assert not matmul3(a, np.stack(kernel, axis=1)).any()
     image = matmul3(a, rng.integers(0, 3, n)) if n else np.zeros(m, np.int64)
     for v in (image, rng.integers(0, 3, m), np.zeros(m, dtype=np.int64)):
-        res = ech.solve(v)
+        res = echelon_solve(ech, v)
         assert res.in_image == ref_in_image(a, v)
         if res.in_image:
             assert np.array_equal(matmul3(a, res.solution), v % 3)
@@ -433,6 +436,23 @@ def test_echelon_matches_reference_on_d_matrices(engine):
         d = engine.d_matrix(n)
         assert direct.pivots == d.pivots(range(d.n_rows), range(d.n_cols))
         assert direct.rank == engine.rank(n)
+
+
+def test_block_matvec_matches_the_reference_on_d_matrices(engine):
+    # the per-block product on planes against the dict matrix's product
+    rng = np.random.default_rng(41)
+    for n in range(41):
+        d = engine.d_matrix(n)
+        ref = SparseMatrixF3(d.n_rows, d.n_cols, d.entries)
+        for density in (0.05, 0.5, 1.0):
+            x = ((rng.random(d.n_cols) < density)
+                 * rng.integers(1, 3, d.n_cols)).tolist()
+            assert from_planes(*d.matvec(*to_planes(x)), d.n_rows) == \
+                ref.matvec(x), n
+        # a vector one entry too long, or planes that overlap, is refused
+        for planes in (to_planes(x + [1]), (1, 1)):
+            with pytest.raises(ValueError):
+                d.matvec(*planes)
 
 
 def test_thin_blocks_are_ranked_without_elimination(engine):
@@ -520,7 +540,7 @@ def test_solve_planes_is_solve_on_bit_planes():
         vp = sum(1 << i for i in range(12) if v[i] % 3 == 1)
         vq = sum(1 << i for i in range(12) if v[i] % 3 == 2)
         x, (rp, rq) = ech.solve_planes(vp, vq)
-        res = ech.solve(v)
+        res = echelon_solve(ech, v)
         assert res.in_image == (x is not None)
         if x is not None:
             xp, xq = x
@@ -532,6 +552,32 @@ def test_solve_planes_is_solve_on_bit_planes():
     for vp, vq in ((1, 1), (1 << 12, 0), (0, 1 << 13)):
         with pytest.raises(ValueError):
             ech.solve_planes(vp, vq)
+
+
+def test_canonical_rows_are_the_reference_rref_rows():
+    # the reduced basis of the vectors as columns is the RREF of the
+    # matrix with them as rows, zero, repeated and single vectors included
+    rng = np.random.default_rng(17)
+    cases = [[[0, 0, 0]], [[2, 1, 0]], [[0, 2, 1], [0, 2, 1]],
+             [[1, 2], [2, 1], [0, 0]]]
+    for _ in range(200):
+        k, length = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        vectors = ((rng.random((k, length)) < rng.random())
+                   * rng.integers(1, 3, (k, length))).tolist()
+        vectors += [[0] * length] * int(rng.integers(0, 2))
+        vectors += [vectors[int(i)] for i in rng.integers(0, k, 2)]
+        rng.shuffle(vectors)
+        cases.append(vectors)
+    for vectors in cases:
+        r, rank, _ = ref_rref(vectors)
+        assert _canonical_rows(vectors) == tuple(
+            tuple(map(int, row)) for row in r[:rank]), vectors
+    assert _canonical_rows([]) == ()
+
+
+def test_package_exports_resolve():
+    for name in cotor.__all__:
+        getattr(cotor, name)
 
 
 def test_rank_only_pass_has_no_transform():

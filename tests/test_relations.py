@@ -5,15 +5,15 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import class_element
+from conftest import SparseMatrixF3, class_element, solve_in_image
 from cotor import derivation, engine as engine_module, relations
-from cotor.dga import Element, gen
+from cotor.dga import Element, encode, gen
 from cotor.engine import Engine
 from cotor.formal import mono_text, monomial_degree, parse_poly, poly_text
 from cotor.derivation import (
     NAMED_DEGREES, NAMED_GENERATOR_NAMES, partial, partial2,
 )
-from cotor.gf3 import Echelon, SparseMatrixF3
+from cotor.gf3 import Echelon
 from cotor.relations import (
     DERIVATIVE_CATALOG, GROUP_I, GROUP_II, GROUP_III, DisplayVerdict,
     RelationRecord, _display_verdict, _match_vector, c_class_coordinates,
@@ -106,6 +106,37 @@ def test_witness_examples(engine, catalog):
     # product against a word-free class, negative witness as printed
     rec = next(r for r in catalog.values() if r.lhs_text == "y21*y20")
     assert verify_witness(rec, engine).verdict == "EXACT"
+
+
+def test_witness_matrix_route_sees_one_flipped_entry(engine, catalog,
+                                                    monkeypatch):
+    # d with one entry v -> 3 - v in a column the witness uses: the Leibniz
+    # route still agrees, so only the matrix route can catch it; an exact
+    # and a signed witness
+    signed = next(r for r in catalog.values() if r.lhs_text == "a9*a4")
+    for rec in (catalog["ii.01"], signed):
+        n = rec.degree
+        assert 0 < n <= engine.max_degree
+        assert verify_witness(rec, engine).ok
+        d = engine.d_matrix(n - 1)
+        used = {engine.basis(n - 1).index[encode(m)]
+                for m in rec.witness.terms}
+        blocks = list(d.blocks)
+        i, j = next((i, j) for i, (_, cols, pos, neg) in enumerate(blocks)
+                    for j, c in enumerate(cols)
+                    if c in used and pos[j] | neg[j])
+        rows, cols, pos, neg = blocks[i]
+        low = (pos[j] | neg[j]) & -(pos[j] | neg[j])
+        pos, neg = list(pos), list(neg)
+        pos[j] ^= low
+        neg[j] ^= low
+        blocks[i] = rows, cols, tuple(pos), tuple(neg)
+        flipped, real = d._replace(blocks=blocks), engine.d_matrix
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "d_matrix",
+                       lambda k: flipped if k == n - 1 else real(k))
+            v = verify_witness(rec, engine)
+        assert (v.verdict, v.note) == ("FAIL", "matrix route disagrees")
 
 
 def test_all_group_ii_witnesses_exact(engine, catalog):
@@ -401,7 +432,7 @@ def _brute_force_match(support, paper_vector, solutions):
         if not solutions:
             return not vec.any()
         a = np.array(solutions, dtype=np.uint8).T
-        return Echelon(SparseMatrixF3.from_dense(a)).solve(vec).in_image
+        return solve_in_image(SparseMatrixF3.from_dense(a), vec).in_image
 
     def flip_sign(text, subset):
         ((mono, _),) = parse_poly(text).items()

@@ -3,9 +3,9 @@ import bisect
 import numpy as np
 import pytest
 
-from conftest import gf3mat
+from conftest import SparseMatrixF3, gf3mat
 from cotor.engine import Engine
-from cotor.gf3 import BlockDiagonalF3, Echelon, SparseMatrixF3
+from cotor.gf3 import BlockDiagonalF3, Echelon
 from cotor.spectral import (
     SCHEMES, SpectralSequence, may_page1_oracle, page4_series_oracle,
     run_scheme_checks,
