@@ -23,23 +23,28 @@ from .cache import ENGINE_VERSION, fingerprint
 from .differential import DEFAULT_CONVENTION
 from .engine import DEFAULT_MAX_DEGREE, Engine
 
-# Largest --max-degree any command accepts.  Cold runs (empty --cache-dir)
-# within RLIMIT_AS = 6,000,000 KB, set in the child only, on 2 vCPUs /
-# 8 GB, Python 3.11, one run each, in one sitting; wall time, peak RSS:
-#   homology                 N = 120: 2.5 s, 97 MB     N = 140: 7.4 s, 294 MB
-#                            N = 130: 4.7 s, 165 MB    N = 150: 15.2 s, 537 MB
-#   homology --check-basis   N = 150: 22.0 s, 892 MB
-#   ideal-check              N = 100: 1.5 s, 65 MB     N = 140: 14.3 s, 526 MB
-#                            N = 120: 4.4 s, 172 MB    N = 150: 22.8 s, 937 MB
-# Memory grows about 1.8x every 10 degrees; the library's d plus ranks to
-# 160 took 40 s and 989 MB.  The other subcommands have not been run at
-# the cap.
-MAX_SUPPORTED_DEGREE = 150
+# Largest --max-degree any command accepts.  Cold runs (no cache) within
+# RLIMIT_AS = 6,000,000 KB, set in the child only, on 2 vCPUs / 8 GB,
+# Python 3.11, one run each unless stated; wall time, peak RSS:
+#   homology              N = 120: 2.0 s, 57 MB      N = 140: 5.6 s, 149 MB
+#                         N = 130: 2.5 s, 89 MB      N = 150: 11.9 s, 260 MB
+#   ideal-check           N = 100: 0.9 s, 42 MB      N = 140: 6.6 s, 218 MB
+#                         N = 120: 2.8 s, 87 MB      N = 150: 11.1 s, 366 MB
+# (N = 150: medians of ten and of three runs.)  Every subcommand at 160:
+#   homology               25.0 s, 473 MB   diff          25.7 s, 473 MB
+#   homology --check-basis 33.1 s, 579 MB   ideal-check   28.8 s, 637 MB
+#   spectral (weight_s3)   60.8 s, 576 MB   basis          0.7 s, 125 MB
+#   spectral (may_s5)      52.1 s, 570 MB   verify         0.8 s, 36 MB
+#   table40                 0.2 s, 22 MB    poincare       0.1 s, 21 MB
+#   discover --support a9*y21,a4*y26 --degree 30            0.2 s, 22 MB
+#   audit (its own bound, AUDIT_MAX_DEGREE)                 0.5 s, 22 MB
+# The largest peak is 637 MB, about a tenth of the limit.
+MAX_SUPPORTED_DEGREE = 160
 
 # Largest --max-degree of ``cotor audit``: its square-zero check applies d
 # twice to every basis monomial up to that degree through Element
-# arithmetic (in process on 2 vCPUs, Python 3.11: 0.36 s at 60, 3.3 s and
-# 52 MB at 100).
+# arithmetic (in process on 2 vCPUs, Python 3.11: 0.36 s at 60, 4.1-5.1 s
+# and 34 MB at 100).
 AUDIT_MAX_DEGREE = 60
 
 # the commands with a CSV form; ``spectral`` has one only with --page

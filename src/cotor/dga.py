@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import NamedTuple
 
 A9, C17 = 0, 1
@@ -56,8 +57,8 @@ class Monomial(NamedTuple):
     exps: tuple
 
     def degree(self) -> int:
-        d = sum(WORD_DEGREES[x] for x in self.word)
-        return d + sum(e * g for e, g in zip(self.exps, COMM_DEGREES))
+        return (sum(map(WORD_DEGREES.__getitem__, self.word))
+                + sum(map(mul, self.exps, COMM_DEGREES)))
 
     def word_length(self) -> int:
         return len(self.word)
@@ -104,6 +105,10 @@ EXPS_MASK = (1 << WORD_SHIFT) - 1
 UNIT = tuple(1 << EXP_BITS * (5 - g) for g in range(6))
 ONE_KEY = 1 << WORD_SHIFT
 MAX_KEY_DEGREE = 4 * (1 << EXP_BITS) - 1
+# per b_j: the shift of its exponent field, and the key change of a_{j-8}
+# taking the place of one b_j
+_B_SWAPS = tuple((EXP_BITS * (5 - b), UNIT[a] - UNIT[b])
+                 for b, a in _B_TO_A.items())
 
 
 def encode(m: Monomial) -> int:
@@ -134,10 +139,10 @@ def times_a9(k: int) -> list:
     w = k >> WORD_SHIFT
     out = [(k + (w << WORD_SHIFT), 1)]
     with_c17 = k + (w + 1 << WORD_SHIFT)
-    for b, a in _B_TO_A.items():
-        e = (k >> EXP_BITS * (5 - b) & 0xFF) % 3
+    for shift, swap in _B_SWAPS:
+        e = (k >> shift & 0xFF) % 3
         if e:
-            out.append((with_c17 - UNIT[b] + UNIT[a], e))
+            out.append((with_c17 + swap, e))
     return out
 
 

@@ -18,6 +18,7 @@ degree-26 word-type cocycle (a9*c17 +/- c17*a9) by kernel computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 import random
 
 from .dga import (
@@ -26,14 +27,15 @@ from .dga import (
     ZERO_EXPS, DegreeBasis, Element, Monomial, decode, encode,
     enumerate_basis, gen, times_a9,
 )
-from .gf3 import BlockDiagonalF3
+from .gf3 import BlockDiagonalF3, column_entries
 
 CONVENTIONS = ("parity", "plus", "minus")
 DEFAULT_CONVENTION = "parity"
 
-# d(m) reads d of a prefix at most one generator degree below m, so an
-# ascending build needs no memo layer more than this far below its degree
-MEMO_DEPTH = max(GEN_DEGREES.values())
+# d(m) reads d of a prefix at most one generator degree below m, so a
+# build of degree n reads no d_k with k < n - PREFIX_DEPTH
+PREFIX_DEPTH = max(GEN_DEGREES.values())
+_PREFIX_DEGREES = sorted(set(GEN_DEGREES.values()))
 
 
 def _eps_parity(k: int, degree: int) -> int:
@@ -62,44 +64,41 @@ _A_UNIT = {b: UNIT[a] for b, a in _B_TO_A.items()}
 
 
 class Differential:
-    """d with a fixed sign convention, plus per-degree matrices."""
+    """d with a fixed sign convention, plus per-degree matrices.  It holds
+    nothing but its sign rule: d of a prefix is read from a matrix of lower
+    degree (``matrix``) or found by a recursion whose memo lives for one
+    call (``__call__``)."""
 
     def __init__(self, convention: str = DEFAULT_CONVENTION):
         if convention not in CONVENTIONS:
             raise KeyError(f"unknown sign convention {convention!r}")
         self.convention = convention
         self._eps = _EPS[convention]
-        # degree -> {monomial key: {image key: coeff}}
-        self._memo: dict[int, dict[int, dict]] = {}
 
-    def _image(self, m: int, n: int) -> dict:
-        """d of the degree-n monomial with key m, as {key: coeff}; memoized
-        (the dict returned is the memo's own, not to be changed).
+    def _leibniz(self, shifted, n: int, m: int) -> dict:
+        """d of the degree-n monomial with key m, as {key: coeff}, given
+        ``shifted(m', k, a, b)``: d of its prefix m' of degree k as a new
+        dict {a*t + b: coeff} over the keys t of d(m').
 
         Peels off the last canonical factor f of m = m'*f and applies
         d(m) = d(m')*f + eps(m')*m'*d(f).  A prefix of the canonical factor
         sequence is itself the normal form m', so this is the factor-by-
-        factor Leibniz rule regrouped; d(m') comes from the memo (an
-        ascending build has made it already).  Since f is the last
-        commutative generator, or the last letter of a word-only m,
-        d(m')*f is one add of f's field unit or an appended letter.  d(f)
-        is nonzero only for b12, b16, b18 (-a9*a_{j-8}) and c17 (a9^2), and
-        m'*d(f) has a closed form: ``times_a9`` for b_j, and for c17 the
-        prefix is word-only, so a9^2 is appended.
+        factor Leibniz rule regrouped.  Since f is the last commutative
+        generator, or the last letter of a word-only m, d(m')*f is d(m')
+        with each key shifted: f's field unit added, or the letter appended
+        (d(m') is word-only too, and appending x to the word of a word-only
+        key t gives 2t + (x << WORD_SHIFT)).  d(f) is nonzero only for
+        b12, b16, b18 (-a9*a_{j-8}) and c17 (a9^2), and m'*d(f) has a closed
+        form: ``times_a9`` for b_j, and for c17 the prefix is word-only, so
+        a9^2 is appended.
         """
-        layer = self._memo.get(n)
-        if layer is None:
-            layer = self._memo[n] = {}
-        out = layer.get(m)
-        if out is not None:
-            return out
         e = m & EXPS_MASK
         if e:
             # the lowest nonzero field holds the last commutative factor
             g = 5 - ((e & -e).bit_length() - 1) // EXP_BITS
             f = UNIT[g]
             prefix, pn = m - f, n - COMM_DEGREES[g]
-            out = {t + f: c for t, c in self._image(prefix, pn).items()}
+            out = shifted(prefix, pn, 1, f)
             a = _A_UNIT.get(g)
             if a is not None:
                 # eps(m') * m' * d(b_g) = -eps(m') * (m' * a9) * a_{g-8}
@@ -111,20 +110,18 @@ class Differential:
                         out[t] = c
                     else:
                         del out[t]
-        elif m != ONE_KEY:
-            # word-only m: d(m') is word-only too, so f = x is appended
-            w = m >> WORD_SHIFT
-            x = w & 1
-            prefix, pn = w >> 1 << WORD_SHIFT, n - WORD_DEGREES[x]
-            out = {(t >> WORD_SHIFT << 1 | x) << WORD_SHIFT: c
-                   for t, c in self._image(prefix, pn).items()}
-            if x == C17:
-                # eps(m') * m' * d(c17) = eps(m') * m' * a9^2; the terms
-                # above end in c17, so this one lands on a fresh key
-                out[prefix << 2] = self._eps(prefix, pn) % 3
-        else:
-            out = {}
-        layer[m] = out
+            return out
+        if m == ONE_KEY:
+            return {}
+        # word-only m: f = x is its last letter
+        w = m >> WORD_SHIFT
+        x = w & 1
+        prefix, pn = w >> 1 << WORD_SHIFT, n - WORD_DEGREES[x]
+        out = shifted(prefix, pn, 2, x << WORD_SHIFT)
+        if x == C17:
+            # eps(m') * m' * d(c17) = eps(m') * m' * a9^2; the terms
+            # above end in c17, so this one lands on a fresh key
+            out[prefix << 2] = self._eps(prefix, pn) % 3
         return out
 
     def of_mono(self, m: Monomial) -> Element:
@@ -132,14 +129,24 @@ class Differential:
         return self(Element.monomial(m))
 
     def __call__(self, x: Element) -> Element:
+        memo = {}           # monomial key -> its image, for this call only
+
+        def shifted(m: int, n: int, a: int, b: int) -> dict:
+            image = memo.get(m)
+            if image is None:
+                image = memo[m] = self._leibniz(shifted, n, m)
+            return {a * t + b: c for t, c in image.items()}
+
         out = {}
         for m, c in x.terms.items():
             n = m.degree()
             if n >= MAX_KEY_DEGREE:
                 raise ValueError(f"d of {m.text()} is beyond degree "
                                  f"{MAX_KEY_DEGREE}")
-            for t, v in self._image(encode(m), n).items():
+            for t, v in shifted(encode(m), n, 1, 0).items():
                 out[t] = out.get(t, 0) + c * v
+        del shifted         # it refers to itself: free the memo now, not at
+        # the next collection
         return Element({decode(t): v for t, v in out.items()})
 
     def eps(self, x: Element) -> int:
@@ -157,22 +164,46 @@ class Differential:
         """d(x*y) computed through the product rule (for the audit)."""
         return self(x) * y + (x * self(y)).scaled(self.eps(x))
 
-    def matrix(self, n: int, bn: DegreeBasis,
-               bn1: DegreeBasis) -> BlockDiagonalF3:
+    def matrix(self, n: int, bn: DegreeBasis, bn1: DegreeBasis,
+               lower=None) -> BlockDiagonalF3:
         """Matrix of d from degree n, basis ``bn``, to degree n+1, basis
         ``bn1``, one block per internal Z^4 degree (d preserves it; an image
-        term outside its column's block is a RuntimeError).  Memo layers
-        more than ``MEMO_DEPTH`` below n are dropped afterwards: building
-        degree n + 1 no longer reads them."""
+        term outside its column's block is a RuntimeError).
+
+        d of each column's prefix is a column of a lower d_k: ``lower(k)``
+        gives d_k's nonzero columns by monomial key
+        (``BlockDiagonalF3.columns``), and is asked once for each degree k
+        a prefix can have.  Without ``lower``, the d_k below n are built
+        within this call."""
+        if lower is None:
+            lower = self._lower_within_call()
+        sources = {n - g: lower(n - g) for g in _PREFIX_DEGREES if g <= n}
+
+        def shifted(m: int, k: int, a: int, b: int) -> dict:
+            column = sources[k].get(m)
+            return {} if column is None else column_entries(column, a, b)
+
         try:
-            m = BlockDiagonalF3.from_columns(
-                bn1.blocks, bn.blocks, bn1.keys,
-                lambda c: self._image(bn.keys[c], n).items())
+            return BlockDiagonalF3.from_columns(
+                bn1.blocks, bn.blocks, bn1.keys, bn.keys,
+                partial(self._leibniz, shifted, n))
         except ValueError as exc:
             raise RuntimeError(f"d of degree {n} leaves a Z^4 block: {exc}")
-        for k in [k for k in self._memo if k < n - MEMO_DEPTH]:
-            del self._memo[k]
-        return m
+
+    def _lower_within_call(self):
+        """A ``lower`` for ``matrix`` that builds each d_k it is asked for
+        once, from the d_k it asks for in turn."""
+        built = {}
+
+        def lower(k: int) -> dict:
+            columns = built.get(k)
+            if columns is None:
+                bk, bk1 = enumerate_basis(k), enumerate_basis(k + 1)
+                columns = built[k] = self.matrix(k, bk, bk1, lower).columns(
+                    bk.keys, bk1.keys)
+            return columns
+
+        return lower
 
 
 # -- audit ----------------------------------------------------------------

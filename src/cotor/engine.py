@@ -28,8 +28,8 @@ from .dga import (
     DegreeBasis, Element, decode, element_planes, encode, enumerate_basis,
     grading,
 )
-from .differential import Differential, audit_conventions
-from .gf3 import BlockDiagonalF3, Echelon, Planes, bits
+from .differential import PREFIX_DEPTH, Differential, audit_conventions
+from .gf3 import BlockDiagonalF3, Echelon, Planes, bits, combination
 
 DEFAULT_MAX_DEGREE = 80
 
@@ -67,10 +67,13 @@ class Engine:
         self.cache = MatrixCache(cache_dir, convention) if cache_dir else None
         self._bases: dict[int, DegreeBasis] = {}
         self._matrices: dict[int, BlockDiagonalF3] = {}
+        # degree -> d's nonzero columns by key, for the degrees builds read
+        self._columns: dict[int, dict] = {}
         self._ranks: dict[int, int] = {}
         self._additive_bases: dict[int, CotorBasis] = {}
         self._representatives: dict[BasisClass, Element] = {}
         self._class_groups: dict[int, dict] = {}
+        self._d_blocks: dict[int, dict] = {}
         self._block_solvers: dict[tuple, tuple] = {}
         self._split_solvers: dict[int, object] = {}
 
@@ -92,18 +95,33 @@ class Engine:
         if self.cache is not None:      # a refused file is rebuilt, rewritten
             m = self.cache.load(n, rows.blocks, cols.blocks)
         if m is None:
-            m = self.d.matrix(n, cols, rows)
+            m = self.d.matrix(n, cols, rows, self._columns_of)
+            # building degree n + 1 reads no columns of degree <= n - depth
+            for k in [k for k in self._columns if k <= n - PREFIX_DEPTH]:
+                del self._columns[k]
             if self.cache is not None:
                 self.cache.store(n, m)
         self._matrices[n] = m
         return m
 
+    def _columns_of(self, k: int) -> dict:
+        """d_k's nonzero columns by monomial key (``BlockDiagonalF3.
+        columns``), what ``Differential.matrix`` reads prefixes from; kept
+        while a build of higher degree can read them."""
+        columns = self._columns.get(k)
+        if columns is None:
+            columns = self._columns[k] = self.d_matrix(k).columns(
+                self.basis(k).keys, self.basis(k + 1).keys)
+        return columns
+
     def build_range(self, n_max: int):
         """Materialize matrices for all degrees <= n_max, in ascending order
-        (so each monomial's prefix already has its differential memoized,
-        and the memo stays within ``MEMO_DEPTH`` degrees of the top)."""
+        (so the d_k each build reads its prefixes from are built already),
+        then drop the columns kept for those builds: a later build of a
+        higher degree reads them again from the matrices."""
         for n in range(n_max + 1):
             self.d_matrix(n)
+        self._columns.clear()
 
     def rank(self, n: int) -> int:
         """rank d_n, summed over its internal Z^4 blocks (d preserves the
@@ -200,6 +218,17 @@ class Engine:
         self._class_groups[n] = out
         return out
 
+    def _d_by_grading(self, n: int) -> dict:
+        """Z^4 degree -> the block of d_n whose columns are
+        ``basis(n).blocks`` of that degree (a degree with no block is
+        mapped to zero)."""
+        out = self._d_blocks.get(n)
+        if out is None:
+            keys = self.basis(n).keys
+            out = self._d_blocks[n] = {grading(keys[block[1][0]]): block
+                                       for block in self.d_matrix(n).blocks}
+        return out
+
     def split_solver(self, n: int):
         """(solver, monomial index, classes) over the word-free basis
         classes of degree n, in S-coordinates."""
@@ -235,14 +264,18 @@ class Engine:
 
     def decompose(self, z: Element, n: int | None = None) -> ClassDecomposition:
         """Write a cocycle as basis classes plus an explicit coboundary,
-        solving each Z^4 part of it in its own block."""
+        solving each Z^4 part of it in its own block (an input that d_n does
+        not kill is a ValueError)."""
         if n is None:
             n = z.degree() or 0
-        if not self.d(z).is_zero():
+        parts, d_n = self._blocks_of(z, n), self._d_by_grading(n)
+        # d_n z = 0 on the planes, block by block
+        if any(combination(vp, vq, *d_n[g][2:]) != (0, 0)
+               for g, (vp, vq) in parts.items() if g in d_n):
             raise ValueError("decompose: input is not a cocycle")
         rows, prev = self.basis(n).blocks, self.basis(n - 1).keys
         coeffs, witness, recon = {}, {}, Element.zero()
-        for g, (vp, vq) in self._blocks_of(z, n).items():
+        for g, (vp, vq) in parts.items():
             cached = self._block_solvers.get((n, g))
             if cached is None:          # [class columns | d_{n-1}] on block g
                 classes, pos, neg, (cols, dp, dq) = self._class_blocks(

@@ -104,19 +104,19 @@ class BlockDiagonalF3(NamedTuple):
     blocks: list
 
     @classmethod
-    def from_columns(cls, row_blocks: dict, col_blocks: dict, labels,
-                     column) -> "BlockDiagonalF3":
-        """The matrix whose column c has the entries ``column(c)``, pairs
-        (``labels[r]`` for row r, value in {1, 2}); ``row_blocks`` and
+    def from_columns(cls, row_blocks: dict, col_blocks: dict, row_labels,
+                     col_labels, column) -> "BlockDiagonalF3":
+        """The matrix whose column c has the entries ``column(col_labels[c])``,
+        a dict ``row_labels[r]`` -> value in {1, 2}; ``row_blocks`` and
         ``col_blocks`` map each block's name to its rows and columns,
         ascending.  An entry joining two blocks is a ValueError."""
         blocks = []
         for b, cols in col_blocks.items():
             rows = row_blocks.get(b, ())
-            at = {labels[r]: i for i, r in enumerate(rows)}
+            at = {row_labels[r]: i for i, r in enumerate(rows)}
             planes = ([0] * len(cols), [0] * len(cols))
             for j, c in enumerate(cols):
-                for r, v in column(c):
+                for r, v in column(col_labels[c]).items():
                     i = at.get(r)
                     if i is None:
                         raise ValueError(f"column {c} has an entry in row "
@@ -186,6 +186,18 @@ class BlockDiagonalF3(NamedTuple):
                 x ^= low
                 yield rows[low.bit_length() - 1], c, 1 if p & low else 2
 
+    def columns(self, col_labels, row_labels) -> dict:
+        """The nonzero columns by label: ``col_labels[c]`` -> (the
+        ``row_labels`` of its block's rows, pos, neg), read by
+        `column_entries`."""
+        out = {}
+        for rows, cols, pos, neg in self.blocks:
+            at = tuple(map(row_labels.__getitem__, rows))
+            for c, p, q in zip(cols, pos, neg):
+                if p | q:
+                    out[col_labels[c]] = at, p, q
+        return out
+
     @property
     def entries(self) -> dict:
         """The nonzero entries, by column, then row."""
@@ -213,7 +225,7 @@ class BlockDiagonalF3(NamedTuple):
             cp = sum(1 << j for j, c in enumerate(cols) if c in ones)
             cq = sum(1 << j for j, c in enumerate(cols) if c in twos)
             if cp | cq:
-                p, q = _combination(cp, cq, pos, neg)
+                p, q = combination(cp, cq, pos, neg)
                 out_p |= sum(1 << rows[i] for i in bits(p))
                 out_q |= sum(1 << rows[i] for i in bits(q))
         return out_p, out_q
@@ -256,7 +268,23 @@ def bits(x: int):
         yield low.bit_length() - 1
 
 
-def _combination(cp, cq, pos, neg, index=None):
+def column_entries(column, a: int, b: int) -> dict:
+    """A column ``(labels, pos, neg)`` of `BlockDiagonalF3.columns` as
+    {a * label + b: value in {1, 2}}."""
+    labels, p, q = column
+    out = {}
+    while p:                            # `bits`, inlined: this is hot
+        low = p & -p
+        p ^= low
+        out[a * labels[low.bit_length() - 1] + b] = 1
+    while q:
+        low = q & -q
+        q ^= low
+        out[a * labels[low.bit_length() - 1] + b] = 2
+    return out
+
+
+def combination(cp, cq, pos, neg, index=None):
     """The sum of c_i times column i (or column ``index[i]``) over the
     nonzero entries i of the bit-plane vector c."""
     sp = sq = 0
@@ -352,12 +380,12 @@ class Echelon:
 
     def _apply(self, xp, xq):
         """A x on bit planes, from the original columns."""
-        return _combination(xp, xq, *self._cols)
+        return combination(xp, xq, *self._cols)
 
     def _at_leads(self, vp, vq, cols):
         """The sum of v[lead_k] times ``cols[k]`` over the pivots k."""
         mask = self._lead_mask
-        return _combination(vp & mask, vq & mask, *cols, self._lead_of)
+        return combination(vp & mask, vq & mask, *cols, self._lead_of)
 
     def kernel(self, start: int = 0) -> list:
         """Kernel vectors (tuples of length ``n_cols``) of the free
@@ -392,9 +420,9 @@ class Echelon:
             # columns they pick are zero at every lead but their own
             other = mask & ~(1 << lead)
             cp, cq = red_neg[k] & other, red_pos[k] & other
-            red_pos[k], red_neg[k] = _add(red_pos[k], red_neg[k], *_combination(
+            red_pos[k], red_neg[k] = _add(red_pos[k], red_neg[k], *combination(
                 cp, cq, red_pos, red_neg, lead_of))
-            tr_pos[k], tr_neg[k] = _add(tr_pos[k], tr_neg[k], *_combination(
+            tr_pos[k], tr_neg[k] = _add(tr_pos[k], tr_neg[k], *combination(
                 cp, cq, tr_pos, tr_neg, lead_of))
         self._lead_mask = mask
         self._back_reduced = True

@@ -95,12 +95,20 @@ class SpectralSequence:
 
     def check_filtration_compatibility(self, n_max: int) -> bool:
         """No entry of d_0..d_{n_max} maps a column to a row of lower
-        weight."""
+        weight: in each block, the bit planes of a column of weight w miss
+        the mask of the block's rows of weight below w."""
         for n in range(n_max + 1):
             colw, roww = self._weights(n), self._weights(n + 1)
-            if any(roww[r] < colw[c]
-                   for r, c, _ in self.engine.d_matrix(n).triples()):
-                return False
+            for rows, cols, pos, neg in self.engine.d_matrix(n).blocks:
+                below = {}              # column weight -> row mask
+                for c, p, q in zip(cols, pos, neg):
+                    w = colw[c]
+                    mask = below.get(w)
+                    if mask is None:
+                        mask = below[w] = sum(
+                            1 << i for i, r in enumerate(rows) if roww[r] < w)
+                    if (p | q) & mask:
+                        return False
         return True
 
     def _weights(self, n: int) -> list:

@@ -233,7 +233,7 @@ def test_exit_code_two_on_config_errors(capsys):
     assert run_cli(capsys, "homology", "--max-degree", "400")[0] == 2
     # the measured cap (see cli.MAX_SUPPORTED_DEGREE); every subcommand
     # refuses one past it (test_every_subcommand_refuses_a_degree_past_the_cap)
-    assert MAX_SUPPORTED_DEGREE == 150
+    assert MAX_SUPPORTED_DEGREE == 160
     # the sign rule is always the audited one; --convention is not a flag
     for value in ("bogus", "force:plus"):
         with pytest.raises(SystemExit) as exc:

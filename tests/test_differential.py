@@ -9,12 +9,12 @@ import pytest
 import cotor
 from conftest import parse_monomial
 from cotor.dga import (
-    A9, C17, COMM_DEGREES, COMM_NAMES, WORD_DEGREES, Element, Monomial,
-    encode, enumerate_basis, gen, mono_mul,
+    A9, C17, COMM_DEGREES, COMM_NAMES, ONE_KEY, UNIT, WORD_DEGREES, Element,
+    Monomial, encode, enumerate_basis, gen, mono_mul,
 )
 from cotor import differential
 from cotor.differential import (
-    MEMO_DEPTH, Differential, audit_conventions, select_x26,
+    PREFIX_DEPTH, Differential, audit_conventions, select_x26,
 )
 from cotor.engine import Engine
 from cotor.spectral import SpectralSequence
@@ -325,18 +325,37 @@ def test_of_mono_matches_the_factor_loop(convention):
 
 
 def test_construction_refuses_a_term_outside_its_block():
-    # d(b16) = -a9*a8, planted with c17, a term of degree 17 in another
-    # Z^4 block (c17 carries the a9-degree twice)
-    b16, b17 = enumerate_basis(16), enumerate_basis(17)
+    # d(b16) = -a9*a8 is built as -(1*a9)*a8 from times_a9 of the empty
+    # prefix; a times_a9 that gives one more term, which times a8 is c17,
+    # plants a term of degree 17 in another Z^4 block (c17 carries the
+    # a9-degree twice).  b16 is the one column of degree 16 whose step
+    # calls times_a9 on the empty prefix.  Patched by hand, not through a
+    # fixture, so that the python -O test below can call this directly.
+    engine = Engine(convention="parity")
+    b16, b17 = engine.basis(16), engine.basis(17)
     col, row, outside = (encode(parse_monomial(t))
                          for t in ("b16", "a9 | a8", "c17"))
-    d = Differential("parity")
-    m = d.matrix(16, b16, b17)
+    m = Differential("parity").matrix(16, b16, b17)
+    assert m.entries == engine.d_matrix(16).entries
     assert m.entries[b17.keys.index(row), b16.keys.index(col)] == 2
-    assert d._image(col, 16) == {row: 2}
-    d._memo[16][col] = {row: 2, outside: 1}
-    with pytest.raises(RuntimeError, match="leaves a Z.4 block"):
-        d.matrix(16, b16, b17)
+    engine = Engine(convention="parity")
+    engine.build_range(15)
+    real = differential.times_a9
+
+    def planted(k):
+        out = real(k)
+        if k == ONE_KEY:
+            out.append((outside - UNIT[COMM_NAMES.index("a8")], 1))
+        return out
+
+    differential.times_a9 = planted
+    try:
+        with pytest.raises(RuntimeError, match=(
+                f"d of degree 16 leaves a Z.4 block: column "
+                f"{b16.keys.index(col)} has an entry in row {outside} ")):
+            engine.d_matrix(16)
+    finally:
+        differential.times_a9 = real
 
 
 def test_construction_refusal_survives_python_O():
@@ -416,16 +435,63 @@ def test_d_preserves_the_internal_grading(engine):
         assert len(pairs) == len(cols.blocks) == len({g for _, g in pairs})
 
 
-def test_memo_keeps_only_the_last_generator_degrees():
+def test_differential_holds_no_images_between_calls():
     engine = Engine(convention="parity")
+    for n in range(101):
+        engine.d_matrix(n)
+    assert PREFIX_DEPTH == 18
+    # while degrees are built in turn, the engine keeps d's columns by key
+    # only for the degrees a build of degree 101 reads; a finished
+    # build_range keeps none
+    assert min(engine._columns) > 100 - PREFIX_DEPTH
     engine.build_range(100)
-    assert MEMO_DEPTH == 18
-    assert min(engine.d._memo) >= 100 - MEMO_DEPTH
+    assert engine._columns == {}
+    # d keeps its sign rule and nothing else: neither the build nor a call
+    # leaves an image of a monomial behind
+    assert set(vars(engine.d)) == {"convention", "_eps"}
+    x = parse_monomial("a9 c17 | a8 b12 b16 b18")
+    assert engine.d.of_mono(x) == d_mono(x, "parity")
+    assert set(vars(engine.d)) == {"convention", "_eps"}
     # the filtration check reads the matrices, not the recursion
     assert SpectralSequence(engine, "may_s5") \
         .check_filtration_compatibility(100)
-    assert min(engine.d._memo) >= 100 - MEMO_DEPTH
+    assert engine._columns == {}
     # low degrees are rebuilt on demand, and still right
     for text in ("c17 | b12", "a9 c17 a9 | b16 b18", "c17 c17 | a4 b12^2"):
         m = parse_monomial(text)
         assert engine.d.of_mono(m) == d_mono(m, "parity"), text
+    assert set(vars(engine.d)) == {"convention", "_eps"}
+
+
+def _built_degrees(engine) -> list:
+    """The degrees whose d the engine builds (rather than loads) from now
+    on, in the order the builds end."""
+    built, matrix = [], engine.d.matrix
+
+    def recording(n, *args):
+        m = matrix(n, *args)
+        built.append(n)
+        return m
+
+    engine.d.matrix = recording
+    return built
+
+
+def test_builds_on_prefixes_loaded_from_the_cache(tmp_path):
+    Engine(convention="parity", cache_dir=tmp_path).build_range(60)
+    engine = Engine(convention="parity", cache_dir=tmp_path)
+    built = _built_degrees(engine)
+    text = "".join(engine.d_matrix(n).serialize() for n in range(96))
+    assert built == list(range(61, 96))
+    assert hashlib.sha256(text.encode()).hexdigest() == D95_SHA256["parity"]
+
+
+def test_a_degree_asked_first_equals_the_ascending_build():
+    ascending = Engine(convention="parity")
+    ascending.build_range(80)
+    engine = Engine(convention="parity")
+    built = _built_degrees(engine)
+    assert engine.d_matrix(80).serialize() == \
+        ascending.d_matrix(80).serialize()
+    # d_80 read its prefixes from lower d_k the engine built for it
+    assert built[-1] == 80 and 76 in built and 62 in built

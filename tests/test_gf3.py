@@ -10,7 +10,9 @@ import cotor
 from conftest import (
     SparseMatrixF3, echelon_solve, gf3mat, kernel_basis, rref, solve_in_image,
 )
-from cotor.gf3 import BlockDiagonalF3, Echelon, Planes, from_planes, to_planes
+from cotor.gf3 import (
+    BlockDiagonalF3, Echelon, Planes, column_entries, from_planes, to_planes,
+)
 from cotor.relations import _canonical_rows
 
 
@@ -453,6 +455,24 @@ def test_block_matvec_matches_the_reference_on_d_matrices(engine):
         for planes in (to_planes(x + [1]), (1, 1)):
             with pytest.raises(ValueError):
                 d.matvec(*planes)
+
+
+def test_columns_by_label_read_back_every_entry(engine):
+    # what d's construction reads prefixes from: every nonzero column of
+    # d_0..d_60, by label, gives back its entries under the row labels
+    for n in range(61):
+        d = engine.d_matrix(n)
+        cols, rows = engine.basis(n).keys, engine.basis(n + 1).keys
+        by_label = d.columns(cols, rows)
+        read = {(rows.index(r), cols.index(c)): v
+                for c, column in by_label.items()
+                for r, v in column_entries(column, 1, 0).items()}
+        assert read == d.entries, n
+        # the labels mapped by l -> a*l + b, as d's construction reads them
+        for c, column in list(by_label.items())[:20]:
+            assert column_entries(column, 2, 5) == {
+                2 * r + 5: v for r, v in column_entries(column, 1, 0).items()}
+        assert len(by_label) == len({c for _, c in d.entries}), n
 
 
 def test_thin_blocks_are_ranked_without_elimination(engine):
