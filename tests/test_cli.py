@@ -262,7 +262,7 @@ def test_every_subcommand_refuses_a_degree_past_the_cap(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("degree", [AUDIT_MAX_DEGREE + 1, 100,
+@pytest.mark.parametrize("degree", [AUDIT_MAX_DEGREE + 1, 100, 150,
                                     MAX_SUPPORTED_DEGREE])
 def test_audit_refuses_a_degree_past_its_bound(capsys, monkeypatch, degree):
     # the audit's bound is below the CLI's cap: a degree past it is refused
