@@ -37,15 +37,9 @@ from .engine import DEFAULT_MAX_DEGREE, Engine
 #   spectral (may_s5)      52.1 s, 570 MB   verify         0.8 s, 36 MB
 #   table40                 0.2 s, 22 MB    poincare       0.1 s, 21 MB
 #   discover --support a9*y21,a4*y26 --degree 30            0.2 s, 22 MB
-#   audit (its own bound, AUDIT_MAX_DEGREE)                 0.5 s, 22 MB
-# The largest peak is 637 MB, about a tenth of the limit.
+#   audit (square-zero to 160; three runs)           29.4-44.5 s, 847 MB
+# The largest peak is 847 MB, audit's, about a seventh of the limit.
 MAX_SUPPORTED_DEGREE = 160
-
-# Largest --max-degree of ``cotor audit``: its square-zero check applies d
-# twice to every basis monomial up to that degree through Element
-# arithmetic (in process on 2 vCPUs, Python 3.11: 0.36 s at 60, 4.1-5.1 s
-# and 34 MB at 100).
-AUDIT_MAX_DEGREE = 60
 
 # the commands with a CSV form; ``spectral`` has one only with --page
 CSV_COMMANDS = ("basis", "diff", "homology", "poincare")
@@ -388,10 +382,6 @@ def main(argv=None) -> int:
         if args.max_degree is not None and not (
                 0 <= args.max_degree <= MAX_SUPPORTED_DEGREE):
             raise ConfigError("--max-degree out of range")
-        if args.command == "audit" and (args.max_degree or 0) > AUDIT_MAX_DEGREE:
-            raise ConfigError(f"--max-degree {args.max_degree} is beyond the "
-                              f"audit's bound {AUDIT_MAX_DEGREE} (it checks "
-                              "d(d(m)) = 0 one monomial at a time)")
         if args.format == "csv" and args.command not in CSV_COMMANDS and not (
                 args.command == "spectral" and args.page is not None):
             raise ConfigError(

@@ -9,8 +9,9 @@ fix is how to extend it to products; the extension is by a Leibniz rule
 over the canonical factor sequence of a normal-form monomial, and the
 candidate rules for eps are audited mechanically: a rule is admissible
 when the result is independent of the factorization used (a genuine
-derivation on the quotient) and squares to zero.  The unsigned rule is
-provably inconsistent with the rewrite b_j*a9 = a9*b_j + c17*a_{j-8};
+derivation on the quotient) and squares to zero (one pass up the degrees
+on one memo).  The unsigned rule is provably inconsistent with the
+rewrite b_j*a9 = a9*b_j + c17*a_{j-8};
 the audit certifies the total-degree parity rule and pins down the
 degree-26 word-type cocycle (a9*c17 +/- c17*a9) by kernel computation.
 """
@@ -65,9 +66,9 @@ _A_UNIT = {b: UNIT[a] for b, a in _B_TO_A.items()}
 
 class Differential:
     """d with a fixed sign convention, plus per-degree matrices.  It holds
-    nothing but its sign rule: d of a prefix is read from a matrix of lower
-    degree (``matrix``) or found by a recursion whose memo lives for one
-    call (``__call__``)."""
+    nothing but its sign rule: d of a prefix is read from a lower d_k the
+    caller holds (``matrix``), or by a recursion whose memo the caller owns
+    (``_recursion``: one ``__call__``, or one square-zero pass)."""
 
     def __init__(self, convention: str = DEFAULT_CONVENTION):
         if convention not in CONVENTIONS:
@@ -128,8 +129,9 @@ class Differential:
         """d of one normal-form monomial."""
         return self(Element.monomial(m))
 
-    def __call__(self, x: Element) -> Element:
-        memo = {}           # monomial key -> its image, for this call only
+    def _recursion(self, memo: dict):
+        """``shifted`` for ``_leibniz`` by recursion on prefixes, each image
+        worked once into ``memo`` (key -> image), which the caller owns."""
 
         def shifted(m: int, n: int, a: int, b: int) -> dict:
             image = memo.get(m)
@@ -137,6 +139,11 @@ class Differential:
                 image = memo[m] = self._leibniz(shifted, n, m)
             return {a * t + b: c for t, c in image.items()}
 
+        return shifted
+
+    def __call__(self, x: Element) -> Element:
+        memo = {}           # monomial key -> its image, for this call only
+        shifted = self._recursion(memo)
         out = {}
         for m, c in x.terms.items():
             n = m.degree()
@@ -145,8 +152,7 @@ class Differential:
                                  f"{MAX_KEY_DEGREE}")
             for t, v in shifted(encode(m), n, 1, 0).items():
                 out[t] = out.get(t, 0) + c * v
-        del shifted         # it refers to itself: free the memo now, not at
-        # the next collection
+        memo.clear()        # free the images now, not at the next collection
         return Element({decode(t): v for t, v in out.items()})
 
     def eps(self, x: Element) -> int:
@@ -165,7 +171,7 @@ class Differential:
         return self(x) * y + (x * self(y)).scaled(self.eps(x))
 
     def matrix(self, n: int, bn: DegreeBasis, bn1: DegreeBasis,
-               lower=None) -> BlockDiagonalF3:
+               lower) -> BlockDiagonalF3:
         """Matrix of d from degree n, basis ``bn``, to degree n+1, basis
         ``bn1``, one block per internal Z^4 degree (d preserves it; an image
         term outside its column's block is a RuntimeError).
@@ -173,10 +179,7 @@ class Differential:
         d of each column's prefix is a column of a lower d_k: ``lower(k)``
         gives d_k's nonzero columns by monomial key
         (``BlockDiagonalF3.columns``), and is asked once for each degree k
-        a prefix can have.  Without ``lower``, the d_k below n are built
-        within this call."""
-        if lower is None:
-            lower = self._lower_within_call()
+        a prefix can have (``Engine.d_matrix`` holds them)."""
         sources = {n - g: lower(n - g) for g in _PREFIX_DEGREES if g <= n}
 
         def shifted(m: int, k: int, a: int, b: int) -> dict:
@@ -189,21 +192,6 @@ class Differential:
                 partial(self._leibniz, shifted, n))
         except ValueError as exc:
             raise RuntimeError(f"d of degree {n} leaves a Z^4 block: {exc}")
-
-    def _lower_within_call(self):
-        """A ``lower`` for ``matrix`` that builds each d_k it is asked for
-        once, from the d_k it asks for in turn."""
-        built = {}
-
-        def lower(k: int) -> dict:
-            columns = built.get(k)
-            if columns is None:
-                bk, bk1 = enumerate_basis(k), enumerate_basis(k + 1)
-                columns = built[k] = self.matrix(k, bk, bk1, lower).columns(
-                    bk.keys, bk1.keys)
-            return columns
-
-        return lower
 
 
 # -- audit ----------------------------------------------------------------
@@ -242,6 +230,34 @@ def _random_homogeneous(rng, bases: list, max_degree: int) -> Element:
     return Element(out)
 
 
+def _square_zero_failures(d: Differential, bases: list,
+                          degree_bound: int) -> list:
+    """(m, d(d(m))) as text for the first three basis monomials m, in
+    basis order, of the lowest degree <= degree_bound where d(d(m)) != 0.
+    One pass up the degrees on one memo works each image once; images of
+    degree n and n + 1 read prefixes of degree >= n - PREFIX_DEPTH, so
+    the lower ones are dropped, by the keys of their basis."""
+    memo = {}
+    image = d._recursion(memo)
+    failures = []
+    for n in range(degree_bound + 1):
+        if n > PREFIX_DEPTH:
+            for k in bases[n - PREFIX_DEPTH - 1].keys:
+                del memo[k]
+        for m in bases[n].keys:
+            dd = {}
+            for t, c in image(m, n, 1, 0).items():
+                for u, v in image(t, n + 1, 1, 0).items():
+                    dd[u] = dd.get(u, 0) + c * v
+            if len(failures) < 3 and any(v % 3 for v in dd.values()):
+                failures.append((decode(m).text(), Element(
+                    {decode(u): v for u, v in dd.items()}).text()))
+        if failures:
+            break
+    memo.clear()
+    return failures
+
+
 def audit_conventions(degree_bound: int = 40, pair_samples: int = 1000,
                       pair_max_degree: int = 20, seed: int = 0,
                       candidates=CONVENTIONS) -> AuditReport:
@@ -249,9 +265,9 @@ def audit_conventions(degree_bound: int = 40, pair_samples: int = 1000,
 
     Admissibility: (a) d(x*y) computed by the product rule agrees with d
     applied to the normalized product, for all ordered generator pairs and
-    for ``pair_samples`` random homogeneous pairs; (b) d(d(m)) = 0 on every
-    basis monomial of degree <= degree_bound.  Fails loudly if no candidate
-    survives.
+    for ``pair_samples`` random homogeneous pairs (``Element`` arithmetic);
+    (b) d(d(m)) = 0 on every basis monomial of degree <= degree_bound
+    (``_square_zero_failures``).  Fails loudly if no candidate survives.
     """
     rng = random.Random(seed)
     bases = [enumerate_basis(n)
@@ -285,15 +301,8 @@ def audit_conventions(degree_bound: int = 40, pair_samples: int = 1000,
                     # is rejected and the rest would change nothing
                     break
         if v.admissible:
-            for n in range(degree_bound + 1):
-                for m in bases[n].monomials:
-                    ddm = d(d.of_mono(m))
-                    if not ddm.is_zero():
-                        v.admissible = False
-                        if len(v.dd_failures) < 3:
-                            v.dd_failures.append((m.text(), ddm.text()))
-                if not v.admissible:
-                    break
+            v.dd_failures = _square_zero_failures(d, bases, degree_bound)
+            v.admissible = not v.dd_failures
         verdicts.append(v)
 
     admissible = [v.convention for v in verdicts if v.admissible]

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -138,26 +139,26 @@ def test_image_purity(d):
                 assert t.word_length() >= 1
 
 
-def test_matrix_degree_zero(d):
-    m = d.matrix(0, enumerate_basis(0), enumerate_basis(1))
+def test_matrix_degree_zero():
+    m = Engine(convention="parity").d_matrix(0)
     assert (m.n_rows, m.n_cols) == (0, 1)
     assert m.nnz == 0
 
 
-def test_matrix_degree_17(d):
+def test_matrix_degree_17():
     # three monomials upstairs; only the word letter of degree 17 maps,
     # hitting the squared odd letter with coefficient 1
     b17, b18 = enumerate_basis(17), enumerate_basis(18)
-    m = d.matrix(17, b17, b18)
+    m = Engine(convention="parity").d_matrix(17)
     assert (m.n_rows, m.n_cols) == (4, 3)
     col = b17.keys.index(encode(parse_monomial("c17")))
     row = b18.keys.index(encode(parse_monomial("a9 a9")))
     assert m.entries == {(row, col): 1}
 
 
-def test_matrix_degree_12_column(d):
+def test_matrix_degree_12_column():
     b12, b13 = enumerate_basis(12), enumerate_basis(13)
-    m = d.matrix(12, b12, b13)
+    m = Engine(convention="parity").d_matrix(12)
     col = b12.keys.index(encode(parse_monomial("b12")))
     entries = {r: v for (r, c), v in m.entries.items() if c == col}
     assert entries == {b13.keys.index(encode(parse_monomial("a9 | a4"))): 2}
@@ -251,6 +252,63 @@ def test_audit_stops_a_rejected_rule_with_the_same_verdicts(
         0, 3, 3]
 
 
+def test_audit_works_each_image_once(monkeypatch):
+    # the square-zero pass drops the images of a degree only once no later
+    # image reads them as a prefix: none is worked twice, and every basis
+    # monomial through the bound is worked
+    worked = []
+    leibniz = Differential._leibniz
+
+    def recording(self, shifted, n, m):
+        worked.append(m)
+        return leibniz(self, shifted, n, m)
+
+    monkeypatch.setattr(Differential, "_leibniz", recording)
+    assert differential._square_zero_failures(
+        Differential("parity"), [enumerate_basis(n) for n in range(61)],
+        60) == []
+    assert len(worked) == len(set(worked))
+    assert set(worked) >= {k for n in range(61)
+                           for k in enumerate_basis(n).keys}
+
+
+def test_audit_reports_a_planted_square_zero_fault():
+    # a parity rule that negates the sign of degree-30 monomials still
+    # passes the factorization samples (Differential.eps reads the degree,
+    # not _EPS), and square-zero first fails at degree 41, on 6 monomials.
+    # The pass reports the same three as the per-monomial Element route,
+    # in basis order.  Patched by hand, not through a fixture, so that the
+    # python -O test below can call this directly.
+    real = differential._EPS["parity"]
+    differential._EPS["parity"] = (
+        lambda k, n: -real(k, n) if n == 30 else real(k, n))
+    try:
+        verdicts = _audit_every_pair(45, 60, 0)
+        message = "no candidate sign convention is admissible: " + "; ".join(
+            f"{v.convention}: {v.factorization_failures or v.dd_failures}"
+            for v in verdicts)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            audit_conventions(degree_bound=45, pair_samples=60)
+    finally:
+        differential._EPS["parity"] = real
+    assert [m for m, _ in verdicts[0].dd_failures] == [
+        "a9 | a8 b12^2", "a9 | a4 b12 b16", "a9 | a4^2 b12^2"]
+    assert verdicts[0].factorization_failures == []
+
+
+def test_planted_square_zero_fault_survives_python_O():
+    # the audit's refusal is not an assert: the test above passes under -O
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
+    code = ("import test_differential as t; "
+            "t.test_audit_reports_a_planted_square_zero_fault(); "
+            "print('refused')")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          cwd=os.path.dirname(__file__), capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
+
+
 def _sampler_before(rng, max_degree):
     """The audit's pair sampler as it was, enumerating the basis of every
     degree up to ``max_degree`` on every draw."""
@@ -335,8 +393,7 @@ def test_construction_refuses_a_term_outside_its_block():
     b16, b17 = engine.basis(16), engine.basis(17)
     col, row, outside = (encode(parse_monomial(t))
                          for t in ("b16", "a9 | a8", "c17"))
-    m = Differential("parity").matrix(16, b16, b17)
-    assert m.entries == engine.d_matrix(16).entries
+    m = engine.d_matrix(16)
     assert m.entries[b17.keys.index(row), b16.keys.index(col)] == 2
     engine = Engine(convention="parity")
     engine.build_range(15)
