@@ -73,7 +73,6 @@ class Engine:
         self._additive_bases: dict[int, CotorBasis] = {}
         self._representatives: dict[BasisClass, Element] = {}
         self._class_groups: dict[int, dict] = {}
-        self._d_blocks: dict[int, dict] = {}
         self._block_solvers: dict[tuple, tuple] = {}
         self._split_solvers: dict[int, object] = {}
 
@@ -130,7 +129,8 @@ class Engine:
             return 0
         r = self._ranks.get(n)
         if r is None:
-            r = self._ranks[n] = sum(map(_block_rank, self.d_matrix(n).blocks))
+            r = self._ranks[n] = sum(map(_block_rank,
+                                         self.d_matrix(n).blocks.values()))
         return r
 
     # -- cohomology ----------------------------------------------------------
@@ -172,7 +172,7 @@ class Engine:
                 cls.powers)
         return rep
 
-    def _blocks_of(self, x: Element, n: int) -> dict:
+    def blocks_of(self, x: Element, n: int) -> dict:
         """A degree-n element cut by Z^4 degree (``grading``): each degree
         to the bit planes of x's part over that block of the degree-n
         basis, at the positions within the block (KeyError for a term
@@ -187,6 +187,19 @@ class Engine:
             parts[g] = (p | bit, q) if c == 1 else (p, q | bit)
         return parts
 
+    def apply_d(self, parts: dict, n: int) -> dict:
+        """d_n of a degree-n element given by its parts (``blocks_of``),
+        read off d_n's blocks one at a time: Z^4 degree -> the nonzero bit
+        planes of the image over that block of the degree-(n+1) basis."""
+        blocks = self.d_matrix(n).blocks
+        out = {}
+        for g, (vp, vq) in parts.items():
+            if g in blocks:
+                image = combination(vp, vq, *blocks[g][2:])
+                if image != (0, 0):
+                    out[g] = image
+        return out
+
     def _class_blocks(self, n: int) -> dict:
         """Z^4 degree -> (classes, pos, neg, (cols, pos, neg)) for each
         block of the degree-n basis: the classes of that degree with their
@@ -198,12 +211,11 @@ class Engine:
             return out
         out = {}
         if n >= 1:
-            keys = self.basis(n).keys
-            for rows, cols, pos, neg in self.d_matrix(n - 1).blocks:
-                out[grading(keys[rows[0]])] = ([], [], [], (cols, pos, neg))
+            for g, (_, cols, pos, neg) in self.d_matrix(n - 1).blocks.items():
+                out[g] = [], [], [], (cols, pos, neg)
         for cls in self.additive_basis(n).classes:
             try:
-                parts = self._blocks_of(self.representative(cls), n)
+                parts = self.blocks_of(self.representative(cls), n)
             except KeyError:
                 raise RuntimeError(f"class {cls.label} has wrong degree")
             if len(parts) > 1:
@@ -216,17 +228,6 @@ class Engine:
                 pos.append(p)
                 neg.append(q)
         self._class_groups[n] = out
-        return out
-
-    def _d_by_grading(self, n: int) -> dict:
-        """Z^4 degree -> the block of d_n whose columns are
-        ``basis(n).blocks`` of that degree (a degree with no block is
-        mapped to zero)."""
-        out = self._d_blocks.get(n)
-        if out is None:
-            keys = self.basis(n).keys
-            out = self._d_blocks[n] = {grading(keys[block[1][0]]): block
-                                       for block in self.d_matrix(n).blocks}
         return out
 
     def split_solver(self, n: int):
@@ -268,10 +269,8 @@ class Engine:
         not kill is a ValueError)."""
         if n is None:
             n = z.degree() or 0
-        parts, d_n = self._blocks_of(z, n), self._d_by_grading(n)
-        # d_n z = 0 on the planes, block by block
-        if any(combination(vp, vq, *d_n[g][2:]) != (0, 0)
-               for g, (vp, vq) in parts.items() if g in d_n):
+        parts = self.blocks_of(z, n)
+        if self.apply_d(parts, n):
             raise ValueError("decompose: input is not a cocycle")
         rows, prev = self.basis(n).blocks, self.basis(n - 1).keys
         coeffs, witness, recon = {}, {}, Element.zero()

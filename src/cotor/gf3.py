@@ -5,17 +5,18 @@ eagerly, so equality of values is equality of representations.
 
 A matrix is held as the bit planes of its columns: `Planes`, or, when it
 is block diagonal (a differential that preserves an internal grading),
-`BlockDiagonalF3`, the planes of each block, which is what GF3MAT text (the
-cache format) is read into and written from.  All elimination goes through
-one primitive, `Echelon`: a greedy column-echelon pass that reads rank,
-prefix ranks, kernels, solves and the reduced basis of the column span off
-the same reduction.  It works on bitsliced vectors (after Boothby and
-Bradshaw, arXiv:0901.1413): a vector is a pair of Python integers
-``(pos, neg)`` whose bit ``i`` says that entry ``i`` is +1, respectively
--1 (= 2), so one vector addition is a handful of word-parallel bit
-operations.  Bit planes are the one vector format: solves and products take
-and give planes, and the kernel and reduced basis come back as plain tuples
-of residues.
+`BlockDiagonalF3`, the planes of each block under the block's name (for d,
+its Z^4 degree), which is what GF3MAT text (the cache format) is read into
+and written from.  All elimination goes through one primitive, `Echelon`:
+a greedy column-echelon pass that reads rank, prefix ranks, kernels,
+solves and the reduced basis of the column span off the same reduction.
+It works on bitsliced vectors (after Boothby and Bradshaw,
+arXiv:0901.1413): a vector is a pair of Python integers ``(pos, neg)``
+whose bit ``i`` says that entry ``i`` is +1, respectively -1 (= 2), so
+one vector addition is a handful of word-parallel bit operations.  Bit
+planes are the one vector format: solves and products take and give
+planes, and the kernel and reduced basis come back as plain tuples of
+residues.
 """
 
 from __future__ import annotations
@@ -94,14 +95,14 @@ def hstack(a, b) -> Planes:
 
 class BlockDiagonalF3(NamedTuple):
     """A GF(3) matrix that is block diagonal once its rows and columns are
-    grouped: ``blocks`` lists ``(rows, cols, pos, neg)``, a block's rows
-    and columns, ascending, and its columns' bit planes over its rows, all
-    tuples of ints (which the garbage collector skips).  A row or column in
-    no block is zero; ``entries`` is built on each use."""
+    grouped: ``blocks`` maps each block's name to ``(rows, cols, pos,
+    neg)``, its rows and columns, ascending, and its columns' bit planes
+    over its rows, all tuples of ints (which the garbage collector skips).
+    A row or column in no block is zero; ``entries`` is built on each use."""
 
     n_rows: int
     n_cols: int
-    blocks: list
+    blocks: dict
 
     @classmethod
     def from_columns(cls, row_blocks: dict, col_blocks: dict, row_labels,
@@ -110,7 +111,7 @@ class BlockDiagonalF3(NamedTuple):
         a dict ``row_labels[r]`` -> value in {1, 2}; ``row_blocks`` and
         ``col_blocks`` map each block's name to its rows and columns,
         ascending.  An entry joining two blocks is a ValueError."""
-        blocks = []
+        blocks = {}
         for b, cols in col_blocks.items():
             rows = row_blocks.get(b, ())
             at = {row_labels[r]: i for i, r in enumerate(rows)}
@@ -123,7 +124,7 @@ class BlockDiagonalF3(NamedTuple):
                                          f"{r} of another block")
                     planes[v - 1][j] |= 1 << i
             if rows:
-                blocks.append((tuple(rows), tuple(cols), *map(tuple, planes)))
+                blocks[b] = tuple(rows), tuple(cols), *map(tuple, planes)
         return cls(sum(map(len, row_blocks.values())),
                    sum(map(len, col_blocks.values())), blocks)
 
@@ -143,11 +144,11 @@ class BlockDiagonalF3(NamedTuple):
             raise ValueError(f"GF3MAT shape {n_rows}x{n_cols}, not {shape}")
         # keyed by text, so a line needs no int(): row -> (its block's
         # planes, bit), column -> (planes, position), value -> plane
-        row_at, col_at, plane_of, blocks = {}, {}, {"1": 0, "2": 1}, []
+        row_at, col_at, plane_of, blocks = {}, {}, {"1": 0, "2": 1}, {}
         for b, cols in col_blocks.items():
             rows = row_blocks.get(b, ())
             planes = [0] * len(cols), [0] * len(cols)
-            blocks.append((tuple(rows), tuple(cols), planes))
+            blocks[b] = tuple(rows), tuple(cols), planes
             for i, r in enumerate(rows):
                 row_at[str(r)] = planes, 1 << i
             for j, c in enumerate(cols):
@@ -165,8 +166,9 @@ class BlockDiagonalF3(NamedTuple):
                 raise ValueError(f"column {c} has an entry in row {r} of "
                                  "another block")
             plane[j] |= bit
-        m = cls(n_rows, n_cols, [(rows, cols, *map(tuple, planes))
-                                 for rows, cols, planes in blocks if rows])
+        m = cls(n_rows, n_cols, {b: (rows, cols, *map(tuple, planes))
+                                 for b, (rows, cols, planes) in blocks.items()
+                                 if rows})
         # nnz lines, each setting a new bit: else one is missing or repeated
         if len(lines) - 1 != nnz or m.nnz != nnz:
             raise ValueError("GF3MAT entries: a duplicate, or not the count "
@@ -176,7 +178,7 @@ class BlockDiagonalF3(NamedTuple):
     def triples(self):
         """The nonzero entries ``(row, col, value)``, by column, then row."""
         by_col = [((), 0, 0)] * self.n_cols
-        for rows, cols, pos, neg in self.blocks:
+        for rows, cols, pos, neg in self.blocks.values():
             for c, p, q in zip(cols, pos, neg):
                 by_col[c] = rows, p, q
         for c, (rows, p, q) in enumerate(by_col):
@@ -191,7 +193,7 @@ class BlockDiagonalF3(NamedTuple):
         ``row_labels`` of its block's rows, pos, neg), read by
         `column_entries`."""
         out = {}
-        for rows, cols, pos, neg in self.blocks:
+        for rows, cols, pos, neg in self.blocks.values():
             at = tuple(map(row_labels.__getitem__, rows))
             for c, p, q in zip(cols, pos, neg):
                 if p | q:
@@ -205,30 +207,13 @@ class BlockDiagonalF3(NamedTuple):
 
     @property
     def nnz(self) -> int:
-        return sum((p | q).bit_count() for _, _, pos, neg in self.blocks
+        return sum((p | q).bit_count()
+                   for _, _, pos, neg in self.blocks.values()
                    for p, q in zip(pos, neg))
 
     def __repr__(self):
         return (f"{type(self).__name__}({self.n_rows}x{self.n_cols}, "
                 f"nnz={self.nnz})")
-
-    def matvec(self, vp: int, vq: int) -> tuple:
-        """The product with the vector of bit planes ``(vp, vq)``, as bit
-        planes over the rows, one block at a time; planes that overlap or
-        run past the last column are not a vector (ValueError)."""
-        if vp & vq or (vp | vq) >> self.n_cols:
-            raise ValueError(
-                f"planes are not a vector of length {self.n_cols}")
-        ones, twos = set(bits(vp)), set(bits(vq))
-        out_p = out_q = 0
-        for rows, cols, pos, neg in self.blocks:
-            cp = sum(1 << j for j, c in enumerate(cols) if c in ones)
-            cq = sum(1 << j for j, c in enumerate(cols) if c in twos)
-            if cp | cq:
-                p, q = combination(cp, cq, pos, neg)
-                out_p |= sum(1 << rows[i] for i in bits(p))
-                out_q |= sum(1 << rows[i] for i in bits(q))
-        return out_p, out_q
 
     def serialize(self) -> str:
         """The canonical GF3MAT v1 text: ``GF3MAT v1 <rows> <cols> <nnz>``,
@@ -238,26 +223,31 @@ class BlockDiagonalF3(NamedTuple):
         return (f"GF3MAT v1 {self.n_rows} {self.n_cols} {len(body)}\n"
                 + "".join(body))
 
-    def pivots(self, row_at, col_at) -> list:
-        """The pivots of ``Echelon(a, transform=False)``, ``a`` being this
-        matrix with row r at ``row_at[r]`` and column c at ``col_at[c]``, one
-        block at a time: a prefix submatrix of ``a`` is the direct sum of its
-        blocks' ones, so (the rank profile is unique) their pivots are a's."""
+    def pivot_weights(self, row_weight, col_weight) -> list:
+        """``(row weight, column weight)`` of each pivot of ``Echelon(a,
+        transform=False)``, ``a`` being this matrix with its rows by
+        ascending ``row_weight[r]`` and its columns by descending
+        ``col_weight[c]``, run one block at a time.  The rows of weight
+        below w and the columns of weight at least q make a prefix
+        submatrix of ``a``, the direct sum of its blocks' ones, so the
+        pivots with such weights count its rank, whatever the order among
+        equal weights."""
         out = []
-        for rows, cols, pos, neg in self.blocks:
-            moved = [row_at[r] for r in rows]
-            new_rows = sorted(moved)
-            if moved != new_rows:       # the rows change order: move bits
-                place = {r: i for i, r in enumerate(new_rows)}
-                shift = [place[r] for r in moved]
+        for rows, cols, pos, neg in self.blocks.values():
+            rw = [row_weight[r] for r in rows]
+            order = sorted(range(len(rows)), key=rw.__getitem__)
+            if order != list(range(len(rows))):     # move the bits
+                shift = sorted(range(len(rows)), key=order.__getitem__)
                 pos, neg = ([sum(1 << shift[i] for i in bits(x)) for x in xs]
                             for xs in (pos, neg))
-            order = sorted(range(len(cols)), key=lambda j: col_at[cols[j]])
-            ech = Echelon(Planes(len(rows), len(cols), [pos[j] for j in order],
-                                 [neg[j] for j in order]), transform=False)
-            out.extend((new_rows[i], col_at[cols[order[j]]])
-                       for i, j in ech.pivots)
-        return sorted(out, key=lambda p: p[1])
+            cw = [col_weight[c] for c in cols]
+            col_order = sorted(range(len(cols)), key=cw.__getitem__,
+                               reverse=True)
+            ech = Echelon(Planes(len(rows), len(cols),
+                                 [pos[j] for j in col_order],
+                                 [neg[j] for j in col_order]), transform=False)
+            out.extend((rw[order[i]], cw[col_order[j]]) for i, j in ech.pivots)
+        return out
 
 
 def bits(x: int):

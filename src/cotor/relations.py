@@ -346,7 +346,7 @@ class RelationVerdict:
 def verify_witness(record: RelationRecord, engine) -> RelationVerdict:
     """LHS = d(witness), exactly, up to a recorded witness sign.
 
-    Every pass is re-verified through the coordinate matrices when the
+    Every pass is re-verified through the blocks of d's matrix when the
     degree is inside the cap (independent code path from the direct
     Leibniz evaluation used here).
     """
@@ -361,10 +361,10 @@ def verify_witness(record: RelationRecord, engine) -> RelationVerdict:
         return RelationVerdict(record, "FAIL", note=(record.lhs - dw).text())
     n = record.degree
     if 0 < n <= engine.max_degree:
-        lhs = element_planes(record.lhs, engine.basis(n).index, encode)
-        img = engine.d_matrix(n - 1).matvec(*element_planes(
-            record.witness, engine.basis(n - 1).index, encode))
-        if lhs != (img if sign == 1 else img[::-1]):
+        img = engine.apply_d(engine.blocks_of(record.witness, n - 1), n - 1)
+        if sign == -1:
+            img = {g: (q, p) for g, (p, q) in img.items()}
+        if engine.blocks_of(record.lhs, n) != img:
             return RelationVerdict(record, "FAIL",
                                    note="matrix route disagrees")
     verdict = "EXACT" if sign == 1 else "SIGNED"
@@ -685,8 +685,7 @@ class SignSystem:
                 for j, name in enumerate(self.names)}
 
 
-def build_sign_system(verdicts, engine, solved: dict,
-                      include_group_i=True) -> SignSystem:
+def build_sign_system(verdicts, engine, solved: dict) -> SignSystem:
     """Pairwise flip constraints from every magnitude-consistent record
     (``solved`` as for `verify_relation`)."""
     system = SignSystem()
@@ -695,8 +694,6 @@ def build_sign_system(verdicts, engine, solved: dict,
         if not rec.paper_poly or v.verdict in ("CORRECTED", "FAIL"):
             continue
         if not _is_homogeneous(rec.paper_poly):
-            continue
-        if rec.group == "i" and not include_group_i:
             continue
         monos = list(rec.paper_poly)
         if rec.group == "i":
@@ -744,12 +741,11 @@ def verify_all(engine, groups=("i", "ii", "iii")) -> VerificationReport:
 
     The full GF(2) system (witness identities plus the sign-slipped
     group-i prints) is attempted first; it is provably inconsistent for
-    the printed catalogs, in which case the assignment is solved from the
-    witness identities alone (yielding all +1) and the group-i slips stay
-    in the errata as per-record findings.  The system is always solved
-    over the whole catalog; ``groups`` only selects the records reported,
-    so a group's verdicts do not depend on which other groups are asked
-    for.
+    the printed catalogs, in which case the assignment is all +1 and the
+    group-i slips stay in the errata as per-record findings.  The system
+    is always solved over the whole catalog; ``groups`` only selects the
+    records reported, so a group's verdicts do not depend on which other
+    groups are asked for.
     """
     verdicts, solved = [], {}       # a support printed twice is solved once
     for rec in relation_catalog(engine):
@@ -760,8 +756,8 @@ def verify_all(engine, groups=("i", "ii", "iii")) -> VerificationReport:
     assignment = build_sign_system(verdicts, engine, solved).solve()
     reconcilable = assignment is not None
     if assignment is None:
-        assignment = build_sign_system(
-            verdicts, engine, solved, include_group_i=False).solve()
+        # the witness rows alone all have ratio +1, so they solve to all-plus
+        assignment = dict.fromkeys(NAMED_GENERATOR_NAMES, 1)
     verdicts = [v for v in verdicts if v.record.group in groups]
     errata = [v.as_json() for v in verdicts
               if v.verdict in ("SIGNED", "CORRECTED")

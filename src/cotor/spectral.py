@@ -9,7 +9,9 @@ Everything reduces to one quantity per degree: the rank of the
 differential restricted to columns of weight >= q and rows of weight < w.
 Sorting columns by descending and rows by ascending weight turns all of
 these into prefix ranks of a single matrix, which one greedy
-column-echelon pass answers for every (q, w) at once.  Writing
+column-echelon pass answers for every (q, w) at once.  The pass runs one
+internal Z^4 block at a time and keeps each pivot's two weights only.
+Writing
 
     Z_s(q, m) = dim { x in level q of degree m : d(x) in level q+s }
 
@@ -44,26 +46,24 @@ class DegreeProfile:
 
     ``rank_sub(q, w)`` counts the pivots whose column has weight >= q and
     whose row has weight < w.  ``counts`` holds that count at every pair
-    of weight levels (a cumulative table built once from the pivot list),
-    so a query is two bisections, not a walk over the pivots.
+    of the pivots' weight levels (a cumulative table built once from the
+    pivot list), so a query is two bisections, not a walk over the pivots.
     """
 
     col_weights_desc: list          # weights of columns, descending
-    row_weights_asc: list           # weights of rows, ascending
-    pivots: list                    # (row, col), in weight order
+    pivots: list                    # (row weight, column weight)
     row_levels: list = field(init=False, repr=False)
     col_levels: list = field(init=False, repr=False)
     counts: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.row_levels = sorted(set(self.row_weights_asc))
-        self.col_levels = sorted(set(self.col_weights_desc))
+        self.row_levels = sorted({w for w, _ in self.pivots})
+        self.col_levels = sorted({q for _, q in self.pivots})
         row_at = {w: i for i, w in enumerate(self.row_levels)}
-        col_at = {w: j for j, w in enumerate(self.col_levels)}
+        col_at = {q: j for j, q in enumerate(self.col_levels)}
         grid = [[0] * len(self.col_levels) for _ in self.row_levels]
-        for r, c in self.pivots:
-            grid[row_at[self.row_weights_asc[r]]][
-                col_at[self.col_weights_desc[c]]] += 1
+        for w, q in self.pivots:
+            grid[row_at[w]][col_at[q]] += 1
         # counts[i][j]: pivots on row levels < i and column levels >= j
         self.counts = [[0] * (len(self.col_levels) + 1)]
         for line in grid:
@@ -99,7 +99,8 @@ class SpectralSequence:
         the mask of the block's rows of weight below w."""
         for n in range(n_max + 1):
             colw, roww = self._weights(n), self._weights(n + 1)
-            for rows, cols, pos, neg in self.engine.d_matrix(n).blocks:
+            blocks = self.engine.d_matrix(n).blocks
+            for rows, cols, pos, neg in blocks.values():
                 below = {}              # column weight -> row mask
                 for c, p, q in zip(cols, pos, neg):
                     w = colw[c]
@@ -128,16 +129,10 @@ class SpectralSequence:
         prof = self._profiles.get(m)
         if prof is not None:
             return prof
-        colw, roww = self._weights(m), self._weights(m + 1)
-        # weight order, ties by basis position; sorting the positions by
-        # the order gives each position's place in it
-        col_order = sorted(range(len(colw)), key=lambda j: -colw[j])
-        row_order = sorted(range(len(roww)), key=lambda i: roww[i])
-        row_at = sorted(range(len(roww)), key=row_order.__getitem__)
-        col_at = sorted(range(len(colw)), key=col_order.__getitem__)
+        colw = self._weights(m)
         prof = self._profiles[m] = DegreeProfile(
-            [colw[j] for j in col_order], [roww[i] for i in row_order],
-            self.engine.d_matrix(m).pivots(row_at, col_at))
+            sorted(colw, reverse=True), self.engine.d_matrix(m).pivot_weights(
+                self._weights(m + 1), colw))
         return prof
 
     def max_weight(self, n: int) -> int:
@@ -197,31 +192,25 @@ class SpectralSequence:
     def page_equality_check(self, r1: int, r2: int, n_max: int):
         mismatches = []
         for r in range(min(r1, r2), max(r1, r2)):
-            a = self.page_table(r, n_max)
-            b = self.page_table(r + 1, n_max)
-            if a != b:
-                keys = sorted(set(a) ^ set(b)
-                              | {k for k in set(a) & set(b) if a[k] != b[k]})
+            keys = [k for k, _, _ in _mismatches(
+                self.page_table(r, n_max), self.page_table(r + 1, n_max))]
+            if keys:
                 mismatches.append((r, r + 1, keys[:10]))
         return mismatches
 
     def collapse_check(self, r: int, n_max: int):
         """Does page r already have the limit dimensions everywhere?"""
-        page = self.page_table(r, n_max)
-        limit = self.limit_table(n_max)
-        keys = sorted(set(page) | set(limit))
-        return [(k, page.get(k, 0), limit.get(k, 0))
-                for k in keys if page.get(k, 0) != limit.get(k, 0)]
+        return _mismatches(self.page_table(r, n_max), self.limit_table(n_max))
 
     def convergence_check(self, n_max: int):
-        """Total limit dimension per degree must equal dim H^n."""
-        bad = []
-        limit = self.limit_table(n_max)
-        for n in range(n_max + 1):
-            total = sum(d for (p, m), d in limit.items() if m == n)
-            if total != self.engine.dim_h(n):
-                bad.append((n, total, self.engine.dim_h(n)))
-        return bad
+        """Total limit dimension per degree against ``Engine.dim_h``.
+
+        The limit pieces of degree n telescope to dim V_n minus the
+        profiles' rank of d_n and of d_{n-1}, so this compares the
+        weight-ordered eliminations with ``Engine.rank``'s own."""
+        return _mismatches(
+            _degree_totals(self.limit_table(n_max), n_max),
+            {n: self.engine.dim_h(n) for n in range(n_max + 1)})
 
     def active_pages(self, n_max: int) -> list:
         """Pages r < LAST_PAGE where E_r != E_{r+1} somewhere (measured,
@@ -242,6 +231,22 @@ class SpectralSequence:
             if not self.collapse_check(r, n_max):
                 return r
         return None
+
+
+def _mismatches(a: dict, b: dict) -> list:
+    """``(key, a[key], b[key])`` wherever two tables differ, by key; a
+    missing entry is 0."""
+    return [(k, a.get(k, 0), b.get(k, 0)) for k in sorted(a.keys() | b.keys())
+            if a.get(k, 0) != b.get(k, 0)]
+
+
+def _degree_totals(table: dict, n_max: int) -> dict:
+    """Degree n -> the sum of the entries (p, n) of a page table, for
+    every n <= n_max."""
+    totals = dict.fromkeys(range(n_max + 1), 0)
+    for (_, n), dim in table.items():
+        totals[n] += dim
+    return totals
 
 
 # -- enumeration oracles -------------------------------------------------------
@@ -337,21 +342,12 @@ def run_scheme_checks(engine, scheme: str, n_max: int) -> SpectralReport:
         report.checks["pages_1_to_3_equal"] = ss.page_equality_check(1, 3, n_max)
         report.checks["pages_4_to_6_equal"] = ss.page_equality_check(4, 6, n_max)
         report.checks["page_7_is_limit"] = ss.collapse_check(7, n_max)
-        oracle = page4_series_oracle(n_max)
-        page4 = ss.page_table(4, n_max)
-        mism = []
-        for n in range(n_max + 1):
-            total = sum(d for (p, m), d in page4.items() if m == n)
-            if total != oracle[n]:
-                mism.append((n, total, oracle[n]))
-        report.checks["page_4_series_oracle"] = mism
+        report.checks["page_4_series_oracle"] = _mismatches(
+            _degree_totals(ss.page_table(4, n_max), n_max),
+            dict(enumerate(page4_series_oracle(n_max))))
     elif scheme == "may_s5":
-        oracle = may_page1_oracle(n_max)
-        page1 = ss.page_table(1, n_max)
-        keys = sorted(set(oracle) | set(page1))
-        report.checks["page_1_free_algebra"] = [
-            (k, page1.get(k, 0), oracle.get(k, 0))
-            for k in keys if page1.get(k, 0) != oracle.get(k, 0)]
+        report.checks["page_1_free_algebra"] = _mismatches(
+            ss.page_table(1, n_max), may_page1_oracle(n_max))
         report.checks["collapse_at_3"] = ss.collapse_check(3, n_max)
     else:
         report.checks["page_1_is_cohomology"] = ss.collapse_check(1, n_max)

@@ -137,11 +137,11 @@ def test_spectral_builds_each_profile_once(capsys, monkeypatch):
     # of d is one pass too, block by block, and a block with one row or one
     # column needs no elimination
     profiles, passes, rank_blocks, eliminations = [], [], [], []
-    profile, pivots = spectral.DegreeProfile, BlockDiagonalF3.pivots
+    profile, pivots = spectral.DegreeProfile, BlockDiagonalF3.pivot_weights
     block_rank = engine_module._block_rank
     monkeypatch.setattr(spectral, "DegreeProfile",
                         lambda *a: profiles.append(1) or profile(*a))
-    monkeypatch.setattr(BlockDiagonalF3, "pivots",
+    monkeypatch.setattr(BlockDiagonalF3, "pivot_weights",
                         lambda *a: passes.append(1) or pivots(*a))
     monkeypatch.setattr(engine_module, "_block_rank", lambda b: (
         rank_blocks.append(1) or block_rank(b)))
@@ -154,7 +154,7 @@ def test_spectral_builds_each_profile_once(capsys, monkeypatch):
     # one weight profile and one rank of d per degree 0..20
     assert len(profiles) == len(passes) == 21
     d = Engine(convention="parity").d_matrix
-    blocks = [b for n in range(21) for b in d(n).blocks]
+    blocks = [b for n in range(21) for b in d(n).blocks.values()]
     assert len(rank_blocks) == len(blocks)
     assert len(eliminations) == sum(len(rows) > 1 and len(cols) > 1
                                     for rows, cols, _, _ in blocks)

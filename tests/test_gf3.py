@@ -10,8 +10,9 @@ import cotor
 from conftest import (
     SparseMatrixF3, echelon_solve, gf3mat, kernel_basis, rref, solve_in_image,
 )
+from cotor.dga import Element
 from cotor.gf3 import (
-    BlockDiagonalF3, Echelon, Planes, column_entries, from_planes, to_planes,
+    BlockDiagonalF3, Echelon, Planes, column_entries, from_planes,
 )
 from cotor.relations import _canonical_rows
 
@@ -219,9 +220,10 @@ def test_deserialize_rejects_garbage():
     # the same entries inside the blocks are read, and a block without
     # rows is dropped
     diag = read("GF3MAT v1 2 2 2\n0 0 1\n1 1 2\n", TWO_BLOCKS, TWO_BLOCKS)
-    assert diag.blocks == [((0,), (0,), (1,), (0,)), ((1,), (1,), (0,), (1,))]
-    assert read("GF3MAT v1 1 2 1\n0 0 2", {0: (0,)}, TWO_BLOCKS).blocks == [
-        ((0,), (0,), (0,), (1,))]
+    assert diag.blocks == {0: ((0,), (0,), (1,), (0,)),
+                           1: ((1,), (1,), (0,), (1,))}
+    assert read("GF3MAT v1 1 2 1\n0 0 2", {0: (0,)}, TWO_BLOCKS).blocks == {
+        0: ((0,), (0,), (0,), (1,))}
 
 
 def test_entries_validation():
@@ -432,29 +434,43 @@ def test_echelon_matches_reference_on_d_matrices(engine):
         dense = to_dense(engine.d_matrix(n))
         _check_against_reference(dense, rng)
         # the matrix itself gives the same pass, and its blocks' passes
-        # (what Engine.rank counts) the same pivots
+        # (what Engine.rank and the weight profiles count) the same pivots,
+        # named by distinct weights
         direct = Echelon(engine.d_matrix(n), transform=False)
         assert direct.pivots == Echelon(sparse(dense)).pivots
         d = engine.d_matrix(n)
-        assert direct.pivots == d.pivots(range(d.n_rows), range(d.n_cols))
+        assert direct.pivots == _positions(
+            d.pivot_weights(range(d.n_rows), [-c for c in range(d.n_cols)]))
         assert direct.rank == engine.rank(n)
 
 
+def _positions(pairs) -> list:
+    """The pivots ``(row, col)``, by column, that weight pairs name when
+    row r has weight r and column c weight -c."""
+    return sorted(((r, -c) for r, c in pairs), key=lambda p: p[1])
+
+
 def test_block_matvec_matches_the_reference_on_d_matrices(engine):
-    # the per-block product on planes against the dict matrix's product
+    # the per-block product on planes (Engine.apply_d of the parts
+    # Engine.blocks_of cuts) against the dict matrix's product
     rng = np.random.default_rng(41)
     for n in range(41):
         d = engine.d_matrix(n)
         ref = SparseMatrixF3(d.n_rows, d.n_cols, d.entries)
+        monomials, rows = engine.basis(n).monomials, engine.basis(n + 1).blocks
         for density in (0.05, 0.5, 1.0):
             x = ((rng.random(d.n_cols) < density)
                  * rng.integers(1, 3, d.n_cols)).tolist()
-            assert from_planes(*d.matvec(*to_planes(x)), d.n_rows) == \
-                ref.matvec(x), n
-        # a vector one entry too long, or planes that overlap, is refused
-        for planes in (to_planes(x + [1]), (1, 1)):
-            with pytest.raises(ValueError):
-                d.matvec(*planes)
+            parts = engine.blocks_of(
+                Element({m: c for m, c in zip(monomials, x) if c}), n)
+            image = [0] * d.n_rows
+            for g, planes in engine.apply_d(parts, n).items():
+                for r, v in zip(rows[g], from_planes(*planes, len(rows[g]))):
+                    image[r] = v
+            assert tuple(image) == ref.matvec(x), n
+    # a term outside the basis of the degree is refused
+    with pytest.raises(KeyError):
+        engine.blocks_of(Element({engine.basis(8).monomials[0]: 1}), 4)
 
 
 def test_columns_by_label_read_back_every_entry(engine):
@@ -482,7 +498,7 @@ def test_thin_blocks_are_ranked_without_elimination(engine):
 
     thin = 0
     for n in range(91):
-        blocks = engine.d_matrix(n).blocks
+        blocks = list(engine.d_matrix(n).blocks.values())
         ranks = [Echelon(Planes(len(rows), len(cols), pos, neg),
                          transform=False).rank
                  for rows, cols, pos, neg in blocks]
@@ -526,7 +542,8 @@ def test_block_diagonal_matches_one_global_pass():
             m, n, sparse(a).entries)
         assert blocked.serialize() == gf3mat(sparse(a))
         whole = Echelon(sparse(a), transform=False)
-        pivots = blocked.pivots(range(m), range(n))
+        pivots = _positions(
+            blocked.pivot_weights(range(m), [-c for c in range(n)]))
         assert pivots == whole.pivots
         assert len(pivots) == whole.rank
         assert prefix_rank(pivots, m // 2, n // 2) == rref(
@@ -535,8 +552,9 @@ def test_block_diagonal_matches_one_global_pass():
         row_at, col_at = rng.permutation(m), rng.permutation(n)
         b = np.zeros_like(a)
         b[np.ix_(row_at, col_at)] = a
-        assert blocked.pivots(row_at.tolist(), col_at.tolist()) == Echelon(
-            sparse(b), transform=False).pivots
+        assert _positions(blocked.pivot_weights(
+            row_at.tolist(), (-col_at).tolist())) == Echelon(
+                sparse(b), transform=False).pivots
     # an entry joining two blocks is refused
     with pytest.raises(ValueError):
         BlockDiagonalF3.deserialize(gf3mat(SparseMatrixF3(2, 2, {(0, 1): 1})),

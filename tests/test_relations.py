@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import cotor
 from conftest import SparseMatrixF3, class_element, solve_in_image
 from cotor import derivation, engine as engine_module, relations
 from cotor.dga import Element, encode, gen
@@ -121,22 +125,35 @@ def test_witness_matrix_route_sees_one_flipped_entry(engine, catalog,
         d = engine.d_matrix(n - 1)
         used = {engine.basis(n - 1).index[encode(m)]
                 for m in rec.witness.terms}
-        blocks = list(d.blocks)
-        i, j = next((i, j) for i, (_, cols, pos, neg) in enumerate(blocks)
+        blocks = dict(d.blocks)
+        g, j = next((g, j) for g, (_, cols, pos, neg) in blocks.items()
                     for j, c in enumerate(cols)
                     if c in used and pos[j] | neg[j])
-        rows, cols, pos, neg = blocks[i]
+        rows, cols, pos, neg = blocks[g]
         low = (pos[j] | neg[j]) & -(pos[j] | neg[j])
         pos, neg = list(pos), list(neg)
         pos[j] ^= low
         neg[j] ^= low
-        blocks[i] = rows, cols, tuple(pos), tuple(neg)
+        blocks[g] = rows, cols, tuple(pos), tuple(neg)
         flipped, real = d._replace(blocks=blocks), engine.d_matrix
         with monkeypatch.context() as mp:
             mp.setattr(engine, "d_matrix",
                        lambda k: flipped if k == n - 1 else real(k))
             v = verify_witness(rec, engine)
         assert (v.verdict, v.note) == ("FAIL", "matrix route disagrees")
+
+
+def test_witness_matrix_route_survives_python_O():
+    # the matrix route's refusal is not an assert: the test above passes
+    # under -O
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "test_witness_matrix_route_sees_one_flipped_entry"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert "1 passed" in proc.stdout
 
 
 def test_all_group_ii_witnesses_exact(engine, catalog):

@@ -1,5 +1,3 @@
-import bisect
-
 import numpy as np
 import pytest
 
@@ -113,24 +111,26 @@ def test_scheme_reports(prepared):
 
 def test_rank_table_matches_prefix_ranks(engine):
     # every (rows, cols) breakpoint of the weight orders through degree
-    # 60: the cumulative table against a walk over the pivot list, and
-    # cols_ge against a direct count
+    # 60: the cumulative table against a walk over the pivots' weight
+    # pairs, and cols_ge against a direct count
     for scheme in SCHEMES:
         ss = SpectralSequence(engine, scheme)
         for n in range(61):
             prof = ss.profile(n)
-            rows_w, cols_w = prof.row_weights_asc, prof.col_weights_desc
+            rows_w, cols_w = ([m.weight(scheme) for m in engine.basis(k)
+                               .monomials] for k in (n + 1, n))
+            assert prof.col_weights_desc == sorted(cols_w, reverse=True)
             qs = ([min(cols_w, default=0) - 1] + sorted(set(cols_w))
                   + [max(cols_w, default=0) + 1])
-            ws = sorted(set(rows_w)) + [max(rows_w, default=0) + 1, None]
+            ws = ([min(rows_w, default=0) - 1] + sorted(set(rows_w))
+                  + [max(rows_w, default=0) + 1, None])
             for q in qs:
                 cols = sum(1 for x in cols_w if x >= q)
                 assert prof.cols_ge(q) == cols, (scheme, n, q)
                 for w in ws:
-                    rows = (len(rows_w) if w is None
-                            else bisect.bisect_left(rows_w, w))
                     assert prof.rank_sub(q, w) == sum(
-                        1 for r, c in prof.pivots if r < rows and c < cols), (
+                        1 for rw, cw in prof.pivots
+                        if cw >= q and (w is None or rw < w)), (
                         scheme, n, q, w)
 
 
@@ -149,8 +149,9 @@ def test_memoized_tables_match_a_fresh_sequence(prepared):
 
 
 def test_blocked_passes_match_one_global_echelon(engine):
-    # ranks and weight-ordered pivots, per Z^4 block against one pass over
-    # the whole matrix, with the weight orders rebuilt from Monomial.weight
+    # ranks, and the weights of the weight-ordered pivots, per Z^4 block
+    # against one pass over the whole matrix, with the weight orders
+    # rebuilt from Monomial.weight
     engine.build_range(100)
     weights = {(scheme, n): [m.weight(scheme)
                              for m in engine.basis(n).monomials]
@@ -168,9 +169,11 @@ def test_blocked_passes_match_one_global_echelon(engine):
                                        key=lambda j: -colw[j])).tolist()
             permuted = SparseMatrixF3(d.n_rows, d.n_cols, {
                 (row_at[r], col_at[c]): v for (r, c), v in d.entries.items()})
+            rows_asc, cols_desc = sorted(roww), sorted(colw, reverse=True)
             prof = sequences[scheme].profile(n)
-            assert prof.pivots == Echelon(
-                permuted, transform=False).pivots, (scheme, n)
+            assert sorted(prof.pivots) == sorted(
+                (rows_asc[r], cols_desc[c]) for r, c in Echelon(
+                    permuted, transform=False).pivots), (scheme, n)
 
 
 def test_filtration_check_reports_a_planted_weight_drop():
@@ -193,3 +196,14 @@ def test_filtration_check_reports_a_planted_weight_drop():
     for scheme in ("weight_s3", "may_s5"):
         assert not SpectralSequence(engine, scheme) \
             .check_filtration_compatibility(40)
+
+
+def test_convergence_check_reports_a_planted_rank():
+    # the limit totals are dim V_n less the profiles' ranks of d_n and
+    # d_{n-1}, so one wrong Engine.rank shows in the two degrees it enters
+    engine = Engine(convention="parity")
+    dims = [engine.dim_h(n) for n in range(36)]
+    engine._ranks[30] += 1
+    for scheme in SCHEMES:
+        assert SpectralSequence(engine, scheme).convergence_check(35) == [
+            (30, dims[30], dims[30] - 1), (31, dims[31], dims[31] - 1)]
