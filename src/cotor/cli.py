@@ -33,8 +33,8 @@ from .engine import DEFAULT_MAX_DEGREE, Engine
 # (N = 150: medians of ten and of three runs.)  Every subcommand at 160:
 #   homology               25.0 s, 473 MB   diff          25.7 s, 473 MB
 #   homology --check-basis 33.1 s, 579 MB   ideal-check   28.8 s, 637 MB
-#   spectral (weight_s3)   60.8 s, 576 MB   basis          0.7 s, 125 MB
-#   spectral (may_s5)      53.8 s, 482 MB   verify         0.8 s, 36 MB
+#   spectral (weight_s3)   29.1 s, 477 MB   basis          0.7 s, 125 MB
+#   spectral (may_s5)      28.9 s, 474 MB   verify         0.8 s, 36 MB
 #   table40                 0.2 s, 22 MB    poincare       0.1 s, 21 MB
 #   discover --support a9*y21,a4*y26 --degree 30            0.2 s, 22 MB
 #   audit (square-zero to 160; three runs)           29.4-44.5 s, 847 MB

@@ -223,31 +223,47 @@ class BlockDiagonalF3(NamedTuple):
         return (f"GF3MAT v1 {self.n_rows} {self.n_cols} {len(body)}\n"
                 + "".join(body))
 
-    def pivot_weights(self, row_weight, col_weight) -> list:
-        """``(row weight, column weight)`` of each pivot of ``Echelon(a,
-        transform=False)``, ``a`` being this matrix with its rows by
-        ascending ``row_weight[r]`` and its columns by descending
-        ``col_weight[c]``, run one block at a time.  The rows of weight
-        below w and the columns of weight at least q make a prefix
-        submatrix of ``a``, the direct sum of its blocks' ones, so the
-        pivots with such weights count its rank, whatever the order among
-        equal weights."""
-        out = []
+    def pivot_weights(self, row_weight, col_weight) -> tuple:
+        """``(pairs, compatible)``: the ``(row weight, column weight)`` of
+        each pivot of ``Echelon(a, transform=False)``, ``a`` being this
+        matrix with its rows by ascending ``row_weight[r]`` and its columns
+        by descending ``col_weight[c]``, run one block at a time, and
+        whether no entry lies in a row of lower weight than its column.
+        The rows of weight below w and the columns of weight at least q
+        make a prefix submatrix of ``a``, the direct sum of its blocks'
+        ones, so the pivots with such weights count its rank, whatever the
+        order among equal weights.  A block with one row or one column
+        needs no pass: its pivot, if any, pairs the least weight of its
+        nonzero rows with the greatest of its nonzero columns."""
+        out, compatible = [], True
         for rows, cols, pos, neg in self.blocks.values():
-            rw = [row_weight[r] for r in rows]
-            order = sorted(range(len(rows)), key=rw.__getitem__)
-            if order != list(range(len(rows))):     # move the bits
+            rw = list(map(row_weight.__getitem__, rows))
+            cw = list(map(col_weight.__getitem__, cols))
+            if len(rows) == 1 or len(cols) == 1:
+                nonzero = [q for q, p, n in zip(cw, pos, neg) if p | n]
+                if nonzero:
+                    out.append((rw[0] if len(rows) == 1 else min(
+                        map(rw.__getitem__, bits(pos[0] | neg[0]))),
+                        max(nonzero)))
+                    compatible = compatible and out[-1][0] >= out[-1][1]
+                continue
+            if rw != sorted(rw):                    # move the bits
+                order = sorted(range(len(rows)), key=rw.__getitem__)
                 shift = sorted(range(len(rows)), key=order.__getitem__)
                 pos, neg = ([sum(1 << shift[i] for i in bits(x)) for x in xs]
                             for xs in (pos, neg))
-            cw = [col_weight[c] for c in cols]
+                rw.sort()
+            # each column's lowest set bit is now its row of least weight
+            compatible = compatible and all(
+                rw[(x & -x).bit_length() - 1] >= q
+                for x, q in zip(map(int.__or__, pos, neg), cw) if x)
             col_order = sorted(range(len(cols)), key=cw.__getitem__,
                                reverse=True)
             ech = Echelon(Planes(len(rows), len(cols),
                                  [pos[j] for j in col_order],
                                  [neg[j] for j in col_order]), transform=False)
-            out.extend((rw[order[i]], cw[col_order[j]]) for i, j in ech.pivots)
-        return out
+            out.extend((rw[i], cw[col_order[j]]) for i, j in ech.pivots)
+        return out, compatible
 
 
 def bits(x: int):

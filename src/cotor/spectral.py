@@ -10,18 +10,17 @@ differential restricted to columns of weight >= q and rows of weight < w.
 Sorting columns by descending and rows by ascending weight turns all of
 these into prefix ranks of a single matrix, which one greedy
 column-echelon pass answers for every (q, w) at once.  The pass runs one
-internal Z^4 block at a time and keeps each pivot's two weights only.
-Writing
-
-    Z_s(q, m) = dim { x in level q of degree m : d(x) in level q+s }
-
-the page dimensions are
+internal Z^4 block at a time (none for a block with one row or one
+column), keeps each pivot's two weights only, and also tells whether d
+lowers weight anywhere.  Writing Z_s(q, m) = dim { x in level q of
+degree m : d(x) in level q+s } as one list over q per (s, m), built
+once, each page entry is arithmetic on four lists:
 
     E_r(p, n) = Z_r(p, n) - Z_{r-1}(p+1, n)
                 - Z_{r-1}(p-r+1, n-1) + Z_r(p-r+1, n-1)
 
 and the limit page comes from the induced filtration on cohomology,
-independent of the page recursion.
+independent of the page recursion; its totals meet the Poincare series.
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ import bisect
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count, zip_longest
 
+from . import cohomology
 from .dga import WEIGHT_SCHEMES, key_weight
 
 SCHEMES = tuple(WEIGHT_SCHEMES)
@@ -52,9 +52,12 @@ class DegreeProfile:
 
     col_weights_desc: list          # weights of columns, descending
     pivots: list                    # (row weight, column weight)
+    compatible: bool = True         # d out of this degree keeps weight
     row_levels: list = field(init=False, repr=False)
     col_levels: list = field(init=False, repr=False)
     counts: list = field(init=False, repr=False)
+    _dense: tuple = field(init=False, repr=False)
+    _z: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.row_levels = sorted({w for w, _ in self.pivots})
@@ -70,6 +73,13 @@ class DegreeProfile:
             at_least = list(accumulate(reversed(line)))[::-1] + [0]
             self.counts.append(
                 [a + b for a, b in zip(self.counts[-1], at_least)])
+        # cols_ge and both level indices at weights 0..top, where each
+        # is final (weights are >= 0: below 0 each is as at 0)
+        top = 1 + max(self.col_weights_desc[:1] + self.row_levels, default=0)
+        xs = range(top + 1)
+        self._dense = ([self.cols_ge(x) for x in xs],
+                       [bisect.bisect_left(self.row_levels, x) for x in xs],
+                       [bisect.bisect_left(self.col_levels, x) for x in xs])
 
     def cols_ge(self, q: int) -> int:
         # the negated weights ascend: count those <= -q
@@ -80,6 +90,26 @@ class DegreeProfile:
              else bisect.bisect_left(self.row_levels, w))
         return self.counts[i][bisect.bisect_left(self.col_levels, q)]
 
+    def z_list(self, s: int) -> list:
+        """``Z_s(q) = cols_ge(q) - rank_sub(q, q + s)`` at index q + s + 1
+        for q = -s - 1 .. the top column weight (past it, 0), from the dense
+        lists; dropped once a list for an s two or more away is built."""
+        z = self._z.get(s)
+        if z is None:
+            for k in [k for k in self._z if abs(k - s) > 1]:
+                del self._z[k]
+            ge, row_at, col_at = self._dense
+            hi = self.col_weights_desc[0] if self.col_weights_desc else 0
+            rows = ([0] + row_at[:hi + s + 1]       # at weights -1 .. hi + s
+                    + row_at[-1:] * (hi + s + 1 - len(row_at)))
+            z = self._z[s] = [g - self.counts[i][j] for g, i, j in zip(
+                ge[:1] * (s + 1) + ge[:hi + 1], rows,
+                [0] * (s + 1) + col_at[:hi + 1])]
+        return z
+
+
+_NO_PIVOTS = DegreeProfile([], [])      # d_{-1}, which has no columns
+
 
 class SpectralSequence:
     def __init__(self, engine, scheme: str):
@@ -87,7 +117,7 @@ class SpectralSequence:
             raise KeyError(f"unknown filtration scheme {scheme!r}")
         self.engine = engine
         self.scheme = scheme
-        self._profiles: dict[int, DegreeProfile] = {}
+        self._profiles: dict[int, DegreeProfile] = {-1: _NO_PIVOTS}
         self._basis_weights: dict[int, list] = {}
         self._tables: dict[tuple, dict] = {}
 
@@ -95,22 +125,8 @@ class SpectralSequence:
 
     def check_filtration_compatibility(self, n_max: int) -> bool:
         """No entry of d_0..d_{n_max} maps a column to a row of lower
-        weight: in each block, the bit planes of a column of weight w miss
-        the mask of the block's rows of weight below w."""
-        for n in range(n_max + 1):
-            colw, roww = self._weights(n), self._weights(n + 1)
-            blocks = self.engine.d_matrix(n).blocks
-            for rows, cols, pos, neg in blocks.values():
-                below = {}              # column weight -> row mask
-                for c, p, q in zip(cols, pos, neg):
-                    w = colw[c]
-                    mask = below.get(w)
-                    if mask is None:
-                        mask = below[w] = sum(
-                            1 << i for i, r in enumerate(rows) if roww[r] < w)
-                    if (p | q) & mask:
-                        return False
-        return True
+        weight: read off each degree's weight-ordered pass."""
+        return all(self.profile(n).compatible for n in range(n_max + 1))
 
     def _weights(self, n: int) -> list:
         """The weight of every basis monomial of degree n, in basis order."""
@@ -131,8 +147,9 @@ class SpectralSequence:
             return prof
         colw = self._weights(m)
         prof = self._profiles[m] = DegreeProfile(
-            sorted(colw, reverse=True), self.engine.d_matrix(m).pivot_weights(
+            sorted(colw, reverse=True), *self.engine.d_matrix(m).pivot_weights(
                 self._weights(m + 1), colw))
+        del self._basis_weights[m]      # its one other reader: profile(m - 1)
         return prof
 
     def max_weight(self, n: int) -> int:
@@ -141,20 +158,8 @@ class SpectralSequence:
 
     # -- page dimensions -----------------------------------------------------
 
-    def dim_z(self, s: int, q: int, m: int) -> int:
-        """dim of level-q cochains in degree m whose image lies s deeper."""
-        if m < 0:
-            return 0
-        prof = self.profile(m)
-        return prof.cols_ge(q) - prof.rank_sub(q, q + s)
-
     def page_dim(self, r: int, p: int, n: int) -> int:
-        if r < 0:
-            raise ValueError("page index must be >= 0")
-        return (self.dim_z(r, p, n)
-                - self.dim_z(r - 1, p + 1, n)
-                - self.dim_z(r - 1, p - r + 1, n - 1)
-                + self.dim_z(r, p - r + 1, n - 1))
+        return self.page_table(r, n).get((p, n), 0)
 
     def limit_dim(self, p: int, n: int) -> int:
         """dim of the p-graded piece of the induced filtration on H^n."""
@@ -163,8 +168,6 @@ class SpectralSequence:
     def _h_filtration(self, p: int, n: int) -> int:
         prof = self.profile(n)
         cocycles = prof.cols_ge(p) - prof.rank_sub(p, None)
-        if n == 0:
-            return cocycles
         prev = self.profile(n - 1)
         boundaries = prev.rank_sub(0, None) - prev.rank_sub(0, p)
         return cocycles - boundaries
@@ -173,20 +176,29 @@ class SpectralSequence:
 
     def page_table(self, r: int, n_max: int) -> dict:
         """{(p, n): dim E_r^{p,n}}, zero entries omitted."""
-        return self._table(("page", r, n_max), n_max,
-                           lambda p, n: self.page_dim(r, p, n))
+        if r < 0:
+            raise ValueError("page index must be >= 0")
+
+        def dims(n):        # at p = 0, 1, ...: see z_list for the indices
+            z, z_prev = self.profile(n).z_list, self.profile(n - 1).z_list
+            return (a - b - c + d for a, b, c, d in zip_longest(
+                z(r)[r + 1:], z(r - 1)[r + 1:], z_prev(r - 1)[1:],
+                z_prev(r)[2:], fillvalue=0))
+        return self._table(("page", r, n_max), n_max, dims)
 
     def limit_table(self, n_max: int) -> dict:
-        return self._table(("limit", n_max), n_max, self.limit_dim)
+        return self._table(("limit", n_max), n_max, lambda n: (
+            self.limit_dim(p, n) for p in count()))
 
-    def _table(self, key: tuple, n_max: int, dim_at) -> dict:
-        """A copy of the table ``key``, built once from ``dim_at(p, n)``."""
+    def _table(self, key: tuple, n_max: int, dims) -> dict:
+        """A copy of the table ``key``, built once from ``dims(n)``, the
+        dims at p = 0, 1, ... in degree n."""
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = {
                 (p, n): dim for n in range(n_max + 1)
-                for p in range(self.max_weight(n) + 2)
-                if (dim := dim_at(p, n))}
+                for p, dim in zip(range(self.max_weight(n) + 2), dims(n))
+                if dim}
         return dict(table)
 
     def page_equality_check(self, r1: int, r2: int, n_max: int):
@@ -203,14 +215,15 @@ class SpectralSequence:
         return _mismatches(self.page_table(r, n_max), self.limit_table(n_max))
 
     def convergence_check(self, n_max: int):
-        """Total limit dimension per degree against ``Engine.dim_h``.
+        """Total limit dimension per degree against the Poincare series.
 
         The limit pieces of degree n telescope to dim V_n minus the
-        profiles' rank of d_n and of d_{n-1}, so this compares the
-        weight-ordered eliminations with ``Engine.rank``'s own."""
+        profiles' rank of d_n and of d_{n-1}, so this checks the
+        weight-ordered eliminations against a route that needs neither d
+        nor any rank (``Engine.rank`` meets the series in ``homology``)."""
         return _mismatches(
             _degree_totals(self.limit_table(n_max), n_max),
-            {n: self.engine.dim_h(n) for n in range(n_max + 1)})
+            dict(enumerate(cohomology.poincare_coeffs(n_max))))
 
     def active_pages(self, n_max: int) -> list:
         """Pages r < LAST_PAGE where E_r != E_{r+1} somewhere (measured,
@@ -236,8 +249,8 @@ class SpectralSequence:
 def _mismatches(a: dict, b: dict) -> list:
     """``(key, a[key], b[key])`` wherever two tables differ, by key; a
     missing entry is 0."""
-    return [(k, a.get(k, 0), b.get(k, 0)) for k in sorted(a.keys() | b.keys())
-            if a.get(k, 0) != b.get(k, 0)]
+    return [(k, a.get(k, 0), b.get(k, 0)) for k in sorted(
+        k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))]
 
 
 def _degree_totals(table: dict, n_max: int) -> dict:

@@ -176,6 +176,20 @@ def solve_in_image(m, v) -> SolveResult:
     return echelon_solve(Echelon(m), v)
 
 
+def reference_page_dim(ss, r: int, p: int, n: int) -> int:
+    """dim E_r^{p,n} of a ``SpectralSequence``, cell by cell: four
+    ``Z_s(q, m) = cols_ge(q) - rank_sub(q, q + s)`` read off the degree
+    profiles by bisection, the reference the page tables are checked
+    against."""
+    def dim_z(s, q, m):
+        if m < 0:
+            return 0
+        prof = ss.profile(m)
+        return prof.cols_ge(q) - prof.rank_sub(q, q + s)
+    return (dim_z(r, p, n) - dim_z(r - 1, p + 1, n)
+            - dim_z(r - 1, p - r + 1, n - 1) + dim_z(r, p - r + 1, n - 1))
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return

@@ -130,12 +130,12 @@ def test_spectral_subcommand(capsys):
 
 
 def test_spectral_builds_each_profile_once(capsys, monkeypatch):
-    from cotor import engine as engine_module, spectral
+    from cotor import engine as engine_module, gf3, spectral
     from cotor.gf3 import BlockDiagonalF3, Echelon
 
-    # each weight profile is built once, from one pass over d_n; each rank
-    # of d is one pass too, block by block, and a block with one row or one
-    # column needs no elimination
+    # each weight profile is built once, from one pass over d_n, block by
+    # block; a block with one row or one column needs no elimination, and
+    # no block is ranked a second time (convergence meets the series)
     profiles, passes, rank_blocks, eliminations = [], [], [], []
     profile, pivots = spectral.DegreeProfile, BlockDiagonalF3.pivot_weights
     block_rank = engine_module._block_rank
@@ -145,19 +145,45 @@ def test_spectral_builds_each_profile_once(capsys, monkeypatch):
                         lambda *a: passes.append(1) or pivots(*a))
     monkeypatch.setattr(engine_module, "_block_rank", lambda b: (
         rank_blocks.append(1) or block_rank(b)))
-    monkeypatch.setattr(engine_module, "Echelon", lambda *a, **k: (
-        eliminations.append(1) or Echelon(*a, **k)))
+    for module in (engine_module, gf3):
+        monkeypatch.setattr(module, "Echelon", lambda *a, **k: (
+            eliminations.append(1) or Echelon(*a, **k)))
     code, out, _ = run_cli(capsys, "spectral", "--scheme", "may_s5",
                            "--max-degree", "20", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
-    # one weight profile and one rank of d per degree 0..20
+    # one weight profile per degree 0..20, and no rank of d
     assert len(profiles) == len(passes) == 21
-    d = Engine(convention="parity").d_matrix
-    blocks = [b for n in range(21) for b in d(n).blocks.values()]
-    assert len(rank_blocks) == len(blocks)
+    assert rank_blocks == []
+    engine = Engine(convention="parity")
+    blocks = [b for n in range(21) for b in engine.d_matrix(n).blocks.values()]
     assert len(eliminations) == sum(len(rows) > 1 and len(cols) > 1
                                     for rows, cols, _, _ in blocks)
+    # d_0..d_20 has no such block; through d_40 there are some
+    del eliminations[:]
+    assert spectral.SpectralSequence(
+        engine, "may_s5").check_filtration_compatibility(40)
+    blocks = [b for n in range(41) for b in engine.d_matrix(n).blocks.values()]
+    assert len(eliminations) == sum(len(rows) > 1 and len(cols) > 1
+                                    for rows, cols, _, _ in blocks) > 0
+    assert rank_blocks == []
+
+
+def test_homology_reports_a_planted_rank(capsys, monkeypatch):
+    # spectral's convergence check no longer reads Engine.rank; homology's
+    # series column still sees one wrong rank, in the two degrees it enters
+    make = cli._engine
+
+    def planted(args):
+        engine = make(args)
+        engine.rank(30)
+        engine._ranks[30] += 1
+        return engine
+    monkeypatch.setattr(cli, "_engine", planted)
+    code, out, _ = run_cli(capsys, "homology", "--max-degree", "35")
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines()
+            if line.endswith("MISMATCH")] == ["30", "31"]
 
 
 def test_spectral_page_grid_csv(capsys):

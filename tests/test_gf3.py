@@ -444,9 +444,13 @@ def test_echelon_matches_reference_on_d_matrices(engine):
         assert direct.rank == engine.rank(n)
 
 
-def _positions(pairs) -> list:
-    """The pivots ``(row, col)``, by column, that weight pairs name when
-    row r has weight r and column c weight -c."""
+def _positions(result) -> list:
+    """The pivots ``(row, col)``, by column, that the weight pairs of a
+    ``pivot_weights`` result name when row r has weight r and column c
+    weight -c; every row then outweighs every column, so the result must
+    also say that no entry lowers weight."""
+    pairs, compatible = result
+    assert compatible
     return sorted(((r, -c) for r, c in pairs), key=lambda p: p[1])
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import SparseMatrixF3, gf3mat
+from conftest import SparseMatrixF3, gf3mat, reference_page_dim
+from cotor.cohomology import poincare_coeffs
 from cotor.engine import Engine
-from cotor.gf3 import BlockDiagonalF3, Echelon
+from cotor.gf3 import BlockDiagonalF3, Echelon, from_planes, to_planes
 from cotor.spectral import (
-    SCHEMES, SpectralSequence, may_page1_oracle, page4_series_oracle,
-    run_scheme_checks,
+    LAST_PAGE, SCHEMES, DegreeProfile, SpectralSequence, may_page1_oracle,
+    page4_series_oracle, run_scheme_checks,
 )
 
 N = 42      # unit-test bound; the acceptance suite runs the full 60
@@ -176,34 +177,129 @@ def test_blocked_passes_match_one_global_echelon(engine):
                     permuted, transform=False).pivots), (scheme, n)
 
 
-def test_filtration_check_reports_a_planted_weight_drop():
-    # (row 10, column 33) of d_38 is the first place where a row and a
-    # column of one Z^4 block have the row of lower weight, in both
-    # weighted schemes; a plant across blocks cannot be represented
-    engine = Engine(convention="parity")
-    engine.build_range(40)
-    n, r, c = 38, 10, 33
-    rows, cols = engine.basis(n + 1), engine.basis(n)
-    for scheme in ("weight_s3", "may_s5"):
-        assert SpectralSequence(engine, scheme) \
-            .check_filtration_compatibility(40)
-        assert rows.monomials[r].weight(scheme) < cols.monomials[c].weight(
-            scheme)
+def _plant(engine, n: int, r: int, c: int):
+    """Set entry (r, c) of the engine's d_n to 1, with row r moved into
+    column c's block: it must be a row in no block, or in that one."""
+    rows, cols = engine.basis(n + 1).blocks, engine.basis(n).blocks
+    g = next(g for g, members in cols.items() if c in members)
+    rows = {h: [x for x in members if x != r] for h, members in rows.items()}
+    rows[g] = sorted(rows.get(g, []) + [r])
     d = engine.d_matrix(n)
     engine._matrices[n] = BlockDiagonalF3.deserialize(gf3mat(
         SparseMatrixF3(d.n_rows, d.n_cols, {**d.entries, (r, c): 1})),
-        rows.blocks, cols.blocks)
-    for scheme in ("weight_s3", "may_s5"):
-        assert not SpectralSequence(engine, scheme) \
-            .check_filtration_compatibility(40)
+        rows, cols)
+    return next(b for b in engine._matrices[n].blocks.values() if c in b[1])
+
+
+def test_filtration_check_reports_a_planted_weight_drop():
+    # (row 10, column 33) of d_38 is the first place where a row and a
+    # column of one Z^4 block have the row of lower weight, in both
+    # weighted schemes; (row 0, column 2) of d_17 makes a thin block of
+    # the 1 x 1 block of column 2 and a row in no block; and in the block
+    # of (row 134, column 102) of d_55 column 102's first row in basis
+    # order is heavy enough, so only the rows by weight show the drop
+    weighted = ("weight_s3", "may_s5")
+    for n, r, c in ((38, 10, 33), (17, 0, 2), (55, 134, 102)):
+        engine = Engine(convention="parity")
+        engine.build_range(n + 1)
+        for scheme in weighted:
+            ss = SpectralSequence(engine, scheme)
+            assert ss.check_filtration_compatibility(n + 1)
+            assert ss._weights(n + 1)[r] < ss._weights(n)[c]
+        rows, cols, pos, neg = _plant(engine, n, r, c)
+        if n == 17:
+            assert (rows, cols) == ((0, 3), (2,))
+        if n == 55:
+            j = cols.index(c)
+            x = (pos[j] | neg[j]) & ~(1 << rows.index(r))
+            for scheme in weighted:
+                ss = SpectralSequence(engine, scheme)
+                rw = [ss._weights(n + 1)[i] for i in rows]
+                assert rw != sorted(rw)
+                assert rw[(x & -x).bit_length() - 1] >= ss._weights(n)[c]
+        for scheme in weighted:
+            assert not SpectralSequence(engine, scheme) \
+                .check_filtration_compatibility(n + 1)
+
+
+def _reference_pivot_weights(a, row_weight, col_weight):
+    """What ``pivot_weights`` gives, from one pass over each block with
+    its rows by ascending and its columns by descending weight, and a
+    check of every entry's two weights."""
+    pairs, compatible = [], True
+    for rows, cols, pos, neg in a.blocks.values():
+        rw = [row_weight[r] for r in rows]
+        cw = [col_weight[c] for c in cols]
+        entries = {(i, j): v for j, (p, q) in enumerate(zip(pos, neg))
+                   for i, v in enumerate(from_planes(p, q, len(rows))) if v}
+        compatible &= all(rw[i] >= cw[j] for i, j in entries)
+        row_order = sorted(range(len(rows)), key=rw.__getitem__)
+        col_order = sorted(range(len(cols)), key=lambda j: -cw[j])
+        row_at, col_at = ({x: k for k, x in enumerate(order)}
+                          for order in (row_order, col_order))
+        permuted = SparseMatrixF3(len(rows), len(cols), {
+            (row_at[i], col_at[j]): v for (i, j), v in entries.items()})
+        pairs += [(rw[row_order[i]], cw[col_order[j]])
+                  for i, j in Echelon(permuted, transform=False).pivots]
+    return sorted(pairs), compatible
+
+
+def test_thin_blocks_match_a_pass_by_weight():
+    # random blocks, most with one row or one column, random weights
+    rng = np.random.default_rng(25)
+    flags = set()
+    for _ in range(300):
+        blocks, n_rows, n_cols = {}, 0, 0
+        for b in range(int(rng.integers(1, 6))):
+            shape = [1, int(rng.integers(1, 7))]
+            if rng.random() < 0.5:
+                shape.reverse()
+            if rng.random() < 0.2:
+                shape = [int(rng.integers(2, 6)), int(rng.integers(2, 6))]
+            dense = (rng.random(shape) < 0.5) * rng.integers(1, 3, shape)
+            blocks[b] = (tuple(range(n_rows, n_rows + shape[0])),
+                         tuple(range(n_cols, n_cols + shape[1])),
+                         *zip(*map(to_planes, dense.T)))
+            n_rows, n_cols = n_rows + shape[0], n_cols + shape[1]
+        a = BlockDiagonalF3(n_rows, n_cols, blocks)
+        row_weight = rng.integers(0, 5, n_rows).tolist()
+        col_weight = rng.integers(0, 5, n_cols).tolist()
+        pairs, compatible = a.pivot_weights(row_weight, col_weight)
+        assert (sorted(pairs), compatible) == _reference_pivot_weights(
+            a, row_weight, col_weight)
+        flags.add(compatible)
+    assert flags == {True, False}
+
+
+def test_tables_match_the_per_cell_formula(engine):
+    # every page r <= LAST_PAGE through degree 60, cell by cell, also
+    # outside the p range the tables cover; and the limit table against
+    # a page past every weight gap, where the recursion has converged
+    n_max = 60
+    for scheme in SCHEMES:
+        ss = SpectralSequence(engine, scheme)
+        cells = [(p, n) for n in range(n_max + 1)
+                 for p in range(-2, ss.max_weight(n) + 4)]
+        last = 2 + max(ss.max_weight(n) for n in range(n_max + 2))
+        for r in (*range(LAST_PAGE + 1), last):
+            reference = {(p, n): dim for p, n in cells
+                         if (dim := reference_page_dim(ss, r, p, n))}
+            assert ss.page_table(r, n_max) == reference, (scheme, r)
+        assert ss.limit_table(n_max) == reference, scheme
 
 
 def test_convergence_check_reports_a_planted_rank():
     # the limit totals are dim V_n less the profiles' ranks of d_n and
-    # d_{n-1}, so one wrong Engine.rank shows in the two degrees it enters
+    # d_{n-1}, so one pivot dropped from the profile of d_30 shows in the
+    # two degrees it enters, against the series
     engine = Engine(convention="parity")
-    dims = [engine.dim_h(n) for n in range(36)]
-    engine._ranks[30] += 1
+    series = poincare_coeffs(35)
     for scheme in SCHEMES:
-        assert SpectralSequence(engine, scheme).convergence_check(35) == [
-            (30, dims[30], dims[30] - 1), (31, dims[31], dims[31] - 1)]
+        ss = SpectralSequence(engine, scheme)
+        assert ss.convergence_check(35) == []
+        prof = ss.profile(30)
+        ss = SpectralSequence(engine, scheme)
+        ss._profiles[30] = DegreeProfile(
+            prof.col_weights_desc, prof.pivots[1:], prof.compatible)
+        assert ss.convergence_check(35) == [
+            (30, series[30] + 1, series[30]), (31, series[31] + 1, series[31])]
