@@ -382,6 +382,8 @@ def main(argv=None) -> int:
         if args.max_degree is not None and not (
                 0 <= args.max_degree <= MAX_SUPPORTED_DEGREE):
             raise ConfigError("--max-degree out of range")
+        if args.page is not None and args.page < 0:
+            raise ConfigError("--page must be >= 0")
         if args.format == "csv" and args.command not in CSV_COMMANDS and not (
                 args.command == "spectral" and args.page is not None):
             raise ConfigError(

@@ -60,9 +60,6 @@ class Monomial(NamedTuple):
         return (sum(map(WORD_DEGREES.__getitem__, self.word))
                 + sum(map(mul, self.exps, COMM_DEGREES)))
 
-    def word_length(self) -> int:
-        return len(self.word)
-
     def weight(self, scheme: str) -> int:
         cw, ww = WEIGHT_SCHEMES[scheme]
         return (sum(ww[x] for x in self.word)

@@ -139,9 +139,6 @@ class Engine:
         dim_v = len(self.basis(n))
         return dim_v - self.rank(n) - self.rank(n - 1)
 
-    def homology_dims(self, n_max: int) -> list:
-        return [self.dim_h(n) for n in range(n_max + 1)]
-
     def series_coeffs(self, n_max: int) -> list:
         return cohomology.poincare_coeffs(n_max)
 

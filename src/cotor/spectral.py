@@ -5,31 +5,33 @@ sum, the filtration is decreasing (level p = span of monomials of weight
 at least p), and the differential never lowers weight (checked
 exhaustively before any page is computed).
 
-Everything reduces to one quantity per degree: the rank of the
-differential restricted to columns of weight >= q and rows of weight < w.
-Sorting columns by descending and rows by ascending weight turns all of
-these into prefix ranks of a single matrix, which one greedy
-column-echelon pass answers for every (q, w) at once.  The pass runs one
-internal Z^4 block at a time (none for a block with one row or one
-column), keeps each pivot's two weights only, and also tells whether d
-lowers weight anywhere.  Writing Z_s(q, m) = dim { x in level q of
-degree m : d(x) in level q+s } as one list over q per (s, m), built
-once, each page entry is arithmetic on four lists:
+Every page entry is a count of persistence pairs (Edelsbrunner, Letscher
+and Zomorodian 2002; Basu and Parida 2017).  One greedy column-echelon
+pass over d_n, its rows by ascending and its columns by descending
+weight, run one internal Z^4 block at a time (none for a block with one
+row or one column), pairs each pivot's column (degree n, weight q) with
+its row (degree n+1, weight w >= q), and also tells whether d lowers
+weight anywhere.  A pair of length w - q is cancelled by the differential
+of page w - q, so it is on pages 0 .. w - q at both its ends and gone
+after:
 
-    E_r(p, n) = Z_r(p, n) - Z_{r-1}(p+1, n)
-                - Z_{r-1}(p-r+1, n-1) + Z_r(p-r+1, n-1)
+    E_r(p, n) = #{basis monomials of degree n and weight p}
+                - #{pairs of d_n with column weight p and length < r}
+                - #{pairs of d_{n-1} with row weight p and length < r}
 
-and the limit page comes from the induced filtration on cohomology,
-independent of the page recursion; its totals meet the Poincare series.
+and the limit page subtracts every pair.  Each degree keeps two counters,
+its basis monomials by weight and d_n's pairs by (column weight, length),
+so a page costs the same whatever r is.  The limit totals are checked
+against the Poincare series, a route that needs no d.
 """
 
 from __future__ import annotations
 
-import bisect
-import operator
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, count, zip_longest
+from typing import NamedTuple
 
 from . import cohomology
 from .dga import WEIGHT_SCHEMES, key_weight
@@ -40,75 +42,13 @@ SCHEMES = tuple(WEIGHT_SCHEMES)
 LAST_PAGE = 9
 
 
-@dataclass
-class DegreeProfile:
-    """Weight-sorted rank data for the differential out of one degree.
+class DegreeCounts(NamedTuple):
+    """Degree n's basis monomials by weight, d_n's persistence pairs by
+    (column weight, length), and whether d_n keeps weight."""
 
-    ``rank_sub(q, w)`` counts the pivots whose column has weight >= q and
-    whose row has weight < w.  ``counts`` holds that count at every pair
-    of the pivots' weight levels (a cumulative table built once from the
-    pivot list), so a query is two bisections, not a walk over the pivots.
-    """
-
-    col_weights_desc: list          # weights of columns, descending
-    pivots: list                    # (row weight, column weight)
-    compatible: bool = True         # d out of this degree keeps weight
-    row_levels: list = field(init=False, repr=False)
-    col_levels: list = field(init=False, repr=False)
-    counts: list = field(init=False, repr=False)
-    _dense: tuple = field(init=False, repr=False)
-    _z: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self.row_levels = sorted({w for w, _ in self.pivots})
-        self.col_levels = sorted({q for _, q in self.pivots})
-        row_at = {w: i for i, w in enumerate(self.row_levels)}
-        col_at = {q: j for j, q in enumerate(self.col_levels)}
-        grid = [[0] * len(self.col_levels) for _ in self.row_levels]
-        for w, q in self.pivots:
-            grid[row_at[w]][col_at[q]] += 1
-        # counts[i][j]: pivots on row levels < i and column levels >= j
-        self.counts = [[0] * (len(self.col_levels) + 1)]
-        for line in grid:
-            at_least = list(accumulate(reversed(line)))[::-1] + [0]
-            self.counts.append(
-                [a + b for a, b in zip(self.counts[-1], at_least)])
-        # cols_ge and both level indices at weights 0..top, where each
-        # is final (weights are >= 0: below 0 each is as at 0)
-        top = 1 + max(self.col_weights_desc[:1] + self.row_levels, default=0)
-        xs = range(top + 1)
-        self._dense = ([self.cols_ge(x) for x in xs],
-                       [bisect.bisect_left(self.row_levels, x) for x in xs],
-                       [bisect.bisect_left(self.col_levels, x) for x in xs])
-
-    def cols_ge(self, q: int) -> int:
-        # the negated weights ascend: count those <= -q
-        return bisect.bisect_right(self.col_weights_desc, -q, key=operator.neg)
-
-    def rank_sub(self, q: int, w) -> int:
-        i = (len(self.row_levels) if w is None
-             else bisect.bisect_left(self.row_levels, w))
-        return self.counts[i][bisect.bisect_left(self.col_levels, q)]
-
-    def z_list(self, s: int) -> list:
-        """``Z_s(q) = cols_ge(q) - rank_sub(q, q + s)`` at index q + s + 1
-        for q = -s - 1 .. the top column weight (past it, 0), from the dense
-        lists; dropped once a list for an s two or more away is built."""
-        z = self._z.get(s)
-        if z is None:
-            for k in [k for k in self._z if abs(k - s) > 1]:
-                del self._z[k]
-            ge, row_at, col_at = self._dense
-            hi = self.col_weights_desc[0] if self.col_weights_desc else 0
-            rows = ([0] + row_at[:hi + s + 1]       # at weights -1 .. hi + s
-                    + row_at[-1:] * (hi + s + 1 - len(row_at)))
-            z = self._z[s] = [g - self.counts[i][j] for g, i, j in zip(
-                ge[:1] * (s + 1) + ge[:hi + 1], rows,
-                [0] * (s + 1) + col_at[:hi + 1])]
-        return z
-
-
-_NO_PIVOTS = DegreeProfile([], [])      # d_{-1}, which has no columns
+    weights: Counter
+    pairs: Counter
+    compatible: bool = True
 
 
 class SpectralSequence:
@@ -117,7 +57,9 @@ class SpectralSequence:
             raise KeyError(f"unknown filtration scheme {scheme!r}")
         self.engine = engine
         self.scheme = scheme
-        self._profiles: dict[int, DegreeProfile] = {-1: _NO_PIVOTS}
+        # degree -1 has no basis and d_{-1} no pairs
+        self._profiles: dict[int, DegreeCounts] = {
+            -1: DegreeCounts(Counter(), Counter())}
         self._basis_weights: dict[int, list] = {}
         self._tables: dict[tuple, dict] = {}
 
@@ -138,68 +80,46 @@ class SpectralSequence:
 
     # -- profiles ----------------------------------------------------------
 
-    def profile(self, m: int) -> DegreeProfile:
-        """Rank data of d_m in weight order, eliminated one internal Z^4
-        degree at a time (filtration levels are spanned by monomials, so
-        every prefix rank is a sum over the blocks)."""
+    def profile(self, m: int) -> DegreeCounts:
+        """The counters of degree m, from one weight-ordered pass over
+        d_m per internal Z^4 block (filtration levels are spanned by
+        monomials, so the pairs of d_m are those of its blocks)."""
         prof = self._profiles.get(m)
         if prof is not None:
             return prof
         colw = self._weights(m)
-        prof = self._profiles[m] = DegreeProfile(
-            sorted(colw, reverse=True), *self.engine.d_matrix(m).pivot_weights(
-                self._weights(m + 1), colw))
+        pairs, compatible = self.engine.d_matrix(m).pivot_weights(
+            self._weights(m + 1), colw)
+        prof = self._profiles[m] = DegreeCounts(
+            Counter(colw), Counter((q, w - q) for w, q in pairs), compatible)
         del self._basis_weights[m]      # its one other reader: profile(m - 1)
         return prof
 
-    def max_weight(self, n: int) -> int:
-        prof = self.profile(n)
-        return prof.col_weights_desc[0] if prof.col_weights_desc else 0
-
-    # -- page dimensions -----------------------------------------------------
-
-    def page_dim(self, r: int, p: int, n: int) -> int:
-        return self.page_table(r, n).get((p, n), 0)
-
-    def limit_dim(self, p: int, n: int) -> int:
-        """dim of the p-graded piece of the induced filtration on H^n."""
-        return self._h_filtration(p, n) - self._h_filtration(p + 1, n)
-
-    def _h_filtration(self, p: int, n: int) -> int:
-        prof = self.profile(n)
-        cocycles = prof.cols_ge(p) - prof.rank_sub(p, None)
-        prev = self.profile(n - 1)
-        boundaries = prev.rank_sub(0, None) - prev.rank_sub(0, p)
-        return cocycles - boundaries
-
     # -- tables and checks -----------------------------------------------------
 
-    def page_table(self, r: int, n_max: int) -> dict:
-        """{(p, n): dim E_r^{p,n}}, zero entries omitted."""
+    def page_table(self, r, n_max: int) -> dict:
+        """{(p, n): dim E_r^{p,n}}, zero entries omitted; a copy of the
+        table, built once."""
         if r < 0:
             raise ValueError("page index must be >= 0")
-
-        def dims(n):        # at p = 0, 1, ...: see z_list for the indices
-            z, z_prev = self.profile(n).z_list, self.profile(n - 1).z_list
-            return (a - b - c + d for a, b, c, d in zip_longest(
-                z(r)[r + 1:], z(r - 1)[r + 1:], z_prev(r - 1)[1:],
-                z_prev(r)[2:], fillvalue=0))
-        return self._table(("page", r, n_max), n_max, dims)
+        table = self._tables.get((r, n_max))
+        if table is None:
+            table = self._tables[r, n_max] = {}
+            for n in range(n_max + 1):
+                dims = self.profile(n).weights.copy()
+                for (q, length), k in self.profile(n).pairs.items():
+                    if length < r:
+                        dims[q] -= k                # d_n's column
+                for (q, length), k in self.profile(n - 1).pairs.items():
+                    if length < r:
+                        dims[q + length] -= k       # d_{n-1}'s row
+                table.update(((p, n), dim) for p, dim in sorted(dims.items())
+                             if dim)
+        return dict(table)
 
     def limit_table(self, n_max: int) -> dict:
-        return self._table(("limit", n_max), n_max, lambda n: (
-            self.limit_dim(p, n) for p in count()))
-
-    def _table(self, key: tuple, n_max: int, dims) -> dict:
-        """A copy of the table ``key``, built once from ``dims(n)``, the
-        dims at p = 0, 1, ... in degree n."""
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = {
-                (p, n): dim for n in range(n_max + 1)
-                for p, dim in zip(range(self.max_weight(n) + 2), dims(n))
-                if dim}
-        return dict(table)
+        """The page past every pair's length: every pair subtracted."""
+        return self.page_table(math.inf, n_max)
 
     def page_equality_check(self, r1: int, r2: int, n_max: int):
         mismatches = []
@@ -217,10 +137,10 @@ class SpectralSequence:
     def convergence_check(self, n_max: int):
         """Total limit dimension per degree against the Poincare series.
 
-        The limit pieces of degree n telescope to dim V_n minus the
-        profiles' rank of d_n and of d_{n-1}, so this checks the
-        weight-ordered eliminations against a route that needs neither d
-        nor any rank (``Engine.rank`` meets the series in ``homology``)."""
+        The limit total of degree n is dim V_n less the pairs of d_n and
+        of d_{n-1}, their ranks, so this checks the weight-ordered
+        eliminations against a route that needs neither d nor any rank
+        (``Engine.rank`` meets the series in ``homology``)."""
         return _mismatches(
             _degree_totals(self.limit_table(n_max), n_max),
             dict(enumerate(cohomology.poincare_coeffs(n_max))))

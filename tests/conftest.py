@@ -176,16 +176,25 @@ def solve_in_image(m, v) -> SolveResult:
     return echelon_solve(Echelon(m), v)
 
 
+def cols_ge(ss, q, m: int) -> int:
+    """The basis monomials of degree m with weight >= q, in the weights
+    of a ``SpectralSequence``."""
+    return sum(k for p, k in ss.profile(m).weights.items() if p >= q)
+
+
+def rank_sub(ss, q, w, m: int) -> int:
+    """The rank of d_m on its columns of weight >= q and rows of weight
+    < w: the pairs of d_m whose two ends have such weights."""
+    return sum(k for (c, length), k in ss.profile(m).pairs.items()
+               if c >= q and c + length < w)
+
+
 def reference_page_dim(ss, r: int, p: int, n: int) -> int:
     """dim E_r^{p,n} of a ``SpectralSequence``, cell by cell: four
-    ``Z_s(q, m) = cols_ge(q) - rank_sub(q, q + s)`` read off the degree
-    profiles by bisection, the reference the page tables are checked
-    against."""
+    ``Z_s(q, m) = cols_ge(q) - rank_sub(q, q + s)``, the reference the
+    page tables are checked against."""
     def dim_z(s, q, m):
-        if m < 0:
-            return 0
-        prof = ss.profile(m)
-        return prof.cols_ge(q) - prof.rank_sub(q, q + s)
+        return cols_ge(ss, q, m) - rank_sub(ss, q, q + s, m)
     return (dim_z(r, p, n) - dim_z(r - 1, p + 1, n)
             - dim_z(r - 1, p - r + 1, n - 1) + dim_z(r, p - r + 1, n - 1))
 

@@ -133,14 +133,13 @@ def test_spectral_builds_each_profile_once(capsys, monkeypatch):
     from cotor import engine as engine_module, gf3, spectral
     from cotor.gf3 import BlockDiagonalF3, Echelon
 
-    # each weight profile is built once, from one pass over d_n, block by
-    # block; a block with one row or one column needs no elimination, and
-    # no block is ranked a second time (convergence meets the series)
-    profiles, passes, rank_blocks, eliminations = [], [], [], []
-    profile, pivots = spectral.DegreeProfile, BlockDiagonalF3.pivot_weights
+    # each degree's counters are built once, from one pass over d_n,
+    # block by block; a block with one row or one column needs no
+    # elimination, and no block is ranked a second time (convergence
+    # meets the series)
+    passes, rank_blocks, eliminations = [], [], []
+    pivots = BlockDiagonalF3.pivot_weights
     block_rank = engine_module._block_rank
-    monkeypatch.setattr(spectral, "DegreeProfile",
-                        lambda *a: profiles.append(1) or profile(*a))
     monkeypatch.setattr(BlockDiagonalF3, "pivot_weights",
                         lambda *a: passes.append(1) or pivots(*a))
     monkeypatch.setattr(engine_module, "_block_rank", lambda b: (
@@ -152,8 +151,8 @@ def test_spectral_builds_each_profile_once(capsys, monkeypatch):
                            "--max-degree", "20", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
-    # one weight profile per degree 0..20, and no rank of d
-    assert len(profiles) == len(passes) == 21
+    # one pass per degree 0..20, and no rank of d
+    assert len(passes) == 21
     assert rank_blocks == []
     engine = Engine(convention="parity")
     blocks = [b for n in range(21) for b in engine.d_matrix(n).blocks.values()]
@@ -194,6 +193,15 @@ def test_spectral_page_grid_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "p,n,dim"
     assert "0,0,1" in lines[1]
+
+
+def test_spectral_page_past_every_pair_is_the_limit(capsys):
+    # the cost of a page does not grow with its index; for weight_s3,
+    # page 7 onward is the limit
+    limit = run_cli(capsys, "spectral", "--page", "9", "--max-degree", "30")
+    assert limit[0] == 0 and limit[1]
+    assert run_cli(capsys, "spectral", "--page", "1000000000000",
+                   "--max-degree", "30")[:2] == limit[:2]
 
 
 def test_csv_refused_before_any_work(capsys, monkeypatch):
@@ -266,6 +274,9 @@ def test_table40_subcommand(capsys):
 def test_exit_code_two_on_config_errors(capsys):
     assert run_cli(capsys, "homology", "--max-degree", "-1")[0] == 2
     assert run_cli(capsys, "homology", "--max-degree", "400")[0] == 2
+    # a negative page is refused before any work, with one error line
+    assert run_cli(capsys, "spectral", "--page", "-1") == (
+        2, "", "error: --page must be >= 0\n")
     # the measured cap (see cli.MAX_SUPPORTED_DEGREE); every subcommand
     # refuses one past it (test_every_subcommand_refuses_a_degree_past_the_cap)
     assert MAX_SUPPORTED_DEGREE == 160

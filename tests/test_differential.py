@@ -136,7 +136,7 @@ def test_image_purity(d):
     for n in range(35):
         for m in enumerate_basis(n).monomials:
             for t in d.of_mono(m).terms:
-                assert t.word_length() >= 1
+                assert len(t.word) >= 1
 
 
 def test_matrix_degree_zero():

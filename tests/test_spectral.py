@@ -1,12 +1,17 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import SparseMatrixF3, gf3mat, reference_page_dim
+from conftest import (
+    SparseMatrixF3, cols_ge, gf3mat, rank_sub, reference_page_dim,
+)
 from cotor.cohomology import poincare_coeffs
 from cotor.engine import Engine
 from cotor.gf3 import BlockDiagonalF3, Echelon, from_planes, to_planes
 from cotor.spectral import (
-    LAST_PAGE, SCHEMES, DegreeProfile, SpectralSequence, may_page1_oracle,
+    LAST_PAGE, SCHEMES, SpectralSequence, may_page1_oracle,
     page4_series_oracle, run_scheme_checks,
 )
 
@@ -27,7 +32,7 @@ def test_unknown_scheme_rejected(prepared):
 def test_trivial_scheme_first_page_is_cohomology(prepared):
     ss = SpectralSequence(prepared, "trivial")
     for n in range(N + 1):
-        assert ss.page_dim(1, 0, n) == prepared.dim_h(n)
+        assert ss.page_table(1, n).get((0, n), 0) == prepared.dim_h(n)
     assert ss.collapse_check(1, N) == []
 
 
@@ -112,26 +117,25 @@ def test_scheme_reports(prepared):
 
 def test_rank_table_matches_prefix_ranks(engine):
     # every (rows, cols) breakpoint of the weight orders through degree
-    # 60: the cumulative table against a walk over the pivots' weight
-    # pairs, and cols_ge against a direct count
+    # 60: prefix counts of the pair counters against a walk over the
+    # pivots' weight pairs, and cols_ge against a direct count
     for scheme in SCHEMES:
         ss = SpectralSequence(engine, scheme)
         for n in range(61):
-            prof = ss.profile(n)
             rows_w, cols_w = ([m.weight(scheme) for m in engine.basis(k)
                                .monomials] for k in (n + 1, n))
-            assert prof.col_weights_desc == sorted(cols_w, reverse=True)
+            assert ss.profile(n).weights == Counter(cols_w)
+            pivots, _ = engine.d_matrix(n).pivot_weights(rows_w, cols_w)
             qs = ([min(cols_w, default=0) - 1] + sorted(set(cols_w))
                   + [max(cols_w, default=0) + 1])
             ws = ([min(rows_w, default=0) - 1] + sorted(set(rows_w))
-                  + [max(rows_w, default=0) + 1, None])
+                  + [max(rows_w, default=0) + 1, math.inf])
             for q in qs:
                 cols = sum(1 for x in cols_w if x >= q)
-                assert prof.cols_ge(q) == cols, (scheme, n, q)
+                assert cols_ge(ss, q, n) == cols, (scheme, n, q)
                 for w in ws:
-                    assert prof.rank_sub(q, w) == sum(
-                        1 for rw, cw in prof.pivots
-                        if cw >= q and (w is None or rw < w)), (
+                    assert rank_sub(ss, q, w, n) == sum(
+                        1 for rw, cw in pivots if cw >= q and rw < w), (
                         scheme, n, q, w)
 
 
@@ -171,9 +175,8 @@ def test_blocked_passes_match_one_global_echelon(engine):
             permuted = SparseMatrixF3(d.n_rows, d.n_cols, {
                 (row_at[r], col_at[c]): v for (r, c), v in d.entries.items()})
             rows_asc, cols_desc = sorted(roww), sorted(colw, reverse=True)
-            prof = sequences[scheme].profile(n)
-            assert sorted(prof.pivots) == sorted(
-                (rows_asc[r], cols_desc[c]) for r, c in Echelon(
+            assert sequences[scheme].profile(n).pairs == Counter(
+                (cols_desc[c], rows_asc[r] - cols_desc[c]) for r, c in Echelon(
                     permuted, transform=False).pivots), (scheme, n)
 
 
@@ -278,9 +281,11 @@ def test_tables_match_the_per_cell_formula(engine):
     n_max = 60
     for scheme in SCHEMES:
         ss = SpectralSequence(engine, scheme)
+        top = [max(ss.profile(n).weights, default=0)
+               for n in range(n_max + 2)]
         cells = [(p, n) for n in range(n_max + 1)
-                 for p in range(-2, ss.max_weight(n) + 4)]
-        last = 2 + max(ss.max_weight(n) for n in range(n_max + 2))
+                 for p in range(-2, top[n] + 4)]
+        last = 2 + max(top)
         for r in (*range(LAST_PAGE + 1), last):
             reference = {(p, n): dim for p, n in cells
                          if (dim := reference_page_dim(ss, r, p, n))}
@@ -289,17 +294,18 @@ def test_tables_match_the_per_cell_formula(engine):
 
 
 def test_convergence_check_reports_a_planted_rank():
-    # the limit totals are dim V_n less the profiles' ranks of d_n and
-    # d_{n-1}, so one pivot dropped from the profile of d_30 shows in the
-    # two degrees it enters, against the series
+    # the limit totals are dim V_n less the pairs of d_n and d_{n-1}, so
+    # one pair dropped from the counter of d_30 shows in the two degrees
+    # it joins, against the series
     engine = Engine(convention="parity")
     series = poincare_coeffs(35)
     for scheme in SCHEMES:
         ss = SpectralSequence(engine, scheme)
         assert ss.convergence_check(35) == []
         prof = ss.profile(30)
+        pairs = prof.pairs.copy()
+        pairs[next(iter(pairs))] -= 1
         ss = SpectralSequence(engine, scheme)
-        ss._profiles[30] = DegreeProfile(
-            prof.col_weights_desc, prof.pivots[1:], prof.compatible)
+        ss._profiles[30] = prof._replace(pairs=pairs)
         assert ss.convergence_check(35) == [
             (30, series[30] + 1, series[30]), (31, series[31] + 1, series[31])]
