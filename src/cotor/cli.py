@@ -54,10 +54,15 @@ def _add_common(p, suppress: bool):
     p.add_argument("--cache-dir",
                    default=d(os.environ.get("COTOR_CACHE_DIR")))
     p.add_argument("--scheme", choices=("weight_s3", "may_s5", "trivial"),
-                   default=d("weight_s3"))
+                   default=d(None))
     p.add_argument("--page", type=int, default=d(None))
     p.add_argument("--group", choices=("i", "ii", "iii", "all"),
-                   default=d("all"))
+                   default=d(None))
+
+
+# flags that one subcommand reads: flag -> (that subcommand, default)
+_OWN_FLAGS = {"scheme": ("spectral", "weight_s3"), "page": ("spectral", None),
+              "group": ("verify", "all")}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -382,6 +387,11 @@ def main(argv=None) -> int:
         if args.max_degree is not None and not (
                 0 <= args.max_degree <= MAX_SUPPORTED_DEGREE):
             raise ConfigError("--max-degree out of range")
+        for flag, (command, default) in _OWN_FLAGS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif args.command != command:
+                raise ConfigError(f"--{flag} is read only by {command}")
         if args.page is not None and args.page < 0:
             raise ConfigError("--page must be >= 0")
         if args.format == "csv" and args.command not in CSV_COMMANDS and not (

@@ -138,20 +138,3 @@ def family_identities(q: Element, named: dict) -> list:
     p2 = partial(p)
     return [(w, named[w].element * p2, witness(q, p))
             for w, witness in FAMILY_WITNESS.items()]
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    label: str
-    ok: bool
-    residual: Element
-
-
-def check_coboundary_factorizations(q: Element, named: dict,
-                                    d: Differential) -> list:
-    """One IdentityCheck of w * partial2(Q) = d(witness) per family."""
-    out = []
-    for w, lhs, witness in family_identities(q, named):
-        res = lhs - d(witness)
-        out.append(IdentityCheck(w, res.is_zero(), res))
-    return out

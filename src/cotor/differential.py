@@ -125,10 +125,6 @@ class Differential:
             out[prefix << 2] = self._eps(prefix, pn) % 3
         return out
 
-    def of_mono(self, m: Monomial) -> Element:
-        """d of one normal-form monomial."""
-        return self(Element.monomial(m))
-
     def _recursion(self, memo: dict):
         """``shifted`` for ``_leibniz`` by recursion on prefixes, each image
         worked once into ``memo`` (key -> image), which the caller owns."""

@@ -30,14 +30,14 @@ catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, product
 
 from .derivation import (
     NAMED_DEGREES, NAMED_GENERATOR_NAMES, family_identities, partial, partial2,
 )
 from .dga import Element, element_planes, encode
 from .formal import mono_text, monomial_degree, parse_poly, poly_text
-from .gf3 import Echelon, Planes, hstack, to_planes
+from .gf3 import Echelon, Planes, combination, hstack, to_planes
 
 GROUP_I = (
     "a4*y26 = -a8*y22 + a10*y20",
@@ -454,45 +454,55 @@ def _discover(support, degree, engine, solved: dict, paper_vector=None):
 
 
 def _match_vector(monos, paper_vector, solutions, flippable):
-    """Is the printed vector in the solution span, up to sign flips of the
-    names in ``flippable``?
+    """Is the printed vector v in the span S of the solution rows, up to
+    sign flips of the names in ``flippable``?
 
     ``monos`` are the formal monomials under the vector's entries; a flip
     of a name negates the entries whose monomial has it to an odd power.
-    Membership is one solve against the solution rows, taken as the
-    columns of one `Echelon`.  Flip subsets are walked by size, then in
-    lexicographic order of the sorted names, so the first match flips the
-    fewest names; each sign pattern is tested once, and it negates the
-    entries under it by swapping their planes.
+    A flip keeps v's support, so v flipped on a pattern P lies in S exactly
+    when some u in S has v's support and the sign opposite to v's exactly
+    on P.  The 3^s vectors of S (s rows) are formed once, as bit planes,
+    with the patterns they realize; each flip subset is then one set
+    lookup, so the cost is 3^s span vectors plus the lookups (none when no
+    pattern is realized).  Subsets go by size, then in lexicographic order
+    of the sorted names, so the first match flips the fewest names.  A
+    match is confirmed by one solve of the flipped vector (``RuntimeError``
+    if the routes disagree, also under ``python -O``).
     """
-    span = Echelon(Planes.from_columns(
-        len(paper_vector), map(to_planes, solutions)))
+    rows = Planes.from_columns(len(paper_vector), map(to_planes, solutions))
     vp, vq = to_planes(paper_vector)
+    support = vp | vq
+    realized = set()    # where u = -v, for each u in S with support v's
+    for x in product((0, 1, 2), repeat=rows.n_cols):
+        up, uq = combination(*to_planes(x), rows.pos, rows.neg)
+        if up | uq == support:
+            realized.add(up & vq | uq & vp)
 
-    def in_span(flip: int) -> bool:
-        keep = ~flip
-        x, _ = span.solve_planes(vp & keep | vq & flip, vq & keep | vp & flip)
-        return x is not None
+    def confirmed(verdict, flips, flip):
+        x, _ = Echelon(rows).solve_planes(vp & ~flip | vq & flip,
+                                          vq & ~flip | vp & flip)
+        if x is None:
+            raise RuntimeError(f"_match_vector: the span realizes {verdict} "
+                               f"{flips}, but the flipped vector has no solve")
+        return verdict, flips
 
-    if in_span(0):
-        return "exact", ()
+    if 0 in realized:
+        return confirmed("exact", (), 0)
+    if not realized:
+        return "absent", ()
     # bit j of odd[n]: name n has an odd exponent in monomial j
     odd = {}
     for j, mono in enumerate(monos):
         for n, e in mono:
             if n in flippable and e % 2:
                 odd[n] = odd.get(n, 0) | 1 << j
-    tried = {0}
     for r in range(1, len(odd) + 1):
         for subset in combinations(sorted(odd), r):
             pattern = 0
             for n in subset:
                 pattern ^= odd[n]
-            if pattern in tried:
-                continue
-            tried.add(pattern)
-            if in_span(pattern):
-                return "sign_flips", subset
+            if pattern & support in realized:
+                return confirmed("sign_flips", subset, pattern)
     return "absent", ()
 
 

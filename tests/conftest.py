@@ -3,6 +3,7 @@ from typing import NamedTuple
 import pytest
 
 from cotor.dga import COMM_NAMES, ONE, WORD_NAMES, Element, Monomial
+from cotor.derivation import family_identities
 from cotor.engine import Engine
 from cotor.gf3 import Echelon, from_planes, to_planes
 
@@ -55,6 +56,27 @@ def parse_monomial(text: str) -> Monomial:
         name, _, e = tok.partition("^")
         exps[COMM_NAMES.index(name)] = int(e) if e else 1
     return Monomial(word, tuple(exps))
+
+
+def of_mono(d, m: Monomial) -> Element:
+    """d of one normal-form monomial."""
+    return d(Element.monomial(m))
+
+
+class IdentityCheck(NamedTuple):
+    label: str
+    ok: bool
+    residual: Element
+
+
+def check_coboundary_factorizations(q: Element, named: dict, d) -> list:
+    """One IdentityCheck of w * partial2(Q) = d(witness) per family of
+    `derivation.family_identities`."""
+    out = []
+    for w, lhs, witness in family_identities(q, named):
+        res = lhs - d(witness)
+        out.append(IdentityCheck(w, res.is_zero(), res))
+    return out
 
 
 def gf3mat(m) -> str:

@@ -9,12 +9,13 @@ import random
 
 import numpy as np
 
-from conftest import SparseMatrixF3, record_acceptance
+from conftest import (
+    SparseMatrixF3, check_coboundary_factorizations, of_mono,
+    record_acceptance,
+)
 
 from cotor.dga import Element, enumerate_basis, gen
-from cotor.derivation import (
-    build_named_generators, check_coboundary_factorizations, partial,
-)
+from cotor.derivation import build_named_generators, partial
 from cotor.differential import audit_conventions
 from cotor.relations import (
     derivative_catalog_report, ideal_and_split_check, verify_all,
@@ -219,7 +220,7 @@ def test_criterion_9_property_floor(full_engine):
 
     for n in range(30):
         for m in enumerate_basis(n).monomials:
-            for t in full_engine.d.of_mono(m).terms:
+            for t in of_mono(full_engine.d, m).terms:
                 ok = ok and len(t.word) >= 1
 
     zc = full_engine.d(gen("c17") * gen("b16"))

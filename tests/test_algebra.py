@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import parse_monomial
+from conftest import of_mono, parse_monomial
 from cotor import dga
 from cotor.dga import (
     A9, C17, COMM_NAMES, GEN_DEGREES, ZERO_EXPS, Element, Monomial,
@@ -296,7 +296,7 @@ def test_keys_roundtrip_and_refuse_overflow():
     with pytest.raises(ValueError):
         encode(a4_256)
     with pytest.raises(ValueError):
-        Differential().of_mono(a4_256)
+        of_mono(Differential(), a4_256)
     with pytest.raises(ValueError):
         enumerate_basis(dga.MAX_KEY_DEGREE + 1)
     top = Monomial((1, 0), (249, 0, 0, 0, 0, 0))    # degree 1022

@@ -277,6 +277,19 @@ def test_exit_code_two_on_config_errors(capsys):
     # a negative page is refused before any work, with one error line
     assert run_cli(capsys, "spectral", "--page", "-1") == (
         2, "", "error: --page must be >= 0\n")
+    # a subcommand-specific flag is refused elsewhere, before or after
+    # the subcommand, with one error line
+    for argv, flag, reader in (
+            (("homology", "--page", "5", "--scheme", "may_s5", "--group",
+              "ii", "--max-degree", "2"), "scheme", "spectral"),
+            (("verify", "--page", "3"), "page", "spectral"),
+            (("table40", "--scheme", "weight_s3"), "scheme", "spectral"),
+            (("--group", "all", "homology", "--max-degree", "2"), "group",
+             "verify"),
+            (("spectral", "--group", "i", "--max-degree", "2"), "group",
+             "verify")):
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: --{flag} is read only by {reader}\n"), argv
     # the measured cap (see cli.MAX_SUPPORTED_DEGREE); every subcommand
     # refuses one past it (test_every_subcommand_refuses_a_degree_past_the_cap)
     assert MAX_SUPPORTED_DEGREE == 160

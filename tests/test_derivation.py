@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from conftest import check_coboundary_factorizations
 from cotor.dga import Element, Monomial, enumerate_basis, gen
 from cotor.derivation import (
-    NAMED_GENERATOR_NAMES, build_named_generators,
-    check_coboundary_factorizations, partial, partial2, raw_evaluator,
+    NAMED_GENERATOR_NAMES, build_named_generators, partial, partial2,
+    raw_evaluator,
 )
 from cotor.differential import Differential
 from cotor.relations import DERIVATIVE_CATALOG, derivative_catalog_report

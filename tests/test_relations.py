@@ -144,16 +144,18 @@ def test_witness_matrix_route_sees_one_flipped_entry(engine, catalog,
 
 
 def test_witness_matrix_route_survives_python_O():
-    # the matrix route's refusal is not an assert: the test above passes
-    # under -O
+    # neither the matrix route's refusal nor the sign search's cross-check
+    # is an assert: the test above and
+    # test_match_cross_check_refuses_a_wrong_span pass under -O
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         __file__, "-k", "test_witness_matrix_route_sees_one_flipped_entry"],
+         __file__, "-k", "test_witness_matrix_route_sees_one_flipped_entry"
+         " or test_match_cross_check_refuses_a_wrong_span"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout[-2000:]
-    assert "1 passed" in proc.stdout
+    assert "2 passed" in proc.stdout
 
 
 def test_all_group_ii_witnesses_exact(engine, catalog):
@@ -516,6 +518,68 @@ def test_match_vector_random_cases_against_brute_force():
         assert match(support, paper_vector, solutions) == expected
         outcomes.add(expected[0])
     assert outcomes == {"exact", "sign_flips", "absent"}
+
+
+def test_match_vector_three_dependent_rows_against_brute_force():
+    # the span is enumerated from the rows as given: up to three rows over
+    # seven names, the third often a combination of the first two
+    rng = np.random.default_rng(27)
+    names = ["a4", "a8", "a10", "y20", "y22", "y26", "y58"]
+    outcomes = Counter()
+    for trial in range(120):
+        k = int(rng.integers(2, 7))
+        support = sorted({"*".join(f"{n}^{e}" for n, e in
+                                   zip(names, rng.integers(0, 3, 7)) if e)
+                          or "a4" for _ in range(k)})
+        rows = rng.integers(0, 3, (int(rng.integers(0, 3)), len(support)))
+        if trial % 3 == 0 and len(rows):
+            rows = np.vstack([rows, rng.integers(0, 3, len(rows)) @ rows % 3])
+        solutions = tuple(tuple(int(x) for x in r) for r in rows)
+        if trial % 2 and solutions:
+            vec = rng.integers(0, 3, len(solutions)) @ np.array(solutions)
+            vec = vec * rng.choice([-1, 1], len(support))
+        else:
+            vec = rng.integers(-1, 2, len(support))
+        paper_vector = tuple(int(x) for x in vec)
+        expected = _brute_force_match(support, paper_vector, solutions)
+        assert match(support, paper_vector, solutions) == expected
+        outcomes[expected[0]] += 1
+    assert set(outcomes) == {"exact", "sign_flips", "absent"}
+
+
+def test_absent_search_makes_at_most_one_solve(monkeypatch):
+    # thirteen flippable names, one per entry: 8,191 distinct flip
+    # patterns, none of which the span realizes
+    support = ["a4", "a8", "a10", "x26", "x36", "x48", "x54",
+               "y20", "y22", "y26", "y58", "y60", "y64"]
+    solutions = ((1,) * 12 + (0,),)
+    solves = []
+    solve_planes = Echelon.solve_planes
+
+    def counted(self, vp, vq):
+        solves.append((vp, vq))
+        return solve_planes(self, vp, vq)
+
+    monkeypatch.setattr(Echelon, "solve_planes", counted)
+    assert match(support, (1,) * 13, solutions) == ("absent", ())
+    assert len(solves) <= 1
+    # a hit is confirmed by exactly one solve
+    solves.clear()
+    assert match(support, (1,) * 12 + (0,), solutions) == ("exact", ())
+    assert match(support, (-1,) + (1,) * 11 + (0,), solutions) == (
+        "sign_flips", ("a4",))
+    assert len(solves) == 2
+
+
+def test_match_cross_check_refuses_a_wrong_span(monkeypatch):
+    # the span's vectors planted as the printed vector itself: the span
+    # says "exact", the solve says no, and that is a fault, not a verdict
+    support, paper_vector = ["a4*y20", "a8*y22"], (1, -1)
+    assert match(support, paper_vector, ((1, 1),)) == ("sign_flips", ("a4",))
+    monkeypatch.setattr(relations, "combination",
+                        lambda *args: relations.to_planes(paper_vector))
+    with pytest.raises(RuntimeError, match="_match_vector"):
+        match(support, paper_vector, ((1, 1),))
 
 
 def _classify(display: str, machine: Element, ev) -> DisplayVerdict:
