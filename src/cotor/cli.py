@@ -26,12 +26,15 @@ from .engine import DEFAULT_MAX_DEGREE, Engine
 # Largest --max-degree any command accepts.  Cold runs (no cache) within
 # RLIMIT_AS = 6,000,000 KB, set in the child only, on 2 vCPUs / 8 GB,
 # Python 3.11, one run each unless stated; wall time, peak RSS:
-#   homology              N = 120: 2.0 s, 57 MB      N = 140: 5.6 s, 149 MB
-#                         N = 130: 2.5 s, 89 MB      N = 150: 11.9 s, 260 MB
+#   homology              N = 120: 1.0-1.2 s, 50 MB  N = 140: 4.1-6.6 s, 125 MB
+#                         N = 130: 1.5 s, 77 MB      N = 150: 6.7 s, 218 MB
 #   ideal-check           N = 100: 0.9 s, 42 MB      N = 140: 6.6 s, 218 MB
 #                         N = 120: 2.8 s, 87 MB      N = 150: 11.1 s, 366 MB
-# (N = 150: medians of ten and of three runs.)  Every subcommand at 160:
-#   homology               25.0 s, 473 MB   diff          25.7 s, 473 MB
+# (ideal-check N = 150: median of three runs.)  The homology rows were
+# measured after d's a4-divisible columns became copies of d_{n-4}'s, the
+# rest before, when homology took 25.0 s and 473 MB at 160; the other
+# commands that build d were not measured again.  Every subcommand at 160:
+#   homology (four runs) 18.4-19.2 s, 400 MB diff       25.7 s, 473 MB
 #   homology --check-basis 33.1 s, 579 MB   ideal-check   28.8 s, 637 MB
 #   spectral (weight_s3)   29.1 s, 477 MB   basis          0.7 s, 125 MB
 #   spectral (may_s5)      28.9 s, 474 MB   verify         0.8 s, 36 MB

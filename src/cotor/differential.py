@@ -19,14 +19,13 @@ degree-26 word-type cocycle (a9*c17 +/- c17*a9) by kernel computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 import random
 
 from .dga import (
     _B_TO_A, A9, C17, COMM_DEGREES, COMM_NAMES, EXP_BITS, EXPS_MASK,
     GEN_DEGREES, MAX_KEY_DEGREE, ONE_KEY, UNIT, WORD_DEGREES, WORD_SHIFT,
     ZERO_EXPS, DegreeBasis, Element, Monomial, decode, encode,
-    enumerate_basis, gen, times_a9,
+    enumerate_basis, gen, grading, times_a9,
 )
 from .gf3 import BlockDiagonalF3, column_entries
 
@@ -75,6 +74,15 @@ class Differential:
             raise KeyError(f"unknown sign convention {convention!r}")
         self.convention = convention
         self._eps = _EPS[convention]
+
+    @property
+    def copied_field(self) -> int:
+        """The key field of a4's exponent if ``matrix`` builds a4-divisible
+        columns as copies, which it does when the rule's sign on a4 alone
+        is +1, else 0.  No prefix that ``matrix`` reads from ``lower`` has
+        a bit in it."""
+        a4 = self._eps(ONE_KEY + UNIT[0], COMM_DEGREES[0])
+        return _A4_FIELD if a4 == 1 else 0
 
     def _leibniz(self, shifted, n: int, m: int) -> dict:
         """d of the degree-n monomial with key m, as {key: coeff}, given
@@ -167,27 +175,130 @@ class Differential:
         return self(x) * y + (x * self(y)).scaled(self.eps(x))
 
     def matrix(self, n: int, bn: DegreeBasis, bn1: DegreeBasis,
-               lower) -> BlockDiagonalF3:
+               lower, below) -> BlockDiagonalF3:
         """Matrix of d from degree n, basis ``bn``, to degree n+1, basis
         ``bn1``, one block per internal Z^4 degree (d preserves it; an image
         term outside its column's block is a RuntimeError).
 
-        d of each column's prefix is a column of a lower d_k: ``lower(k)``
-        gives d_k's nonzero columns by monomial key
-        (``BlockDiagonalF3.columns``), and is asked once for each degree k
-        a prefix can have (``Engine.d_matrix`` holds them)."""
-        sources = {n - g: lower(n - g) for g in _PREFIX_DEGREES if g <= n}
+        a4 commutes with every generator and d(a4) = 0, so when the rule's
+        sign on a4 alone is +1 (parity and plus, not minus), eps(a4*m) =
+        eps(m) and the last-factor recursion gives d(a4*m) = a4*d(m).  Then
+        each a4-divisible column of block g is a shifted copy of the column
+        of m/a4 in block g - g(a4) of d_{n-4}: ``below(k)`` gives d_k and
+        the keys of its rows (the basis of degree k+1).  m -> m/a4
+        keeps the order of the columns (a4 is the highest exponent field,
+        so they are a suffix of each word's run in the block), so the
+        copies are that block's columns in turn, each moved to its rows'
+        a4-multiples by ``_a4_pieces``.
+
+        Every other column is built by ``_leibniz``: d of its prefix is a
+        column of a lower d_k, and ``lower(k)`` gives d_k's nonzero columns
+        by monomial key (``BlockDiagonalF3.columns``), asked once for each
+        degree k such a prefix can have (``Engine.d_matrix`` holds them)."""
+        copy = n >= COMM_DEGREES[0] and bool(self.copied_field)
+        # with copies, no prefix is m/a4, so d_{n-4}'s columns are not read
+        sources = {n - g: lower(n - g) for g in _PREFIX_DEGREES
+                   if g <= n and not (copy and g == COMM_DEGREES[0])}
 
         def shifted(m: int, k: int, a: int, b: int) -> dict:
             column = sources[k].get(m)
             return {} if column is None else column_entries(column, a, b)
 
-        try:
-            return BlockDiagonalF3.from_columns(
-                bn1.blocks, bn.blocks, bn1.keys, bn.keys,
-                partial(self._leibniz, shifted, n))
-        except ValueError as exc:
-            raise RuntimeError(f"d of degree {n} leaves a Z^4 block: {exc}")
+        def leaves(c: int, r: int):
+            return RuntimeError(f"d of degree {n} leaves a Z^4 block: column "
+                                f"{c} has an entry in row {r} of another "
+                                "block")
+
+        if copy:
+            d4, keys4 = below(n - COMM_DEGREES[0])
+        row_keys, col_keys, blocks = bn1.keys, bn.keys, {}
+        for g, cols in bn.blocks.items():
+            rows = bn1.blocks.get(g, ())
+            at = {row_keys[r]: i for i, r in enumerate(rows)}
+            pos, neg = [0] * len(cols), [0] * len(cols)
+            todo = range(len(cols))
+            if copy:
+                copies, todo = [], []
+                for j, c in enumerate(cols):
+                    (copies if col_keys[c] & _A4_FIELD else todo).append(j)
+                # no source block: it has no rows in degree n - 3, and the
+                # copies are 0
+                source = copies and d4.blocks.get(g - _A4_GRADING)
+                if source:
+                    s_rows, _, s_pos, s_neg = source
+                    to = [at.get(keys4[r] + UNIT[0]) for r in s_rows]
+                    pieces, outside = _a4_pieces(to)
+                    for j, p, q in zip(copies, s_pos, s_neg):
+                        if outside and (p | q) & outside:
+                            low = (p | q) & outside
+                            raise leaves(cols[j], keys4[s_rows[(
+                                low & -low).bit_length() - 1]] + UNIT[0])
+                    _move(zip(copies, s_pos, s_neg), to, pieces, pos, neg)
+            for j in todo:
+                image = self._leibniz(shifted, n, col_keys[cols[j]])
+                for r, v in image.items():
+                    i = at.get(r)
+                    if i is None:
+                        raise leaves(cols[j], r)
+                    if v == 1:
+                        pos[j] |= 1 << i
+                    else:
+                        neg[j] |= 1 << i
+            if rows:
+                blocks[g] = tuple(rows), tuple(cols), tuple(pos), tuple(neg)
+        return BlockDiagonalF3(len(bn1), len(bn), blocks)
+
+
+# the key field of a4's exponent, and the Z^4 degree of a4
+_A4_FIELD = ((1 << EXP_BITS) - 1) * UNIT[0]
+_A4_GRADING = grading(ONE_KEY + UNIT[0])
+
+
+def _a4_pieces(to: list) -> tuple:
+    """The runs of ``to``, the bit (or None) that a4 moves each row of a
+    source block to: ``(pieces, outside)``, where ``outside`` masks the
+    rows with None, and a column with none of them moves to the OR of
+    ``(x >> shift & mask) << t`` over the ``(shift, mask, t)`` of
+    ``pieces``, one per run of rows that a4 moves by the same offset."""
+    starts, outside = [], 0
+    for i, t in enumerate(to):
+        if t is None:
+            outside |= 1 << i
+        elif not starts or t - i != starts[-1][1]:
+            starts.append((i, t - i))
+    ends = [i for i, _ in starts[1:]] + [len(to)]
+    return [(i, (1 << end - i) - 1, i + offset)
+            for (i, offset), end in zip(starts, ends)], outside
+
+
+def _move(columns, to: list, pieces: list, pos: list, neg: list):
+    """Set ``pos[j], neg[j]`` to each column ``(j, p, q)`` moved by ``to``
+    (`_a4_pieces`, with no entry in an outside row): by its pieces, or,
+    when it has fewer entries than there are pieces, entry by entry.
+    Within a word's run of rows the a4-multiples are consecutive (a4 is
+    the highest exponent field), so a piece is a word or more; a wide
+    block has hundreds of them, and sparse columns."""
+    if len(pieces) == 1:
+        (shift, mask, t), = pieces
+        for j, p, q in columns:
+            pos[j], neg[j] = (p >> shift & mask) << t, (q >> shift & mask) << t
+        return
+    for j, p, q in columns:
+        tp = tq = 0
+        if (p | q).bit_count() >= len(pieces):
+            for shift, mask, t in pieces:
+                tp |= (p >> shift & mask) << t
+                tq |= (q >> shift & mask) << t
+        else:
+            while p:                    # `bits`, inlined: this is hot
+                low = p & -p
+                p ^= low
+                tp |= 1 << to[low.bit_length() - 1]
+            while q:
+                low = q & -q
+                q ^= low
+                tq |= 1 << to[low.bit_length() - 1]
+        pos[j], neg[j] = tp, tq
 
 
 # -- audit ----------------------------------------------------------------

@@ -94,7 +94,8 @@ class Engine:
         if self.cache is not None:      # a refused file is rebuilt, rewritten
             m = self.cache.load(n, rows.blocks, cols.blocks)
         if m is None:
-            m = self.d.matrix(n, cols, rows, self._columns_of)
+            m = self.d.matrix(n, cols, rows, self._columns_of, lambda k: (
+                self.d_matrix(k), self.basis(k + 1).keys))
             # building degree n + 1 reads no columns of degree <= n - depth
             for k in [k for k in self._columns if k <= n - PREFIX_DEPTH]:
                 del self._columns[k]
@@ -110,7 +111,8 @@ class Engine:
         columns = self._columns.get(k)
         if columns is None:
             columns = self._columns[k] = self.d_matrix(k).columns(
-                self.basis(k).keys, self.basis(k + 1).keys)
+                self.basis(k).keys, self.basis(k + 1).keys,
+                self.d.copied_field)
         return columns
 
     def build_range(self, n_max: int):

@@ -105,35 +105,12 @@ class BlockDiagonalF3(NamedTuple):
     blocks: dict
 
     @classmethod
-    def from_columns(cls, row_blocks: dict, col_blocks: dict, row_labels,
-                     col_labels, column) -> "BlockDiagonalF3":
-        """The matrix whose column c has the entries ``column(col_labels[c])``,
-        a dict ``row_labels[r]`` -> value in {1, 2}; ``row_blocks`` and
-        ``col_blocks`` map each block's name to its rows and columns,
-        ascending.  An entry joining two blocks is a ValueError."""
-        blocks = {}
-        for b, cols in col_blocks.items():
-            rows = row_blocks.get(b, ())
-            at = {row_labels[r]: i for i, r in enumerate(rows)}
-            planes = ([0] * len(cols), [0] * len(cols))
-            for j, c in enumerate(cols):
-                for r, v in column(col_labels[c]).items():
-                    i = at.get(r)
-                    if i is None:
-                        raise ValueError(f"column {c} has an entry in row "
-                                         f"{r} of another block")
-                    planes[v - 1][j] |= 1 << i
-            if rows:
-                blocks[b] = tuple(rows), tuple(cols), *map(tuple, planes)
-        return cls(sum(map(len, row_blocks.values())),
-                   sum(map(len, col_blocks.values())), blocks)
-
-    @classmethod
     def deserialize(cls, text: str, row_blocks: dict,
                     col_blocks: dict) -> "BlockDiagonalF3":
-        """The matrix of GF3MAT text, cut into the blocks as in
-        `from_columns`; a bad header, count, shape, entry (as `serialize`
-        writes it) or duplicate, or one joining two blocks is a ValueError."""
+        """The matrix of GF3MAT text, cut into blocks: ``row_blocks`` and
+        ``col_blocks`` map each block's name to its rows and columns,
+        ascending.  A bad header, count, shape, entry (as `serialize` writes
+        it) or duplicate, or one joining two blocks is a ValueError."""
         lines = text.strip().split("\n")
         head = lines[0].split()
         if len(head) != 5 or head[0] != "GF3MAT" or head[1] != "v1":
@@ -188,15 +165,15 @@ class BlockDiagonalF3(NamedTuple):
                 x ^= low
                 yield rows[low.bit_length() - 1], c, 1 if p & low else 2
 
-    def columns(self, col_labels, row_labels) -> dict:
-        """The nonzero columns by label: ``col_labels[c]`` -> (the
-        ``row_labels`` of its block's rows, pos, neg), read by
-        `column_entries`."""
+    def columns(self, col_labels, row_labels, skip: int = 0) -> dict:
+        """The nonzero columns by label, leaving out the labels that share
+        a bit with ``skip``: ``col_labels[c]`` -> (the ``row_labels`` of
+        its block's rows, pos, neg), read by `column_entries`."""
         out = {}
         for rows, cols, pos, neg in self.blocks.values():
             at = tuple(map(row_labels.__getitem__, rows))
             for c, p, q in zip(cols, pos, neg):
-                if p | q:
+                if p | q and not col_labels[c] & skip:
                     out[col_labels[c]] = at, p, q
         return out
 
@@ -218,9 +195,30 @@ class BlockDiagonalF3(NamedTuple):
     def serialize(self) -> str:
         """The canonical GF3MAT v1 text: ``GF3MAT v1 <rows> <cols> <nnz>``,
         then one ``<row> <col> <value>`` line per entry, by column, then
-        row; bit-exact across platforms."""
-        body = [f"{r} {c} {v}\n" for r, c, v in self.triples()]
-        return (f"GF3MAT v1 {self.n_rows} {self.n_cols} {len(body)}\n"
+        row; bit-exact across platforms.  Each block's row numbers are
+        made text once, and each column's entries end in one of its two
+        suffixes ``" <col> 1\\n"`` and ``" <col> 2\\n"``."""
+        by_col = [None] * self.n_cols
+        for rows, cols, pos, neg in self.blocks.values():
+            names = None
+            for c, p, q in zip(cols, pos, neg):
+                if p | q:
+                    names = names or list(map(str, rows))
+                    by_col[c] = names, p, q
+        body = []
+        add = body.append
+        for c, column in enumerate(by_col):
+            if column is None:
+                continue
+            names, p, q = column
+            plus, minus = f" {c} 1\n", f" {c} 2\n"
+            x = p | q
+            while x:                    # `bits`, inlined: this is hot
+                low = x & -x
+                x ^= low
+                add(names[low.bit_length() - 1])
+                add(plus if p & low else minus)
+        return (f"GF3MAT v1 {self.n_rows} {self.n_cols} {len(body) // 2}\n"
                 + "".join(body))
 
     def pivot_weights(self, row_weight, col_weight) -> tuple:

@@ -10,8 +10,9 @@ import pytest
 import cotor
 from conftest import of_mono, parse_monomial
 from cotor.dga import (
-    A9, C17, COMM_DEGREES, COMM_NAMES, ONE_KEY, UNIT, WORD_DEGREES, Element,
-    Monomial, encode, enumerate_basis, gen, mono_mul,
+    A9, C17, COMM_DEGREES, COMM_NAMES, EXPS_MASK, ONE_KEY, UNIT,
+    WORD_DEGREES, Element, Monomial, encode, enumerate_basis, gen, grading,
+    mono_mul,
 )
 from cotor import differential
 from cotor.differential import (
@@ -413,10 +414,29 @@ def test_construction_refuses_a_term_outside_its_block():
             engine.d_matrix(16)
     finally:
         differential.times_a9 = real
+    # the copy route refuses the same way.  The a4-divisible column a4*b16
+    # of degree 20 is a copy of b16's column in d_16, whose one row is
+    # a9 | a8; given the position of c17 (another block of degree 17) as
+    # that row, the copy lands on c17 | a4, outside a4*b16's block
+    engine = Engine(convention="parity")
+    engine.build_range(19)
+    b17, b20 = engine.basis(17), engine.basis(20)
+    col, source, other = (encode(parse_monomial(t))
+                          for t in ("a4 b16", "b16", "c17"))
+    d16 = engine._matrices[16].blocks
+    rows, *rest = d16[grading(source)]
+    assert rows == (b17.keys.index(encode(parse_monomial("a9 | a8"))),)
+    d16[grading(source)] = ((b17.keys.index(other),), *rest)
+    with pytest.raises(RuntimeError, match=(
+            f"d of degree 20 leaves a Z.4 block: column "
+            f"{b20.keys.index(col)} has an entry in row "
+            f"{other + UNIT[COMM_NAMES.index('a4')]} ")):
+        engine.d_matrix(20)
 
 
 def test_construction_refusal_survives_python_O():
-    # the refusal is not an assert: the test above passes under python -O
+    # the refusals are not asserts: the test above, on both the Leibniz
+    # route and the a4 copy route, passes under python -O
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cotor.__file__)))
     code = ("import test_differential as t; "
@@ -466,6 +486,69 @@ def test_matrices_bit_identical_through_degree_95(convention):
     engine = Engine(convention=convention)
     text = "".join(engine.d_matrix(n).serialize() for n in range(96))
     assert hashlib.sha256(text.encode()).hexdigest() == D95_SHA256[convention]
+
+
+# sha256 of the GF3MAT texts of d_0..d_120 (parity), concatenated; pinned
+# from the matrices of the Leibniz route, before the a4-divisible columns
+# became copies of d_{n-4}'s columns
+D120_SHA256 = ("a2c03f8a9e209ef3d4aa23237499f458"
+               "42d57ea4c83d89cafb6d1c1e3855c7e7")
+
+
+def test_matrices_bit_identical_through_degree_120():
+    engine = Engine(convention="parity")
+    digest = hashlib.sha256()
+    for n in range(121):
+        digest.update(engine.d_matrix(n).serialize().encode())
+    assert digest.hexdigest() == D120_SHA256
+
+
+@pytest.mark.parametrize("convention", ["parity", "plus", "minus"])
+def test_every_column_through_degree_70_is_d_of_its_monomial(convention):
+    # Differential.__call__ recurses on prefixes by key and never copies a
+    # column by a4, so it is the reference for the columns matrix copies
+    engine = Engine(convention=convention)
+    for n in range(71):
+        cols, rows = engine.basis(n), engine.basis(n + 1)
+        images = {}
+        for r, c, v in engine.d_matrix(n).triples():
+            images.setdefault(c, {})[rows.monomials[r]] = v
+        for c, m in enumerate(cols.monomials):
+            column = Element(images.get(c, {}))
+            assert column == of_mono(engine.d, m), (
+                f"d_{n} column {c} ({m.text()}) is {column.text()}")
+
+
+@pytest.mark.parametrize("convention,copies", [
+    ("parity", True), ("plus", True), ("minus", False)])
+def test_a4_divisible_columns_are_copies_where_eps_of_a4_is_one(
+        monkeypatch, convention, copies):
+    # eps(a4) is +1 under parity and plus, -1 under minus; there d(a4*m)
+    # is not a4*d(m), and every column takes the Leibniz route
+    built = []
+    leibniz = Differential._leibniz
+
+    def recording(self, shifted, n, m):
+        built.append(m)
+        return leibniz(self, shifted, n, m)
+
+    monkeypatch.setattr(Differential, "_leibniz", recording)
+    engine = Engine(convention=convention)
+    for n in range(61):
+        engine.d_matrix(n)
+    # a4 has the highest exponent field, so its multiples are the keys
+    # whose exponents are at least its unit
+    a4 = UNIT[COMM_NAMES.index("a4")]
+    divisible = {k for n in range(61) for k in engine.basis(n).keys
+                 if (k & EXPS_MASK) >= a4}
+    assert len(divisible) > 1000
+    assert bool(divisible & set(built)) is not copies
+    assert set(built) >= {k for n in range(61)
+                          for k in engine.basis(n).keys} - divisible
+    # the columns kept for the Leibniz route hold no a4-divisible prefix
+    # when none is read
+    kept = {k for columns in engine._columns.values() for k in columns}
+    assert kept and bool(kept & divisible) is not copies
 
 
 def _grading(m: Monomial) -> tuple:
