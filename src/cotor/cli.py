@@ -269,13 +269,19 @@ def cmd_discover(args) -> int:
 
 
 def _check_support(support, degree: int, engine):
-    """ConfigError unless each support entry is one monomial in known
-    names of formal degree ``degree``, and ``degree`` is within the cap
-    when a factor is word-type; checked before anything is evaluated."""
+    """ConfigError unless the support names a monomial, each entry is one
+    monomial in known names of formal degree ``degree``, ``degree`` is
+    within the key range, and within the cap when a factor is word-type;
+    checked before anything is evaluated."""
     from .derivation import NAMED_DEGREES
-    from .dga import GEN_DEGREES
+    from .dga import GEN_DEGREES, MAX_KEY_DEGREE
     from .formal import monomial_degree, parse_poly
 
+    if not support:
+        raise ConfigError("--support names no monomial")
+    if degree > MAX_KEY_DEGREE:
+        raise ConfigError(f"--degree {degree} is beyond the key range "
+                          f"(at most {MAX_KEY_DEGREE})")
     degrees = GEN_DEGREES | NAMED_DEGREES
     table = engine.named_evaluator.table
     for text in support:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dga import (
-    COMM_NAMES, ONE_KEY, WORD_SHIFT, Element, decode, encode, gen, times_a9,
+    A9_KEY, COMM_NAMES, WORD_SHIFT, Element, decode, gen, times_a9,
 )
 from .differential import Differential, select_x26
 from .formal import Evaluator
@@ -36,15 +36,14 @@ def partial(q: Element) -> Element:
     dropped.
     """
     out = {}
-    for m, c in q.terms.items():
-        if m.word:
-            raise ValueError(
-                f"input is not in the commutative subalgebra: {m.text()}")
-        for k, e in times_a9(encode(m)):
-            if k >> WORD_SHIFT == 0b11:         # the word is c17 alone:
-                t = decode(k - 2 * ONE_KEY)     # drop it
-                out[t] = out.get(t, 0) - e * c
-    return Element(out)
+    for m, c in q.by_key.items():
+        if m >= A9_KEY:
+            raise ValueError("input is not in the commutative subalgebra: "
+                             f"{decode(m).text()}")
+        for k, e in times_a9(m):
+            if k >> WORD_SHIFT == 0b11:     # the word is c17 alone: drop it
+                out[k - A9_KEY] = out.get(k - A9_KEY, 0) - e * c
+    return Element.from_keys(out)
 
 
 def partial2(q: Element) -> Element:

@@ -8,8 +8,8 @@ moving a b-generator left past a9 costs a correction term:
     b_j * a9  ->  a9 * b_j + c17 * a_{j-8}      (j = 12, 16, 18)
 
 For a commutative monomial E this reads E * a9 = a9 * E - c17 * partial(E),
-with ``derivation.partial``.  The rule is coded once, in ``times_a9`` on
-flat keys; ``mono_mul`` and ``derivation.partial`` are built on it.
+with ``derivation.partial``.  The rule is coded once, in ``times_a9``;
+the product ``key_mul`` and ``derivation.partial`` are built on it.
 
 Since every commuting pair involves an even generator, no Koszul signs
 ever enter the multiplication; signs only matter for the differential
@@ -17,13 +17,18 @@ ever enter the multiplication; signs only matter for the differential
 {a9, c17} followed by a commutative monomial, and the rewrite above only
 ever lengthens words, so the commutative subalgebra S spanned by
 word-free monomials is closed under multiplication.
+
+Inside the library a monomial is one packed int key (below) in the
+bases, d, the cache and ``Element``; a word-free right factor multiplies
+by one integer addition.  ``Monomial`` is the text boundary only:
+``Element`` accepts it and decodes to it (``Element.terms``) to print.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 from operator import mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 A9, C17 = 0, 1
@@ -38,8 +43,6 @@ GEN_DEGREES = dict(zip(COMM_NAMES, COMM_DEGREES)) | dict(zip(WORD_NAMES, WORD_DE
 
 # b12 -> a4, b16 -> a8, b18 -> a10 (index into the commutative block)
 _B_TO_A = {3: 0, 4: 1, 5: 2}
-
-ZERO_EXPS = (0, 0, 0, 0, 0, 0)
 
 # weight of a generator under each filtration scheme:
 # (a4, a8, a10, b12, b16, b18) block and (a9, c17) block
@@ -60,11 +63,6 @@ class Monomial(NamedTuple):
         return (sum(map(WORD_DEGREES.__getitem__, self.word))
                 + sum(map(mul, self.exps, COMM_DEGREES)))
 
-    def weight(self, scheme: str) -> int:
-        cw, ww = WEIGHT_SCHEMES[scheme]
-        return (sum(ww[x] for x in self.word)
-                + sum(e * w for e, w in zip(self.exps, cw)))
-
     def text(self) -> str:
         word = " ".join(WORD_NAMES[x] for x in self.word)
         comm = " ".join(
@@ -75,37 +73,38 @@ class Monomial(NamedTuple):
         return word or comm or "1"
 
 
-ONE = Monomial((), ZERO_EXPS)
-
-
-def _merge(acc: dict, m: Monomial, c: int):
-    c = (acc.get(m, 0) + c) % 3
-    if c:
-        acc[m] = c
-    else:
-        acc.pop(m, None)
-
-
 # -- flat integer keys ----------------------------------------------------
 #
-# The bases and the differential's recursion work on monomials packed into
-# one int.  The six exponents sit in 8-bit fields, a4 in the highest, so
-# packed exponents order like exponent tuples; above them the word is a
-# bit string (a9 = 0, c17 = 1) under a sentinel 1 bit.  Multiplying by a
-# commutative generator adds its field unit, and appending a letter x
-# turns the word bits w into 2w + x.  An exponent of a monomial of degree
-# n is at most n // 4, so every monomial of degree <= MAX_KEY_DEGREE fits.
+# Every monomial inside the library is packed into one int.  The six
+# exponents sit in 8-bit fields, a4 in the highest, so packed exponents
+# order like exponent tuples; above them the word is a bit string (a9 = 0,
+# c17 = 1) under a sentinel 1 bit.  Multiplying by a commutative generator
+# adds its field unit, and appending a letter x turns the word bits w into
+# 2w + x.  An exponent of a monomial of degree n is at most n // 4, so
+# every monomial of degree <= MAX_KEY_DEGREE fits.
 
 EXP_BITS = 8
 WORD_SHIFT = 6 * EXP_BITS
 EXPS_MASK = (1 << WORD_SHIFT) - 1
 UNIT = tuple(1 << EXP_BITS * (5 - g) for g in range(6))
 ONE_KEY = 1 << WORD_SHIFT
+# the key of a9, the least key with a word: the keys below it are word-free
+A9_KEY = 2 * ONE_KEY
 MAX_KEY_DEGREE = 4 * (1 << EXP_BITS) - 1
+# the bits that a carry out of one of the six exponent fields lands on
+_CARRIES = sum(1 << EXP_BITS * g for g in range(1, 7))
 # per b_j: the shift of its exponent field, and the key change of a_{j-8}
 # taking the place of one b_j
 _B_SWAPS = tuple((EXP_BITS * (5 - b), UNIT[a] - UNIT[b])
                  for b, a in _B_TO_A.items())
+
+
+def word_key(word) -> int:
+    """The key of a word with no commutative part."""
+    w = 1
+    for x in word:
+        w = w << 1 | x
+    return w << WORD_SHIFT
 
 
 def encode(m: Monomial) -> int:
@@ -113,10 +112,7 @@ def encode(m: Monomial) -> int:
     if m.degree() > MAX_KEY_DEGREE:
         raise ValueError(f"monomial {m.text()} is beyond degree "
                          f"{MAX_KEY_DEGREE}")
-    w = 1
-    for x in m.word:
-        w = w << 1 | x
-    return w << WORD_SHIFT | int.from_bytes(bytes(m.exps), "big")
+    return word_key(m.word) | int.from_bytes(bytes(m.exps), "big")
 
 
 def decode(k: int) -> Monomial:
@@ -143,31 +139,28 @@ def times_a9(k: int) -> list:
     return out
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> dict:
-    """Product of two normal-form monomials, as Monomial -> coeff.
+def key_mul(k1: int, k2: int) -> dict:
+    """The product of the monomials with keys k1 and k2, as key -> coeff,
+    within ``MAX_KEY_DEGREE`` (so no field overflows).
 
     The commutative part of m1 is pushed through the word of m2 one letter
     at a time: past a9 by ``times_a9``, past c17 for free (c17 commutes
-    with every even generator); then the exponents of m2 are added.  With a
-    word on the right, the product must lie within ``MAX_KEY_DEGREE``.
+    with every even generator); then the exponents of m2 are added.
     """
-    if not m2.word:
-        # nothing to push through: the exponents just add
-        return {Monomial(m1.word,
-                         tuple(a + b for a, b in zip(m1.exps, m2.exps))): 1}
-    if m1.degree() + m2.degree() > MAX_KEY_DEGREE:
+    if key_degree(k1) + key_degree(k2) > MAX_KEY_DEGREE:
         raise ValueError(f"product is beyond degree {MAX_KEY_DEGREE}")
-    terms = {encode(m1): 1}
-    for x in m2.word:
+    terms = {k1: 1}
+    w2 = k2 >> WORD_SHIFT
+    for i in range(w2.bit_length() - 2, -1, -1):    # m2's letters in turn
         pushed = {}
         for k, c in terms.items():
             # appending c17 turns the word bits w into 2w + 1
-            for k2, c2 in (times_a9(k) if x == A9 else
+            for k3, c3 in (times_a9(k) if w2 >> i & 1 == A9 else
                            ((k + ((k >> WORD_SHIFT) + 1 << WORD_SHIFT), 1),)):
-                pushed[k2] = pushed.get(k2, 0) + c * c2
+                pushed[k3] = pushed.get(k3, 0) + c * c3
         terms = pushed
-    e2 = int.from_bytes(bytes(m2.exps), "big")
-    return {decode(k + e2): c % 3 for k, c in terms.items() if c % 3}
+    e2 = k2 & EXPS_MASK
+    return {k + e2: c % 3 for k, c in terms.items() if c % 3}
 
 
 def grading(k: int) -> int:
@@ -186,80 +179,102 @@ def grading(k: int) -> int:
     return (a9 << 24) + (e >> 24) + b
 
 
-def key_weight(k: int, scheme: str) -> int:
-    """``Monomial.weight`` of the monomial with key k."""
-    cw, ww = WEIGHT_SCHEMES[scheme]
+def _key_sum(k: int, comm: tuple, word: tuple) -> int:
+    """The sum over the factors of the monomial with key k of ``comm`` (by
+    commutative generator) and ``word`` (by letter)."""
     w = k >> WORD_SHIFT
     c17 = w.bit_count() - 1
-    a4, a8, a10, b12, b16, b18 = (k & EXPS_MASK).to_bytes(6, "big")
-    return (ww[0] * (w.bit_length() - 1 - c17) + ww[1] * c17
-            + cw[0] * a4 + cw[1] * a8 + cw[2] * a10
-            + cw[3] * b12 + cw[4] * b16 + cw[5] * b18)
+    return (word[0] * (w.bit_length() - 1 - c17) + word[1] * c17
+            + sum(map(mul, (k & EXPS_MASK).to_bytes(6, "big"), comm)))
+
+
+def key_degree(k: int) -> int:
+    """The degree of the monomial with key k (``Monomial.degree``)."""
+    return _key_sum(k, COMM_DEGREES, WORD_DEGREES)
+
+
+def key_weight(k: int, scheme: str) -> int:
+    """The weight under a scheme of the monomial with key k: the sum of
+    its generators' weights."""
+    return _key_sum(k, *WEIGHT_SCHEMES[scheme])
 
 
 class Element:
-    """Finite GF(3)-linear combination of normal-form monomials."""
+    """Finite GF(3)-linear combination of normal-form monomials, held as
+    ``by_key``: monomial key -> coefficient in {1, 2}, which the library
+    reads and builds (``from_keys``).  ``Element(terms)`` takes {Monomial:
+    coeff} (``encode``: a ValueError past ``MAX_KEY_DEGREE``), ``terms``
+    is a decoded read-only view, and ``text`` prints in Monomial order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("by_key",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: c % 3 for m, c in (terms or {}).items() if c % 3}
+        self.by_key = {encode(m): c % 3 for m, c in (terms or {}).items()
+                       if c % 3}
+
+    @classmethod
+    def from_keys(cls, by_key: dict) -> "Element":
+        """The element {key: coeff}, coefficients taken mod 3."""
+        x = cls.__new__(cls)
+        x.by_key = {k: r for k, c in by_key.items() if (r := c % 3)}
+        return x
 
     @classmethod
     def zero(cls) -> "Element":
-        return cls()
+        return cls.from_keys({})
 
     @classmethod
     def one(cls) -> "Element":
-        return cls({ONE: 1})
+        return cls.from_keys({ONE_KEY: 1})
 
-    @classmethod
-    def monomial(cls, m: Monomial, c: int = 1) -> "Element":
-        return cls({m: c})
+    @property
+    def terms(self) -> MappingProxyType:
+        """Monomial -> coefficient, decoded (read-only)."""
+        return MappingProxyType({decode(k): c for k, c in self.by_key.items()})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.by_key)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.by_key
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return isinstance(other, Element) and self.by_key == other.by_key
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _merge(out, m, c)
-        return Element(out)
+        out = dict(self.by_key)
+        for k, c in other.by_key.items():
+            out[k] = out.get(k, 0) + c
+        return Element.from_keys(out)
 
     def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _merge(out, m, -c)
-        return Element(out)
+        return self + other.scaled(-1)
 
     def __neg__(self) -> "Element":
-        return Element({m: -c for m, c in self.terms.items()})
+        return self.scaled(-1)
 
     def scaled(self, c: int) -> "Element":
-        return Element({m: c * v for m, v in self.terms.items()})
+        return Element.from_keys({k: c * v for k, v in self.by_key.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
+    def __mul__(self, other: "Element") -> "Element":
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for m, c in mono_mul(m1, m2).items():
-                    _merge(out, m, c12 * c)
-        return Element(out)
-
-    def __rmul__(self, c: int) -> "Element":
-        return self.scaled(c)
+        get = out.get
+        right = other.by_key.items()
+        for k1, c1 in self.by_key.items():
+            for k2, c2 in right:
+                if k2 < A9_KEY:
+                    # word-free: the exponents add, unless a field carries
+                    e2 = k2 - ONE_KEY
+                    k = k1 + e2
+                    if (k ^ k1 ^ e2) & _CARRIES:
+                        raise ValueError(f"product is beyond degree "
+                                         f"{MAX_KEY_DEGREE}")
+                    out[k] = get(k, 0) + c1 * c2
+                else:
+                    c12 = c1 * c2
+                    for k, c in key_mul(k1, k2).items():
+                        out[k] = get(k, 0) + c12 * c
+        return Element.from_keys(out)
 
     def __pow__(self, n: int) -> "Element":
         out = Element.one()
@@ -267,32 +282,19 @@ class Element:
             out = out * self
         return out
 
-    def degrees(self) -> set:
-        return {m.degree() for m in self.terms}
-
     def degree(self) -> int | None:
         """Degree of a homogeneous element (None for 0)."""
-        degs = self.degrees()
-        if not degs:
-            return None
+        degs = set(map(key_degree, self.by_key))
         if len(degs) > 1:
             raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def weight(self, scheme: str) -> float:
-        """min over terms; the zero element has weight +infinity."""
-        if not self.terms:
-            return math.inf
-        return min(m.weight(scheme) for m in self.terms)
+        return degs.pop() if degs else None
 
     def in_commutative_subalgebra(self) -> bool:
-        return all(not m.word for m in self.terms)
+        return all(k < A9_KEY for k in self.by_key)
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        return " ".join(f"+{c}*{m.text()}"
-                        for m, c in sorted(self.terms.items()))
+        return " ".join(f"+{c}*{m.text()}" for m, c in sorted(
+            (decode(k), c) for k, c in self.by_key.items())) or "0"
 
     def __repr__(self):
         return f"Element({self.text()})"
@@ -302,11 +304,9 @@ class Element:
 def gen(name: str) -> Element:
     """The generator with the given name, as an Element."""
     if name in WORD_NAMES:
-        return Element({Monomial((WORD_NAMES.index(name),), ZERO_EXPS): 1})
+        return Element.from_keys({word_key((WORD_NAMES.index(name),)): 1})
     if name in COMM_NAMES:
-        exps = list(ZERO_EXPS)
-        exps[COMM_NAMES.index(name)] = 1
-        return Element({Monomial((), tuple(exps)): 1})
+        return Element.from_keys({ONE_KEY + UNIT[COMM_NAMES.index(name)]: 1})
     raise KeyError(f"unknown generator {name!r}")
 
 
@@ -350,7 +350,7 @@ def words_of_degree(k: int) -> tuple:
 
 class DegreeBasis:
     """Ordered monomial basis of one total degree, held as monomial keys;
-    the lookups by key and the decoded monomials are built on first use."""
+    the lookups by key and by Z^4 degree are built on first use."""
 
     def __init__(self, degree: int, keys: tuple):
         self.degree = degree
@@ -360,12 +360,8 @@ class DegreeBasis:
         return len(self.keys)
 
     @cached_property
-    def monomials(self) -> tuple:
-        return tuple(map(decode, self.keys))
-
-    @cached_property
     def index(self) -> dict:
-        """Monomial key (``encode``) -> position."""
+        """Monomial key -> position."""
         return {k: i for i, k in enumerate(self.keys)}
 
     @cached_property
@@ -402,22 +398,19 @@ def enumerate_basis(n: int) -> DegreeBasis:
                    for w in words_of_degree(k))
     keys = []
     for w in words:
-        head = 1
-        for x in w:
-            head = head << 1 | x
-        head <<= WORD_SHIFT
+        head = word_key(w)
         keys.extend(head + e for e in comm_keys(
             n - sum(WORD_DEGREES[x] for x in w)))
     return DegreeBasis(n, tuple(keys))
 
 
-def element_planes(x: Element, index, key=None) -> tuple:
+def element_planes(x: Element, index) -> tuple:
     """The bit planes ``(pos, neg)`` of an element's coefficients over
-    ``index``, a mapping from monomials, or from their ``key(m)`` (say
-    ``encode``), to positions (KeyError for a term outside it)."""
+    ``index``, a mapping from monomial keys to positions (KeyError for a
+    term outside it)."""
     pos = neg = 0
-    for m, c in x.terms.items():
-        bit = 1 << index[m if key is None else key(m)]
+    for k, c in x.by_key.items():
+        bit = 1 << index[k]
         if c == 1:
             pos |= bit
         else:

@@ -24,8 +24,8 @@ import random
 from .dga import (
     _B_TO_A, A9, C17, COMM_DEGREES, COMM_NAMES, EXP_BITS, EXPS_MASK,
     GEN_DEGREES, MAX_KEY_DEGREE, ONE_KEY, UNIT, WORD_DEGREES, WORD_SHIFT,
-    ZERO_EXPS, DegreeBasis, Element, Monomial, decode, encode,
-    enumerate_basis, gen, grading, times_a9,
+    DegreeBasis, Element, decode, enumerate_basis, gen, grading, key_degree,
+    times_a9, word_key,
 )
 from .gf3 import BlockDiagonalF3, column_entries
 
@@ -149,15 +149,15 @@ class Differential:
         memo = {}           # monomial key -> its image, for this call only
         shifted = self._recursion(memo)
         out = {}
-        for m, c in x.terms.items():
-            n = m.degree()
+        for m, c in x.by_key.items():
+            n = key_degree(m)
             if n >= MAX_KEY_DEGREE:
-                raise ValueError(f"d of {m.text()} is beyond degree "
+                raise ValueError(f"d of {decode(m).text()} is beyond degree "
                                  f"{MAX_KEY_DEGREE}")
-            for t, v in shifted(encode(m), n, 1, 0).items():
+            for t, v in shifted(m, n, 1, 0).items():
                 out[t] = out.get(t, 0) + c * v
         memo.clear()        # free the images now, not at the next collection
-        return Element({decode(t): v for t, v in out.items()})
+        return Element.from_keys(out)
 
     def eps(self, x: Element) -> int:
         """Leibniz sign of a homogeneous element (per its monomials' factors)."""
@@ -167,8 +167,8 @@ class Differential:
             return 1
         # "minus" is per-factor and need not be constant on a degree; it is
         # well-defined on single monomials only
-        (m, _), = x.terms.items()
-        return _eps_minus(encode(m), m.degree())
+        (m, _), = x.by_key.items()
+        return _eps_minus(m, key_degree(m))
 
     def leibniz(self, x: Element, y: Element) -> Element:
         """d(x*y) computed through the product rule (for the audit)."""
@@ -332,9 +332,9 @@ def _random_homogeneous(rng, bases: list, max_degree: int) -> Element:
     basis = bases[n]
     k = rng.randint(1, min(3, len(basis)))
     out = {}
-    for m in rng.sample(list(basis.monomials), k):
+    for m in rng.sample(basis.keys, k):
         out[m] = rng.randint(1, 2)
-    return Element(out)
+    return Element.from_keys(out)
 
 
 def _square_zero_failures(d: Differential, bases: list,
@@ -357,8 +357,8 @@ def _square_zero_failures(d: Differential, bases: list,
                 for u, v in image(t, n + 1, 1, 0).items():
                     dd[u] = dd.get(u, 0) + c * v
             if len(failures) < 3 and any(v % 3 for v in dd.values()):
-                failures.append((decode(m).text(), Element(
-                    {decode(u): v for u, v in dd.items()}).text()))
+                failures.append((decode(m).text(),
+                                 Element.from_keys(dd).text()))
         if failures:
             break
     memo.clear()
@@ -430,11 +430,10 @@ def select_x26(d: Differential):
     convention choice but a consequence of the admissible Leibniz rule.
     The representative is normalized to leading coefficient +1 on a9*c17.
     """
-    m1 = Monomial((A9, C17), ZERO_EXPS)
-    m2 = Monomial((C17, A9), ZERO_EXPS)
+    m1, m2 = word_key((A9, C17)), word_key((C17, A9))
     kernel = []
     for mu, nu in ((1, 1), (1, 2)):
-        x = Element({m1: mu, m2: nu})
+        x = Element.from_keys({m1: mu, m2: nu})
         if d(x).is_zero():
             kernel.append(((mu, nu), x))
     if len(kernel) != 1:

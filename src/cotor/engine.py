@@ -25,8 +25,7 @@ from .cache import MatrixCache
 from .cohomology import BasisClass, CotorBasis, additive_basis_classes
 from .derivation import build_named_generators, named_evaluator
 from .dga import (
-    DegreeBasis, Element, decode, element_planes, encode, enumerate_basis,
-    grading,
+    DegreeBasis, Element, element_planes, enumerate_basis, grading,
 )
 from .differential import PREFIX_DEPTH, Differential, audit_conventions
 from .gf3 import BlockDiagonalF3, Echelon, Planes, bits, combination
@@ -179,8 +178,8 @@ class Engine:
         basis = self.basis(n)
         index, blocks = basis.index, basis.blocks
         parts = {}
-        for m, c in x.terms.items():
-            g = grading(k := encode(m))
+        for k, c in x.by_key.items():
+            g = grading(k)
             bit = 1 << bisect_left(blocks[g], index[k])
             p, q = parts.get(g, (0, 0))
             parts[g] = (p | bit, q) if c == 1 else (p, q | bit)
@@ -230,14 +229,14 @@ class Engine:
         return out
 
     def split_solver(self, n: int):
-        """(solver, monomial index, classes) over the word-free basis
+        """(solver, monomial key -> row, classes) over the word-free basis
         classes of degree n, in S-coordinates."""
         cached = self._split_solvers.get(n)
         if cached is None:
             classes = [c for c in self.additive_basis(n).classes
                        if c.side == "C"]
             reps = [self.representative(c) for c in classes]
-            monos = sorted({m for rep in reps for m in rep.terms})
+            monos = sorted({k for rep in reps for k in rep.by_key})
             idx = {m: i for i, m in enumerate(monos)}
             a = Planes.from_columns(
                 len(monos), (element_planes(rep, idx) for rep in reps))
@@ -298,8 +297,8 @@ class Engine:
                     coeffs[classes[j].label] = c
                     recon = recon + self.representative(classes[j]).scaled(c)
                 else:
-                    witness[decode(prev[cols[j - k]])] = c
-        witness = Element(witness)
+                    witness[prev[cols[j - k]]] = c
+        witness = Element.from_keys(witness)
         # reconstruction identity, checked on every call (also under -O)
         if z - recon != self.d(witness):
             raise RuntimeError(

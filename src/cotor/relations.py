@@ -35,7 +35,7 @@ from itertools import combinations, product
 from .derivation import (
     NAMED_DEGREES, NAMED_GENERATOR_NAMES, family_identities, partial, partial2,
 )
-from .dga import Element, element_planes, encode
+from .dga import Element, element_planes
 from .formal import mono_text, monomial_degree, parse_poly, poly_text
 from .gf3 import Echelon, Planes, combination, hstack, to_planes
 
@@ -393,7 +393,7 @@ def _canonical_rows(vectors):
 def _linear_relations(elements) -> tuple:
     """Canonical basis of the vectors c with sum_j c_j * elements[j] = 0,
     solved in the coordinates of the monomials the elements use."""
-    monos = sorted({m for el in elements for m in el.terms})
+    monos = sorted({k for el in elements for k in el.by_key})
     idx = {m: i for i, m in enumerate(monos)}
     return _canonical_rows(Echelon(Planes.from_columns(
         len(monos), (element_planes(el, idx) for el in elements))).kernel())
@@ -419,7 +419,7 @@ def discover_relation(support, degree, engine, paper_vector=None):
             raise ValueError("degree beyond cap for word-type discovery")
         basis = engine.basis(degree)
         cols = Planes.from_columns(len(basis), (
-            element_planes(el, basis.index, encode) for el in elements))
+            element_planes(el, basis.index) for el in elements))
         # im(d) columns first: only kernel vectors with a free support
         # column can have a nonzero support part, and those span it
         if degree >= 1:

@@ -1,8 +1,12 @@
+import math
+import weakref
 from typing import NamedTuple
 
 import pytest
 
-from cotor.dga import COMM_NAMES, ONE, WORD_NAMES, Element, Monomial
+from cotor.dga import (
+    COMM_NAMES, WEIGHT_SCHEMES, WORD_NAMES, Element, Monomial, decode,
+)
 from cotor.derivation import family_identities
 from cotor.engine import Engine
 from cotor.gf3 import Echelon, from_planes, to_planes
@@ -39,11 +43,26 @@ def class_element(cls, named: dict) -> Element:
     return out
 
 
+ZERO_EXPS = (0, 0, 0, 0, 0, 0)
+
+
+_MONOMIALS = weakref.WeakKeyDictionary()
+
+
+def monomials(basis) -> tuple:
+    """The monomials of a ``dga.DegreeBasis``, decoded, in its order (kept
+    while the basis lives)."""
+    out = _MONOMIALS.get(basis)
+    if out is None:
+        out = _MONOMIALS[basis] = tuple(map(decode, basis.keys))
+    return out
+
+
 def parse_monomial(text: str) -> Monomial:
     """Inverse of Monomial.text()."""
     text = text.strip()
     if text == "1":
-        return ONE
+        return Monomial((), ZERO_EXPS)
     if "|" in text:
         wpart, cpart = text.split("|")
     elif text.split()[0] in WORD_NAMES:
@@ -60,7 +79,21 @@ def parse_monomial(text: str) -> Monomial:
 
 def of_mono(d, m: Monomial) -> Element:
     """d of one normal-form monomial."""
-    return d(Element.monomial(m))
+    return d(Element({m: 1}))
+
+
+def monomial_weight(m: Monomial, scheme: str) -> int:
+    """The weight of a monomial under a scheme, summed over its word
+    letters and exponents: the tests' route to ``dga.key_weight``."""
+    cw, ww = WEIGHT_SCHEMES[scheme]
+    return (sum(ww[x] for x in m.word)
+            + sum(e * w for e, w in zip(m.exps, cw)))
+
+
+def element_weight(x: Element, scheme: str) -> float:
+    """The least weight of a term of x (+infinity for 0)."""
+    return min((monomial_weight(m, scheme) for m in x.terms),
+               default=math.inf)
 
 
 class IdentityCheck(NamedTuple):

@@ -4,12 +4,15 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import of_mono, parse_monomial
+from conftest import (
+    ZERO_EXPS, element_weight, monomial_weight, monomials, of_mono,
+    parse_monomial,
+)
 from cotor import dga
 from cotor.dga import (
-    A9, C17, COMM_NAMES, GEN_DEGREES, ZERO_EXPS, Element, Monomial,
+    A9, C17, COMM_NAMES, GEN_DEGREES, Element, Monomial,
     comm_keys, decode, element_planes, encode, enumerate_basis, gen,
-    mono_mul, times_a9,
+    key_mul, key_weight, times_a9,
 )
 
 # -- reference: the rewrite applied one exponent unit at a time -------------
@@ -86,27 +89,40 @@ def test_iterated_rewrite():
     assert lhs == rhs
 
 
+def key_product(m1: Monomial, m2: Monomial) -> dict:
+    """``key_mul`` of two monomials, decoded."""
+    return {decode(k): c for k, c in key_mul(encode(m1), encode(m2)).items()}
+
+
+def element_product(m1: Monomial, m2: Monomial) -> dict:
+    """The product of two monomials as Elements, decoded."""
+    return dict((Element({m1: 1}) * Element({m2: 1})).terms)
+
+
 def test_times_a9_closed_form_matches_the_rewrite():
-    # mono_mul is built on times_a9, so the push-through loop is the
-    # reference here
+    # the key product is built on times_a9, so the push-through loop is
+    # the reference here
     a9 = parse_monomial("a9")
     for n in range(49):
-        for m in enumerate_basis(n).monomials:
+        for m in monomials(enumerate_basis(n)):
             product = {decode(k): c for k, c in times_a9(encode(m))}
             assert product == pushed_product(m, a9), m.text()
 
 
 def test_word_free_fast_path_matches_the_general_route():
-    # a word-free right factor takes the fast path in mono_mul; the
-    # push-through loop is the reference, on every pair of total degree
-    # <= 48
+    # a word-free right factor takes the fast path in Element.__mul__ (one
+    # key addition); it, and key_mul's general route, match the
+    # push-through loop on every pair of total degree <= 48
     pairs = 0
     for n1 in range(49):
-        for m1 in enumerate_basis(n1).monomials:
+        for m1 in monomials(enumerate_basis(n1)):
             for n2 in range(49 - n1):
                 for k in comm_keys(n2):
-                    m2 = decode(k)
-                    assert mono_mul(m1, m2) == pushed_product(m1, m2), \
+                    m2 = decode(k + dga.ONE_KEY)
+                    expected = pushed_product(m1, m2)
+                    assert element_product(m1, m2) == expected, \
+                        (m1.text(), m2.text())
+                    assert key_product(m1, m2) == expected, \
                         (m1.text(), m2.text())
                     pairs += 1
     assert pairs > 5_000
@@ -118,14 +134,36 @@ def test_word_on_the_right_matches_the_push_through():
     # degree <= 48
     pairs = 0
     for n1 in range(49):
-        for m1 in enumerate_basis(n1).monomials:
+        for m1 in monomials(enumerate_basis(n1)):
             for n2 in range(9, 49 - n1):
-                for m2 in enumerate_basis(n2).monomials:
+                for m2 in monomials(enumerate_basis(n2)):
                     if m2.word:
-                        assert mono_mul(m1, m2) == pushed_product(m1, m2), \
+                        expected = pushed_product(m1, m2)
+                        assert key_product(m1, m2) == expected, \
+                            (m1.text(), m2.text())
+                        assert element_product(m1, m2) == expected, \
                             (m1.text(), m2.text())
                         pairs += 1
     assert pairs == 3_825
+
+
+def test_random_products_with_words_on_both_sides():
+    # seeded element pairs, each with a word on both sides somewhere,
+    # checked term by term against the push-through loop
+    rng = random.Random(29)
+    pairs = 0
+    while pairs < 300:
+        x = _random_homogeneous(rng, 40)
+        y = _random_homogeneous(rng, 40)
+        if all(not m.word for m in x.terms) or all(not m.word for m in y.terms):
+            continue
+        expected = {}
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                for m, c in pushed_product(m1, m2).items():
+                    expected[m] = (expected.get(m, 0) + c1 * c2 * c) % 3
+        assert dict((x * y).terms) == {m: c for m, c in expected.items() if c}
+        pairs += 1
 
 
 def test_products_past_the_key_range_are_refused():
@@ -133,7 +171,16 @@ def test_products_past_the_key_range_are_refused():
     a4_200 = Monomial((), (200, 0, 0, 0, 0, 0))
     a9_a4_100 = Monomial((A9,), (100, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
-        mono_mul(a4_200, a9_a4_100)
+        key_mul(encode(a4_200), encode(a9_a4_100))
+    with pytest.raises(ValueError):
+        Element({a4_200: 1}) * Element({a9_a4_100: 1})
+    # word-free: a carry out of a4's field would land in the word
+    with pytest.raises(ValueError):
+        gen("a4") ** 200 * gen("a4") ** 100
+    # a carry out of a lower field would land in the next one up
+    with pytest.raises(ValueError):
+        gen("b18") ** 200 * gen("b18") ** 56
+    assert (gen("a4") ** 200 * gen("a4") ** 55).degree() == 1020
 
 
 def test_word_letters_multiply_freely():
@@ -145,19 +192,19 @@ def test_word_letters_multiply_freely():
 
 
 def test_basis_small_degrees():
-    assert [m.text() for m in enumerate_basis(4).monomials] == ["a4"]
-    assert [m.text() for m in enumerate_basis(9).monomials] == ["a9"]
+    assert [m.text() for m in monomials(enumerate_basis(4))] == ["a4"]
+    assert [m.text() for m in monomials(enumerate_basis(9))] == ["a9"]
     b18 = enumerate_basis(18)
     assert len(b18) == 4
-    assert {m.text() for m in b18.monomials} == {
+    assert {m.text() for m in monomials(b18)} == {
         "a9 a9", "b18", "a4^2 a10", "a8 a10"}
 
 
 def test_basis_deterministic_order():
     a = enumerate_basis(30)
     b = enumerate_basis(30)
-    assert a.monomials == b.monomials
-    assert a.keys == tuple(map(encode, a.monomials))
+    assert monomials(a) == monomials(b)
+    assert a.keys == tuple(map(encode, monomials(a)))
 
 
 def test_blocks_from_word_runs_match_the_grading_of_every_key():
@@ -198,7 +245,7 @@ def _random_homogeneous(rng, max_degree):
         if len(basis):
             break
     terms = {}
-    for m in rng.sample(list(basis.monomials), rng.randint(1, min(3, len(basis)))):
+    for m in rng.sample(list(monomials(basis)), rng.randint(1, min(3, len(basis)))):
         terms[m] = rng.randint(1, 2)
     return Element(terms)
 
@@ -267,20 +314,22 @@ def test_weight_monotonicity(scheme):
         prod = x * y
         if prod.is_zero():
             continue
-        assert prod.weight(scheme) >= x.weight(scheme) + y.weight(scheme)
+        assert element_weight(prod, scheme) >= (element_weight(x, scheme)
+                                                + element_weight(y, scheme))
 
 
 def test_weights_of_named_monomials():
-    m = Monomial((0, 1), (0,) * 6)          # a9 c17
-    assert m.weight("weight_s3") == 3
-    assert Monomial((), (0, 0, 0, 5, 0, 0)).weight("weight_s3") == 0
-    assert Monomial((0, 1), (1, 0, 0, 0, 0, 0)).weight("may_s5") == 4
-    assert Element.zero().weight("weight_s3") == float("inf")
+    for m, scheme, w in ((Monomial((0, 1), (0,) * 6), "weight_s3", 3),
+                         (Monomial((), (0, 0, 0, 5, 0, 0)), "weight_s3", 0),
+                         (Monomial((0, 1), (1, 0, 0, 0, 0, 0)), "may_s5", 4)):
+        assert key_weight(encode(m), scheme) == monomial_weight(m, scheme) == w
+        assert element_weight(Element({m: 2}), scheme) == w
+    assert element_weight(Element.zero(), "weight_s3") == float("inf")
 
 
 def test_monomial_text_roundtrip():
     for n in (0, 9, 26, 35, 44):
-        for m in enumerate_basis(n).monomials:
+        for m in monomials(enumerate_basis(n)):
             assert parse_monomial(m.text()) == m
 
 
@@ -289,8 +338,8 @@ def test_keys_roundtrip_and_refuse_overflow():
 
     for n in (0, 9, 26, 35, 44):
         basis = enumerate_basis(n)
-        assert [encode(m) for m in basis.monomials] == list(basis.keys)
-        assert all(decode(encode(m)) == m for m in basis.monomials)
+        assert [encode(m) for m in monomials(basis)] == list(basis.keys)
+        assert all(decode(encode(m)) == m for m in monomials(basis))
     # an exponent past its 8-bit field is refused, never wrapped
     a4_256 = Monomial((), (256, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -305,15 +354,12 @@ def test_keys_roundtrip_and_refuse_overflow():
 
 def test_element_planes_lookup():
     basis = enumerate_basis(18)
-    x = Element({basis.monomials[1]: 2, basis.monomials[3]: 1})
+    x = Element({monomials(basis)[1]: 2, monomials(basis)[3]: 1})
     # entry 1 is 2 (neg plane), entry 3 is 1 (pos plane)
-    assert element_planes(x, basis.index, encode) == (0b1000, 0b10)
-    assert [basis.index[encode(m)] for m in basis.monomials] == [0, 1, 2, 3]
+    assert element_planes(x, basis.index) == (0b1000, 0b10)
+    assert [basis.index[encode(m)] for m in monomials(basis)] == [0, 1, 2, 3]
     with pytest.raises(KeyError):
-        element_planes(gen("a4"), basis.index, encode)
-    # or over a mapping from the monomials themselves
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    assert element_planes(x, index) == (0b1000, 0b10)
+        element_planes(gen("a4"), basis.index)
 
 
 def test_generator_names_and_degrees():

@@ -103,6 +103,8 @@ def test_discover_subcommand(capsys):
     ("a4*y22^", "26"),              # unparsable
     ("a4 + y22", "26"),             # not one monomial
     ("a9^10", "90"),                # word-type, beyond the degree cap
+    ("a4^300", "1200"),             # word-free, beyond the key range
+    (",,", "30"),                   # no monomial at all
 ])
 def test_discover_bad_input_exits_two(capsys, monkeypatch, support, degree):
     # refused before the support is evaluated, with no traceback

@@ -10,7 +10,7 @@ from cotor.cohomology import (
     additive_basis_classes, expand_rational, poincare_coeffs,
 )
 from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
-from cotor.dga import Element, decode, element_planes, encode, gen
+from cotor.dga import Element, Monomial, decode, element_planes, gen
 from cotor.engine import Engine
 from cotor.gf3 import Echelon, Planes, bits, hstack
 
@@ -112,6 +112,30 @@ def test_decompose_reconstruction(engine):
     assert dec.coefficients            # the class part is nonzero
 
 
+# (degree, terms of a9*y21 and a4*y25 as [word, exps, coeff], coefficients,
+# witness terms): pinned from the Monomial-keyed engine
+WORKER_SAMPLES = (
+    (30, [[[0, 0], [0, 0, 0, 1, 0, 0], 1], [[0, 1], [1, 0, 0, 0, 0, 0], 2]],
+     {"a4*x26": 2}, [[[1], [0, 0, 0, 1, 0, 0], 1]]),
+    (29, [[[0], [1, 0, 0, 0, 1, 0], 1], [[1], [1, 1, 0, 0, 0, 0], 2]],
+     {"a8*y21": 2}, [[[], [0, 0, 0, 1, 1, 0], 2]]),
+)
+
+
+@pytest.mark.parametrize("degree,terms,coefficients,witness", WORKER_SAMPLES,
+                         ids=("a9*y21", "a4*y25"))
+def test_decompose_at_the_monomial_boundary(degree, terms, coefficients,
+                                            witness):
+    # what the benchmark's decompose worker does: an Element from Monomial
+    # keys in, the witness read back as Monomials (word and exponents)
+    z = Element({Monomial(tuple(w), tuple(e)): c for w, e, c in terms})
+    dec = Engine(max_degree=40).decompose(z, degree)
+    assert dec.coefficients == coefficients
+    out = sorted(dec.witness.terms.items())
+    assert all(isinstance(m, Monomial) for m, _ in out)
+    assert [[list(m.word), list(m.exps), c] for m, c in out] == witness
+
+
 def test_decompose_rejects_a_wrong_reconstruction(engine, monkeypatch):
     # plant a wrong class coefficient behind the solver: the explicit
     # reconstruction check must catch it (it is not an assert, so it also
@@ -150,7 +174,7 @@ def _global_columns(engine, n):
     degree-n basis: the one matrix the engine now cuts into Z^4 blocks."""
     basis = engine.basis(n)
     cols = Planes.from_columns(len(basis), (
-        element_planes(engine.representative(c), basis.index, encode)
+        element_planes(engine.representative(c), basis.index)
         for c in engine.additive_basis(n).classes))
     return hstack(cols, engine.d_matrix(n - 1)) if n >= 1 else cols
 
@@ -161,7 +185,7 @@ def _global_decompose(engine, z, n, solvers):
     if n not in solvers:
         solvers[n] = Echelon(_global_columns(engine, n))
     (xp, xq), _ = solvers[n].solve_planes(
-        *element_planes(z, engine.basis(n).index, encode))
+        *element_planes(z, engine.basis(n).index))
     classes = engine.additive_basis(n).classes
     prev = engine.basis(n - 1).keys
     coeffs, witness = {}, {}

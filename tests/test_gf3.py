@@ -461,12 +461,12 @@ def test_block_matvec_matches_the_reference_on_d_matrices(engine):
     for n in range(41):
         d = engine.d_matrix(n)
         ref = SparseMatrixF3(d.n_rows, d.n_cols, d.entries)
-        monomials, rows = engine.basis(n).monomials, engine.basis(n + 1).blocks
+        keys, rows = engine.basis(n).keys, engine.basis(n + 1).blocks
         for density in (0.05, 0.5, 1.0):
             x = ((rng.random(d.n_cols) < density)
                  * rng.integers(1, 3, d.n_cols)).tolist()
             parts = engine.blocks_of(
-                Element({m: c for m, c in zip(monomials, x) if c}), n)
+                Element.from_keys({k: c for k, c in zip(keys, x) if c}), n)
             image = [0] * d.n_rows
             for g, planes in engine.apply_d(parts, n).items():
                 for r, v in zip(rows[g], from_planes(*planes, len(rows[g]))):
@@ -474,7 +474,7 @@ def test_block_matvec_matches_the_reference_on_d_matrices(engine):
             assert tuple(image) == ref.matvec(x), n
     # a term outside the basis of the degree is refused
     with pytest.raises(KeyError):
-        engine.blocks_of(Element({engine.basis(8).monomials[0]: 1}), 4)
+        engine.blocks_of(Element.from_keys({engine.basis(8).keys[0]: 1}), 4)
 
 
 def test_columns_by_label_read_back_every_entry(engine):

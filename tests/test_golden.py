@@ -23,10 +23,19 @@ GOLDEN = (
      "5db4f9131a0ebf7829cedbf7ab358a4c1a5838cb5dc771a94bc806e46d941184"),
     (("verify",), 0,
      "bdb0dfc38b64e78d53cd01cd3f3dd24fc797ce9d70aaa4eb804d4747452cbf1c"),
+    (("verify", "--group", "i", "--format", "json"), 0,
+     "0d04f9ab74f1b94ca372b4018d556cdc6224856c67c9d142043f4c51c6820683"),
+    (("verify", "--group", "ii", "--format", "json"), 0,
+     "0df1013bb4dd197d15980554059bd8d3de9135e22cc5b084b033a93711216599"),
+    (("verify", "--group", "iii", "--format", "json"), 0,
+     "3eb9fca55b5c3ec3b0e7f8a3e29470a71ea89a79eec57aea0941a7accbd9961b"),
     (("discover", "--support", "a4*y26,a8*y22,a10*y20", "--degree", "30"), 0,
      "bdc7374aed1e038d7e7d7c10dd4e96006b4e09f06965c2a70f3ccdfd4b7c948f"),
     (("discover", "--support", "a9*a4", "--degree", "13"), 0,
      "47b368a778bde41449bbe4c004077f027c69c95138deec7aa94ebe27af11590b"),
+    # the top of the key range: a4's field at 255
+    (("discover", "--support", "a4^255", "--degree", "1020"), 0,
+     "b6d777bc1dc87bbc5356037154237b1fb82d1d5e7a6be6be87813922e487881d"),
     (("homology", "--max-degree", "60", "--check-basis"), 0,
      "7ceafbdaa394dc3b8109e27f44a52c49fc8b88bfe3df23ed5e48dd57f7ee5cde"),
     (("spectral", "--scheme", "weight_s3", "--max-degree", "40"), 0,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    SparseMatrixF3, cols_ge, gf3mat, rank_sub, reference_page_dim,
+    SparseMatrixF3, cols_ge, gf3mat, monomial_weight, monomials, rank_sub,
+    reference_page_dim,
 )
 from cotor.cohomology import poincare_coeffs
 from cotor.engine import Engine
@@ -122,8 +123,8 @@ def test_rank_table_matches_prefix_ranks(engine):
     for scheme in SCHEMES:
         ss = SpectralSequence(engine, scheme)
         for n in range(61):
-            rows_w, cols_w = ([m.weight(scheme) for m in engine.basis(k)
-                               .monomials] for k in (n + 1, n))
+            rows_w, cols_w = ([monomial_weight(m, scheme) for m in
+                               monomials(engine.basis(k))] for k in (n + 1, n))
             assert ss.profile(n).weights == Counter(cols_w)
             pivots, _ = engine.d_matrix(n).pivot_weights(rows_w, cols_w)
             qs = ([min(cols_w, default=0) - 1] + sorted(set(cols_w))
@@ -156,10 +157,10 @@ def test_memoized_tables_match_a_fresh_sequence(prepared):
 def test_blocked_passes_match_one_global_echelon(engine):
     # ranks, and the weights of the weight-ordered pivots, per Z^4 block
     # against one pass over the whole matrix, with the weight orders
-    # rebuilt from Monomial.weight
+    # rebuilt from monomial_weight
     engine.build_range(100)
-    weights = {(scheme, n): [m.weight(scheme)
-                             for m in engine.basis(n).monomials]
+    weights = {(scheme, n): [monomial_weight(m, scheme)
+                             for m in monomials(engine.basis(n))]
                for scheme in SCHEMES for n in range(102)}
     sequences = {scheme: SpectralSequence(engine, scheme)
                  for scheme in SCHEMES}
