@@ -28,16 +28,19 @@ from .engine import DEFAULT_MAX_DEGREE, Engine
 # Python 3.11, one run each unless stated; wall time, peak RSS:
 #   homology              N = 120: 1.0-1.2 s, 50 MB  N = 140: 4.1-6.6 s, 125 MB
 #                         N = 130: 1.5 s, 77 MB      N = 150: 6.7 s, 218 MB
-#   ideal-check           N = 100: 0.9 s, 42 MB      N = 140: 6.6 s, 218 MB
-#                         N = 120: 2.8 s, 87 MB      N = 150: 11.1 s, 366 MB
-# (ideal-check N = 150: median of three runs.)  The homology rows were
-# measured after d's a4-divisible columns became copies of d_{n-4}'s, the
-# rest before, when homology took 25.0 s and 473 MB at 160; the other
-# commands that build d were not measured again.  Every subcommand at 160:
+#   ideal-check (two runs) N = 100: 0.5 s, 37 MB   N = 140: 3.2-3.3 s, 172 MB
+#                         N = 120: 1.2 s, 71 MB   N = 150: 5.5-6.2 s, 281 MB
+# The homology rows were measured after d's a4-divisible columns became
+# copies of d_{n-4}'s; the ideal-check and verify rows after d was built
+# one Z^4 block at a time, on demand, so that they build only the blocks
+# their decompositions and witnesses read; the rest before both, when
+# homology took 25.0 s and 473 MB at 160, and the other commands that
+# build d were not measured again.  Every subcommand at 160:
 #   homology (four runs) 18.4-19.2 s, 400 MB diff       25.7 s, 473 MB
-#   homology --check-basis 33.1 s, 579 MB   ideal-check   28.8 s, 637 MB
-#   spectral (weight_s3)   29.1 s, 477 MB   basis          0.7 s, 125 MB
-#   spectral (may_s5)      28.9 s, 474 MB   verify         0.8 s, 36 MB
+#   homology --check-basis 33.1 s, 579 MB   ideal-check (four runs)
+#   spectral (weight_s3)   29.1 s, 477 MB                8.7-9.1 s, 473 MB
+#   spectral (may_s5)      28.9 s, 474 MB   verify (four) 0.2-0.3 s, 32 MB
+#   basis                   0.7 s, 125 MB
 #   table40                 0.2 s, 22 MB    poincare       0.1 s, 21 MB
 #   discover --support a9*y21,a4*y26 --degree 30            0.2 s, 22 MB
 #   audit (square-zero to 160; three runs)           29.4-44.5 s, 847 MB
@@ -362,7 +365,6 @@ def cmd_ideal_check(args) -> int:
 
     engine = _engine(args)
     n_max = _default_degree(args, 80)
-    engine.build_range(n_max)
     report = ideal_and_split_check(engine, n_max)
     payload = {
         "degree_bound": report.degree_bound,

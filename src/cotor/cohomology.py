@@ -18,7 +18,6 @@ evaluates each product to its representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .derivation import NAMED_DEGREES
 
@@ -95,23 +94,31 @@ def _gen_degree(names) -> int:
     return sum(NAMED_DEGREES[n] for n in names)
 
 
-@lru_cache(maxsize=None)
+# (ring, mins) -> for each suffix ring[i:] of the ring, i = 0..len(ring),
+# its exponent tuples (each at least its entry of mins) by total degree
+_RING_TABLES: dict = {}
+
+
 def _ring_monomials(ring: tuple, mins: tuple, degree: int) -> tuple:
-    """Exponent tuples over `ring` of the given total degree."""
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == len(ring):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        d = NAMED_DEGREES[ring[i]]
-        for e in range(mins[i], remaining // d + 1):
-            rec(i + 1, remaining - e * d, acc + [e])
-
-    if degree >= 0:
-        rec(0, degree, [])
-    return tuple(out)
+    """Exponent tuples over `ring` of the given total degree, each at least
+    its entry of `mins`, in lexicographic order.  As ``dga.comm_keys``
+    does, they come from per-degree tables, one per suffix of the ring:
+    the tuples of ring[i:] of degree r are e followed by those of
+    ring[i+1:] of degree r - e*deg(ring[i]), for e ascending.  The tables
+    are extended from the last generator back, to the degree asked."""
+    if degree < 0:
+        return ()
+    tables = _RING_TABLES.get((ring, mins))
+    if tables is None:
+        tables = _RING_TABLES[ring, mins] = [[] for _ in ring] + [[((),)]]
+    tables[-1].extend([()] * (degree + 1 - len(tables[-1])))
+    for i in range(len(ring) - 1, -1, -1):
+        d, low, tails = NAMED_DEGREES[ring[i]], mins[i], tables[i + 1]
+        table = tables[i]
+        for r in range(len(table), degree + 1):
+            table.append(tuple((e,) + t for e in range(low, r // d + 1)
+                               for t in tails[r - e * d]))
+    return tables[0][degree]
 
 
 @dataclass(frozen=True)

@@ -336,6 +336,13 @@ def comm_gradings(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def comm_weights(n: int, scheme: str) -> tuple:
+    """``key_weight`` under a scheme of each monomial of ``comm_keys(n)``,
+    in its order."""
+    return tuple(key_weight(ONE_KEY + e, scheme) for e in comm_keys(n))
+
+
+@lru_cache(maxsize=None)
 def words_of_degree(k: int) -> tuple:
     """All words in {a9, c17} of total degree k, lex sorted."""
     if k == 0:
@@ -364,23 +371,28 @@ class DegreeBasis:
         """Monomial key -> position."""
         return {k: i for i, k in enumerate(self.keys)}
 
-    @cached_property
-    def blocks(self) -> dict:
-        """Z^4 degree (``grading``) -> the ascending positions holding it.
-
-        The keys run word by word, each word w followed by the
-        commutative monomials ``comm_keys`` of the degree it leaves (the
-        order ``enumerate_basis`` makes), and ``grading`` is additive, so
-        a run's gradings are g(w) plus the cached ``comm_gradings``."""
-        out = {}
+    def word_runs(self):
+        """(word key, degree left to the commutative part) for each run of
+        keys with one word, in order.  The keys run word by word, each word
+        followed by the commutative monomials ``comm_keys`` of the degree
+        it leaves (the order ``enumerate_basis`` makes)."""
         keys, i = self.keys, 0
         while i < len(keys):
             w = keys[i] >> WORD_SHIFT
             c17 = w.bit_count() - 1
-            a9 = w.bit_length() - 1 - c17
-            gs = comm_gradings(self.degree - WORD_DEGREES[A9] * a9
-                               - WORD_DEGREES[C17] * c17)
-            gw = grading(w << WORD_SHIFT)
+            rest = (self.degree - WORD_DEGREES[A9] * (w.bit_length() - 1 - c17)
+                    - WORD_DEGREES[C17] * c17)
+            yield w << WORD_SHIFT, rest
+            i += len(comm_keys(rest))
+
+    @cached_property
+    def blocks(self) -> dict:
+        """Z^4 degree (``grading``) -> the ascending positions holding it.
+        ``grading`` is additive, so a word run's gradings are g(w) plus the
+        cached ``comm_gradings``."""
+        out, i = {}, 0
+        for word, rest in self.word_runs():
+            gw, gs = grading(word), comm_gradings(rest)
             for j, g in enumerate(gs, i):
                 out.setdefault(gw + g, []).append(j)
             i += len(gs)

@@ -35,7 +35,6 @@ DEFAULT_CONVENTION = "parity"
 # d(m) reads d of a prefix at most one generator degree below m, so a
 # build of degree n reads no d_k with k < n - PREFIX_DEPTH
 PREFIX_DEPTH = max(GEN_DEGREES.values())
-_PREFIX_DEGREES = sorted(set(GEN_DEGREES.values()))
 
 
 def _eps_parity(k: int, degree: int) -> int:
@@ -175,33 +174,42 @@ class Differential:
         return self(x) * y + (x * self(y)).scaled(self.eps(x))
 
     def matrix(self, n: int, bn: DegreeBasis, bn1: DegreeBasis,
-               lower, below) -> BlockDiagonalF3:
-        """Matrix of d from degree n, basis ``bn``, to degree n+1, basis
-        ``bn1``, one block per internal Z^4 degree (d preserves it; an image
-        term outside its column's block is a RuntimeError).
+               lower, below, gradings=None) -> BlockDiagonalF3:
+        """Blocks of the matrix of d from degree n, basis ``bn``, to degree
+        n+1, basis ``bn1``: one per internal Z^4 degree in ``gradings``
+        (default every grading of ``bn``, that is, all of d_n; d preserves
+        it, and an image term outside its column's block is a RuntimeError).
+
+        Block g reads only block g - g(f) of d_{n - deg f} for each
+        generator f (``STENCIL``), which the caller holds: the two routes
+        below.
 
         a4 commutes with every generator and d(a4) = 0, so when the rule's
         sign on a4 alone is +1 (parity and plus, not minus), eps(a4*m) =
         eps(m) and the last-factor recursion gives d(a4*m) = a4*d(m).  Then
         each a4-divisible column of block g is a shifted copy of the column
-        of m/a4 in block g - g(a4) of d_{n-4}: ``below(k)`` gives d_k and
-        the keys of its rows (the basis of degree k+1).  m -> m/a4
-        keeps the order of the columns (a4 is the highest exponent field,
-        so they are a suffix of each word's run in the block), so the
-        copies are that block's columns in turn, each moved to its rows'
-        a4-multiples by ``_a4_pieces``.
+        of m/a4 in block g - g(a4) of d_{n-4}: ``below(k)`` gives d_k's
+        blocks by Z^4 degree (a block with no rows may be missing) and the
+        keys of its rows (the basis of degree k+1).  m -> m/a4 keeps the
+        order of the columns (a4 is the highest exponent field, so they are
+        a suffix of each word's run in the block), so the copies are that
+        block's columns in turn, each moved to its rows' a4-multiples by
+        ``_a4_pieces``.
 
-        Every other column is built by ``_leibniz``: d of its prefix is a
-        column of a lower d_k, and ``lower(k)`` gives d_k's nonzero columns
-        by monomial key (``BlockDiagonalF3.columns``), asked once for each
-        degree k such a prefix can have (``Engine.d_matrix`` holds them)."""
+        Every other column is built by ``_leibniz``: d of its prefix m/f is
+        a column of block g - g(f) of d_{n - deg f}, and ``lower(k)`` gives
+        d_k's nonzero columns by Z^4 degree, then by monomial key (``gf3.
+        block_columns``; ``Engine`` holds them), asked once for each degree
+        k such a prefix can have."""
         copy = n >= COMM_DEGREES[0] and bool(self.copied_field)
-        # with copies, no prefix is m/a4, so d_{n-4}'s columns are not read
-        sources = {n - g: lower(n - g) for g in _PREFIX_DEGREES
-                   if g <= n and not (copy and g == COMM_DEGREES[0])}
+        # prefix degree n - deg f -> (d of that degree's columns, g(f));
+        # with copies no prefix is m/a4, so d_{n-4}'s columns are not read
+        sources = {n - deg: (lower(n - deg), dg) for deg, dg in
+                   (STENCIL[1:] if copy else STENCIL) if deg <= n}
 
         def shifted(m: int, k: int, a: int, b: int) -> dict:
-            column = sources[k].get(m)
+            columns, dg = sources[k]
+            column = columns[g - dg].get(m)
             return {} if column is None else column_entries(column, a, b)
 
         def leaves(c: int, r: int):
@@ -212,7 +220,8 @@ class Differential:
         if copy:
             d4, keys4 = below(n - COMM_DEGREES[0])
         row_keys, col_keys, blocks = bn1.keys, bn.keys, {}
-        for g, cols in bn.blocks.items():
+        for g in bn.blocks if gradings is None else gradings:
+            cols = bn.blocks[g]
             rows = bn1.blocks.get(g, ())
             at = {row_keys[r]: i for i, r in enumerate(rows)}
             pos, neg = [0] * len(cols), [0] * len(cols)
@@ -223,7 +232,7 @@ class Differential:
                     (copies if col_keys[c] & _A4_FIELD else todo).append(j)
                 # no source block: it has no rows in degree n - 3, and the
                 # copies are 0
-                source = copies and d4.blocks.get(g - _A4_GRADING)
+                source = copies and d4.get(g - _A4_GRADING)
                 if source:
                     s_rows, _, s_pos, s_neg = source
                     to = [at.get(keys4[r] + UNIT[0]) for r in s_rows]
@@ -249,6 +258,14 @@ class Differential:
         return BlockDiagonalF3(len(bn1), len(bn), blocks)
 
 
+# (deg f, g(f)) per generator f, a4 first: block g of d_n reads block
+# g - g(f) of d_{n - deg f}, which holds the prefix m/f of each column m
+# whose last canonical factor is f, and, for f = a4, the sources of the
+# copies
+STENCIL = (tuple((deg, grading(ONE_KEY + unit))
+                 for deg, unit in zip(COMM_DEGREES, UNIT))
+           + tuple((deg, grading(word_key((x,))))
+                   for x, deg in enumerate(WORD_DEGREES)))
 # the key field of a4's exponent, and the Z^4 degree of a4
 _A4_FIELD = ((1 << EXP_BITS) - 1) * UNIT[0]
 _A4_GRADING = grading(ONE_KEY + UNIT[0])

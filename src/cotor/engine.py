@@ -8,10 +8,19 @@ evaluation are uncapped.
 
 d preserves the internal Z^4 degree (``dga.grading``), and so does every
 class representative (checked when the classes of a degree are first
-grouped, also under -O).  So rank d, and the matrix [class columns |
-d_{n-1}] behind ``decompose`` and ``check_additive_basis``, are worked
-one Z^4 block at a time: one small elimination per block, built on first
-use, in place of one over the whole degree.
+grouped, also under -O).  So each grading is a finite complex of its
+own, and one block of d, (degree n, grading g), is the unit the engine
+builds and reads (``d_blocks``).  Block g of d_n reads only the blocks
+g - g(f) of d_{n - deg f}, one per generator f (``differential.
+STENCIL``), so a block is built after those, lowest degree first, and a
+reader of a few gradings builds a few blocks: ``apply_d`` (the matrix
+route of ``relations.verify_witness``), ``decompose`` and
+``check_additive_basis``.  rank d, and the matrix [class columns |
+d_{n-1}] behind the last two, are worked one block at a time too: one
+small elimination per block, built on first use.  A whole d_n
+(``d_matrix``: ranks, spectral pages, the cache) is assembled from the
+blocks built already plus the rest; only a whole d_n is stored in the
+cache, and a block of a degree the cache holds reads that file whole.
 """
 
 from __future__ import annotations
@@ -27,12 +36,16 @@ from .derivation import build_named_generators, named_evaluator
 from .dga import (
     DegreeBasis, Element, element_planes, enumerate_basis, grading,
 )
-from .differential import PREFIX_DEPTH, Differential, audit_conventions
-from .gf3 import BlockDiagonalF3, Echelon, Planes, bits, combination
+from .differential import (
+    PREFIX_DEPTH, STENCIL, Differential, audit_conventions,
+)
+from .gf3 import (
+    BlockDiagonalF3, Echelon, Planes, bits, block_columns, combination,
+)
 
 DEFAULT_MAX_DEGREE = 80
 
-_NO_COLUMNS = ((), (), ())      # a block of d with no columns: (cols, pos, neg)
+_NO_BLOCK = ((), (), (), ())     # a block of d with no columns
 
 
 def _block_rank(block) -> int:
@@ -52,6 +65,22 @@ class ClassDecomposition:
     witness: Element            # input - sum(c_i * rep_i) = d(witness)
 
 
+class _Window(dict):
+    """Z^4 degree -> the nonzero columns by key (``gf3.block_columns``) of
+    that block of one d_k, made on first use from the block that
+    ``block(g)`` gives (None: no rows)."""
+
+    def __init__(self, block, col_keys, row_keys, skip: int):
+        super().__init__()
+        self.block, self.labels = block, (col_keys, row_keys, skip)
+
+    def __missing__(self, g: int) -> dict:
+        block = self.block(g)
+        columns = self[g] = {} if block is None else block_columns(
+            block, *self.labels)
+        return columns
+
+
 class Engine:
     def __init__(self, max_degree: int = DEFAULT_MAX_DEGREE,
                  convention: str = "audit", cache_dir=None):
@@ -65,9 +94,14 @@ class Engine:
         self.d = Differential(convention)
         self.cache = MatrixCache(cache_dir, convention) if cache_dir else None
         self._bases: dict[int, DegreeBasis] = {}
-        self._matrices: dict[int, BlockDiagonalF3] = {}
-        # degree -> d's nonzero columns by key, for the degrees builds read
+        self._matrices: dict[int, BlockDiagonalF3] = {}     # whole d_n
+        # degree -> Z^4 degree -> block of d (None: no rows), for the
+        # degrees built in part
+        self._blocks: dict[int, dict] = {}
+        # degree -> Z^4 degree -> that block of d's nonzero columns by key,
+        # for the blocks builds read
         self._columns: dict[int, dict] = {}
+        self._missed: set = set()       # degrees the cache does not hold
         self._ranks: dict[int, int] = {}
         self._additive_bases: dict[int, CotorBasis] = {}
         self._representatives: dict[BasisClass, Element] = {}
@@ -86,33 +120,119 @@ class Engine:
         return b
 
     def d_matrix(self, n: int) -> BlockDiagonalF3:
+        """d_n whole: loaded, or built, with the blocks built before, in the
+        order of ``basis(n).blocks``, and then stored."""
         m = self._matrices.get(n)
-        if m is not None:
-            return m
-        rows, cols = self.basis(n + 1), self.basis(n)
-        if self.cache is not None:      # a refused file is rebuilt, rewritten
-            m = self.cache.load(n, rows.blocks, cols.blocks)
         if m is None:
-            m = self.d.matrix(n, cols, rows, self._columns_of, lambda k: (
-                self.d_matrix(k), self.basis(k + 1).keys))
-            # building degree n + 1 reads no columns of degree <= n - depth
-            for k in [k for k in self._columns if k <= n - PREFIX_DEPTH]:
-                del self._columns[k]
+            m = self._load(n)
+        if m is None:
+            cols = self.basis(n)
+            built = self._blocks.pop(n, {})
+            blocks = self._build(n, [g for g in cols.blocks if g not in built])
+            if built:
+                blocks = {g: b for g in cols.blocks if (b := blocks.get(
+                    g, built.get(g))) is not None}
+            m = self._matrices[n] = BlockDiagonalF3(
+                len(self.basis(n + 1)), len(cols), blocks)
             if self.cache is not None:
                 self.cache.store(n, m)
-        self._matrices[n] = m
         return m
 
-    def _columns_of(self, k: int) -> dict:
-        """d_k's nonzero columns by monomial key (``BlockDiagonalF3.
-        columns``), what ``Differential.matrix`` reads prefixes from; kept
-        while a build of higher degree can read them."""
-        columns = self._columns.get(k)
-        if columns is None:
-            columns = self._columns[k] = self.d_matrix(k).columns(
-                self.basis(k).keys, self.basis(k + 1).keys,
-                self.d.copied_field)
-        return columns
+    def _load(self, n: int) -> BlockDiagonalF3 | None:
+        """d_n whole from the cache, or None (no cache, or it does not
+        hold d_n: a refused file is rebuilt and rewritten by ``d_matrix``);
+        tried once per degree."""
+        if self.cache is None or n in self._missed:
+            return None
+        m = self.cache.load(n, self.basis(n + 1).blocks, self.basis(n).blocks)
+        if m is None:
+            self._missed.add(n)
+        else:
+            self._matrices[n] = m
+        return m
+
+    def d_blocks(self, n: int, gradings) -> dict:
+        """Z^4 degree -> that block ``(rows, cols, pos, neg)`` of d_n, for
+        each of ``gradings`` (None: the block has no rows, or the degree-n
+        basis has no monomial of that grading).  A block not held is built,
+        after the blocks of lower degree it reads (``_build``); d_n is read
+        whole where the cache holds it (a degree built in part is not)."""
+        m = self._matrices.get(n)
+        if m is None:
+            m = self._load(n)
+        if m is not None:
+            return {g: m.blocks.get(g) for g in gradings}
+        have, built = self.basis(n).blocks, self._blocks.get(n, {})
+        todo = [g for g in gradings if g in have and g not in built]
+        if todo:
+            blocks = self._build(n, todo)
+            built = self._blocks.setdefault(n, built)
+            for g in todo:
+                built[g] = blocks.get(g)
+        return {g: built.get(g) for g in gradings}
+
+    def _build(self, n: int, gradings: list) -> dict:
+        """The blocks ``gradings`` of d_n, none of them held, that have
+        rows, by Z^4 degree.  Block g of d_n reads block g - g(f) of
+        d_{n - deg f} for each generator f (``differential.STENCIL``), and
+        deg f > 0; so the blocks to build are found from degree n down,
+        each lower d_k read whole where the cache holds it, and built from
+        the lowest degree up, one ``Differential.matrix`` per degree, the
+        lower ones kept."""
+        if not gradings:
+            return {}
+        plan = {n: gradings}
+        for k in range(n, -1, -1):
+            for deg, dg in STENCIL if plan.get(k) else ():
+                j = k - deg
+                if j < 0 or j in self._matrices:
+                    continue
+                have, built = self.basis(j).blocks, self._blocks.get(j, ())
+                need = {h for g in plan[k] if (h := g - dg) in have
+                        and h not in built}
+                if need and self._load(j) is None:
+                    plan.setdefault(j, set()).update(need)
+        for k in sorted(plan):
+            want = (gradings if k == n else
+                    [g for g in self.basis(k).blocks if g in plan[k]])
+            blocks = self.d.matrix(k, self.basis(k), self.basis(k + 1),
+                                   self._prefix_columns, self._copy_source,
+                                   want).blocks
+            if k < n:
+                built = self._blocks.setdefault(k, {})
+                for g in want:
+                    built[g] = blocks.get(g)
+            # a build of degree above k reads no columns of degree
+            # k - PREFIX_DEPTH or below
+            for j in [j for j in self._columns if j <= k - PREFIX_DEPTH]:
+                del self._columns[j]
+        return blocks
+
+    def _block(self, k: int, g: int):
+        """Block g of d_k, which ``_build`` has built or loaded (None: no
+        rows, or no monomial of that grading; a KeyError if it has not)."""
+        m = self._matrices.get(k)
+        if m is not None:
+            return m.blocks.get(g)
+        return self._blocks[k][g] if g in self.basis(k).blocks else None
+
+    def _prefix_columns(self, k: int) -> "_Window":
+        """d_k's nonzero columns by Z^4 degree, then by monomial key, what
+        ``Differential.matrix`` reads prefixes from; kept while a build of
+        higher degree can read them."""
+        window = self._columns.get(k)
+        if window is None:
+            window = self._columns[k] = _Window(
+                lambda g: self._block(k, g), self.basis(k).keys,
+                self.basis(k + 1).keys, self.d.copied_field)
+        return window
+
+    def _copy_source(self, k: int) -> tuple:
+        """d_k's blocks held, by Z^4 degree, and the keys of its rows, what
+        ``Differential.matrix`` copies a4-divisible columns from."""
+        m = self._matrices.get(k)
+        return (self._blocks.get(k, {}) if m is None else m.blocks,
+                self.basis(k + 1).keys)
 
     def build_range(self, n_max: int):
         """Materialize matrices for all degrees <= n_max, in ascending order
@@ -187,30 +307,26 @@ class Engine:
 
     def apply_d(self, parts: dict, n: int) -> dict:
         """d_n of a degree-n element given by its parts (``blocks_of``),
-        read off d_n's blocks one at a time: Z^4 degree -> the nonzero bit
-        planes of the image over that block of the degree-(n+1) basis."""
-        blocks = self.d_matrix(n).blocks
+        read off those blocks of d_n alone (``d_blocks``): Z^4 degree ->
+        the nonzero bit planes of the image over that block of the
+        degree-(n+1) basis."""
         out = {}
-        for g, (vp, vq) in parts.items():
-            if g in blocks:
-                image = combination(vp, vq, *blocks[g][2:])
+        for g, block in self.d_blocks(n, parts).items():
+            if block is not None:
+                image = combination(*parts[g], *block[2:])
                 if image != (0, 0):
                     out[g] = image
         return out
 
     def _class_blocks(self, n: int) -> dict:
-        """Z^4 degree -> (classes, pos, neg, (cols, pos, neg)) for each
-        block of the degree-n basis: the classes of that degree with their
-        representatives' planes over the block, and the block of d_{n-1}
-        landing there (columns are positions in degree n - 1; maybe none).
-        A representative that is not Z^4-homogeneous is a RuntimeError."""
+        """Z^4 degree -> (classes, pos, neg) for each block of the degree-n
+        basis that holds a class: the classes of that degree with their
+        representatives' planes over the block.  A representative that is
+        not Z^4-homogeneous is a RuntimeError."""
         out = self._class_groups.get(n)
         if out is not None:
             return out
         out = {}
-        if n >= 1:
-            for g, (_, cols, pos, neg) in self.d_matrix(n - 1).blocks.items():
-                out[g] = [], [], [], (cols, pos, neg)
         for cls in self.additive_basis(n).classes:
             try:
                 parts = self.blocks_of(self.representative(cls), n)
@@ -220,8 +336,7 @@ class Engine:
                 raise RuntimeError(f"class {cls.label}: representative is "
                                    "not Z^4-homogeneous")
             for g, (p, q) in parts.items():
-                classes, pos, neg, _ = out.setdefault(
-                    g, ([], [], [], _NO_COLUMNS))
+                classes, pos, neg = out.setdefault(g, ([], [], []))
                 classes.append(cls)
                 pos.append(p)
                 neg.append(q)
@@ -250,12 +365,12 @@ class Engine:
         count = len(self.additive_basis(n))
         if count != self.dim_h(n):
             return False
-        rows = self.basis(n).blocks
+        rows, groups = self.basis(n).blocks, self._class_blocks(n)
         independent = 0
-        for g, (classes, pos, neg, (cols, dp, dq)) in self._class_blocks(
-                n).items():
-            if not classes:
-                continue
+        for g, block in self.d_blocks(n - 1, groups).items():
+            # block g of d_{n-1}'s columns first, then the classes
+            _, cols, dp, dq = block or _NO_BLOCK
+            classes, pos, neg = groups[g]
             ech = Echelon(Planes(len(rows[g]), len(cols) + len(classes),
                                  [*dp, *pos], [*dq, *neg]), transform=False)
             independent += sum(c >= len(cols) for _, c in ech.pivots)
@@ -271,16 +386,18 @@ class Engine:
         if self.apply_d(parts, n):
             raise ValueError("decompose: input is not a cocycle")
         rows, prev = self.basis(n).blocks, self.basis(n - 1).keys
+        groups = self._class_blocks(n)
+        for g, block in self.d_blocks(n - 1, [
+                g for g in parts if (n, g) not in self._block_solvers]).items():
+            # [class columns | d_{n-1}] on block g
+            classes, pos, neg = groups.get(g, ((), (), ()))
+            _, cols, dp, dq = block or _NO_BLOCK
+            self._block_solvers[n, g] = (Echelon(Planes(
+                len(rows[g]), len(classes) + len(cols),
+                [*pos, *dp], [*neg, *dq])), classes, cols)
         coeffs, witness, recon = {}, {}, Element.zero()
         for g, (vp, vq) in parts.items():
-            cached = self._block_solvers.get((n, g))
-            if cached is None:          # [class columns | d_{n-1}] on block g
-                classes, pos, neg, (cols, dp, dq) = self._class_blocks(
-                    n).get(g, ((), (), (), _NO_COLUMNS))
-                cached = self._block_solvers[n, g] = (Echelon(Planes(
-                    len(rows[g]), len(classes) + len(cols),
-                    [*pos, *dp], [*neg, *dq])), classes, cols)
-            solver, classes, cols = cached
+            solver, classes, cols = self._block_solvers[n, g]
             x, _ = solver.solve_planes(vp, vq)
             if x is None:
                 raise RuntimeError(

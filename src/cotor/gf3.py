@@ -165,18 +165,6 @@ class BlockDiagonalF3(NamedTuple):
                 x ^= low
                 yield rows[low.bit_length() - 1], c, 1 if p & low else 2
 
-    def columns(self, col_labels, row_labels, skip: int = 0) -> dict:
-        """The nonzero columns by label, leaving out the labels that share
-        a bit with ``skip``: ``col_labels[c]`` -> (the ``row_labels`` of
-        its block's rows, pos, neg), read by `column_entries`."""
-        out = {}
-        for rows, cols, pos, neg in self.blocks.values():
-            at = tuple(map(row_labels.__getitem__, rows))
-            for c, p, q in zip(cols, pos, neg):
-                if p | q and not col_labels[c] & skip:
-                    out[col_labels[c]] = at, p, q
-        return out
-
     @property
     def entries(self) -> dict:
         """The nonzero entries, by column, then row."""
@@ -272,8 +260,19 @@ def bits(x: int):
         yield low.bit_length() - 1
 
 
+def block_columns(block, col_labels, row_labels, skip: int = 0) -> dict:
+    """The nonzero columns of a block ``(rows, cols, pos, neg)`` of a
+    `BlockDiagonalF3` by label, leaving out the labels that share a bit
+    with ``skip``: ``col_labels[c]`` -> (the ``row_labels`` of the block's
+    rows, pos, neg), read by `column_entries`."""
+    rows, cols, pos, neg = block
+    at = tuple(map(row_labels.__getitem__, rows))
+    return {col_labels[c]: (at, p, q) for c, p, q in zip(cols, pos, neg)
+            if p | q and not col_labels[c] & skip}
+
+
 def column_entries(column, a: int, b: int) -> dict:
-    """A column ``(labels, pos, neg)`` of `BlockDiagonalF3.columns` as
+    """A column ``(labels, pos, neg)`` of `block_columns` as
     {a * label + b: value in {1, 2}}."""
     labels, p, q = column
     out = {}

@@ -347,7 +347,9 @@ def verify_witness(record: RelationRecord, engine) -> RelationVerdict:
     """LHS = d(witness), exactly, up to a recorded witness sign.
 
     Every pass is re-verified through the blocks of d's matrix when the
-    degree is inside the cap (independent code path from the direct
+    degree is inside the cap: d_{n-1} at the witness's Z^4 degrees alone
+    (``Engine.apply_d``), built on demand from lower blocks of d by the
+    matrix construction (an independent code path from the direct
     Leibniz evaluation used here).
     """
     if record.witness is None:

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import cohomology
-from .dga import WEIGHT_SCHEMES, key_weight
+from .dga import WEIGHT_SCHEMES, comm_weights, key_weight
 
 SCHEMES = tuple(WEIGHT_SCHEMES)
 
@@ -71,11 +71,14 @@ class SpectralSequence:
         return all(self.profile(n).compatible for n in range(n_max + 1))
 
     def _weights(self, n: int) -> list:
-        """The weight of every basis monomial of degree n, in basis order."""
+        """The weight of every basis monomial of degree n, in basis order:
+        per word run, the word's weight plus the cached ``comm_weights``."""
         w = self._basis_weights.get(n)
         if w is None:
-            w = self._basis_weights[n] = [
-                key_weight(k, self.scheme) for k in self.engine.basis(n).keys]
+            w = self._basis_weights[n] = []
+            for word, rest in self.engine.basis(n).word_runs():
+                base = key_weight(word, self.scheme)
+                w.extend([base + c for c in comm_weights(rest, self.scheme)])
         return w
 
     # -- profiles ----------------------------------------------------------

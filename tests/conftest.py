@@ -7,7 +7,7 @@ import pytest
 from cotor.dga import (
     COMM_NAMES, WEIGHT_SCHEMES, WORD_NAMES, Element, Monomial, decode,
 )
-from cotor.derivation import family_identities
+from cotor.derivation import NAMED_DEGREES, family_identities
 from cotor.engine import Engine
 from cotor.gf3 import Echelon, from_planes, to_planes
 
@@ -262,3 +262,23 @@ def pytest_terminal_summary(terminalreporter):
         label, ok = ACCEPTANCE_RESULTS[index]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {index}: {verdict} - {label}")
+
+
+def ring_monomials(ring: tuple, mins: tuple, degree: int) -> tuple:
+    """Exponent tuples over `ring` of the given total degree, each at least
+    its entry of `mins`, by recursion on the generators: the reference for
+    ``cohomology._ring_monomials``."""
+    out = []
+
+    def rec(i, remaining, acc):
+        if i == len(ring):
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        d = NAMED_DEGREES[ring[i]]
+        for e in range(mins[i], remaining // d + 1):
+            rec(i + 1, remaining - e * d, acc + [e])
+
+    if degree >= 0:
+        rec(0, degree, [])
+    return tuple(out)

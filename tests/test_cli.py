@@ -597,6 +597,21 @@ def test_cached_matrix_bit_exact(tmp_path, engine):
     assert text1 == text2
 
 
+def test_verify_with_a_cache_leaves_no_partial_file(tmp_path, engine, capsys):
+    # verify builds blocks of d on demand and stores no d_n built in part:
+    # every file it writes (if any) is that of a whole cold build, and the
+    # report is that of a run without a cache
+    _, plain, _ = run_cli(capsys, "verify", "--format", "json")
+    assert run_cli(capsys, "verify", "--format", "json", "--cache-dir",
+                   str(tmp_path))[:2] == (0, plain)
+    for top, _, names in os.walk(tmp_path):
+        for name in names:
+            assert top == MatrixCache(tmp_path, "parity").dir, name
+            n = int(name.removeprefix("d_").removesuffix(".gf3mat"))
+            with open(os.path.join(top, name)) as fh:
+                assert fh.read() == engine.d_matrix(n).serialize(), name
+
+
 # every CLI path that used to densify or call numpy, at small degrees
 NUMPY_FREE_PATHS = (
     ("homology", "--max-degree", "30", "--check-basis"),

@@ -5,9 +5,10 @@ import sys
 import pytest
 
 import cotor
-from conftest import class_element
+from conftest import class_element, ring_monomials
 from cotor.cohomology import (
-    additive_basis_classes, expand_rational, poincare_coeffs,
+    FAMILIES, _ring_monomials, additive_basis_classes, expand_rational,
+    poincare_coeffs,
 )
 from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
 from cotor.dga import Element, Monomial, decode, element_planes, gen
@@ -36,6 +37,18 @@ def test_expand_rational_geometric():
     # 1/(1-t^4) alone
     coeffs = expand_rational({0: 1}, (4,), 12)
     assert coeffs == [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def test_ring_monomials_from_tables_match_the_recursion():
+    # the per-degree tables give the recursion's tuples in its order, for
+    # every family's ring through degree 160, degrees asked out of order
+    # too (a table is extended to the highest degree asked)
+    for fam in FAMILIES:
+        for degree in [*range(161), 7, 0, 150]:
+            assert _ring_monomials(fam.ring, fam.min_exps(), degree) == \
+                ring_monomials(fam.ring, fam.min_exps(), degree), (
+                    fam.ring, degree)
+    assert _ring_monomials(FAMILIES[0].ring, (0,) * 6, -4) == ()
 
 
 def test_enumeration_count_matches_series():

@@ -540,7 +540,8 @@ def test_a4_divisible_columns_are_copies_where_eps_of_a4_is_one(
                           for k in engine.basis(n).keys} - divisible
     # the columns kept for the Leibniz route hold no a4-divisible prefix
     # when none is read
-    kept = {k for columns in engine._columns.values() for k in columns}
+    kept = {k for window in engine._columns.values()
+            for columns in window.values() for k in columns}
     assert kept and bool(kept & divisible) is not copies
 
 
@@ -598,7 +599,7 @@ def test_differential_holds_no_images_between_calls():
 
 def _built_degrees(engine) -> list:
     """The degrees whose d the engine builds (rather than loads) from now
-    on, in the order the builds end."""
+    on, whole or in part, in the order the builds end."""
     built, matrix = [], engine.d.matrix
 
     def recording(n, *args):
@@ -628,3 +629,60 @@ def test_a_degree_asked_first_equals_the_ascending_build():
         ascending.d_matrix(80).serialize()
     # d_80 read its prefixes from lower d_k the engine built for it
     assert built[-1] == 80 and 76 in built and 62 in built
+
+
+@pytest.mark.parametrize("convention", ["parity", "plus", "minus"])
+def test_blocks_asked_in_any_order_equal_the_whole_matrices(convention):
+    # each block is built on demand after the lower blocks it reads, so the
+    # order blocks are asked in changes nothing: every (degree, grading)
+    # through 70, in a seeded shuffle, against whole matrices of another
+    # engine, and d_n assembled from the blocks in basis order after that.
+    # Blocks asked early build most lower ones, so each block of degrees
+    # 60 to 70 is also asked alone on an engine that holds no block: a
+    # lower block its build reads and its plan missed is a KeyError
+    engine, whole = Engine(convention=convention), Engine(convention=convention)
+    for n in range(60, 71):
+        for g in whole.basis(n).blocks:
+            alone = Engine(convention=convention)
+            alone._bases = whole._bases         # enumerated once
+            assert alone.d_blocks(n, [g]) == {
+                g: whole.d_matrix(n).blocks.get(g)}, (n, g)
+    asked = [(n, g) for n in range(71) for g in engine.basis(n).blocks]
+    random.Random(7).shuffle(asked)
+    for n, g in asked:
+        assert engine.d_blocks(n, [g]) == {
+            g: whole.d_matrix(n).blocks.get(g)}, (n, g)
+    for n in range(71):
+        assert list(engine.d_matrix(n).blocks.items()) == list(
+            whole.d_matrix(n).blocks.items()), n
+        assert engine.d_matrix(n).serialize() == \
+            whole.d_matrix(n).serialize(), n
+
+
+def test_on_demand_blocks_keep_d_through_degree_120():
+    # blocks first asked one at a time, high degrees first, and then the
+    # whole matrices in turn: still the pinned bytes
+    engine = Engine(convention="parity")
+    rng = random.Random(11)
+    for n in range(120, 40, -7):
+        gradings = list(engine.basis(n).blocks)
+        engine.d_blocks(n, rng.sample(gradings, min(5, len(gradings))))
+    assert engine._blocks and not engine._matrices
+    digest = hashlib.sha256()
+    for n in range(121):
+        digest.update(engine.d_matrix(n).serialize().encode())
+    assert digest.hexdigest() == D120_SHA256
+
+
+def test_a_block_asked_where_the_cache_holds_d_is_loaded(tmp_path):
+    # a block of a degree the cache holds reads the file whole and builds
+    # nothing; a degree built in part is never stored
+    Engine(convention="parity", cache_dir=tmp_path).d_matrix(40)
+    engine = Engine(convention="parity", cache_dir=tmp_path)
+    built = _built_degrees(engine)
+    g = next(iter(engine.basis(40).blocks))
+    assert engine.d_blocks(40, [g]) == {g: engine._matrices[40].blocks.get(g)}
+    assert built == []
+    engine.d_blocks(44, list(engine.basis(44).blocks)[:3])
+    assert 44 in built and 44 not in engine._matrices
+    assert sorted(os.listdir(engine.cache.dir)) == ["d_40.gf3mat"]

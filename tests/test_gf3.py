@@ -12,7 +12,8 @@ from conftest import (
 )
 from cotor.dga import Element
 from cotor.gf3 import (
-    BlockDiagonalF3, Echelon, Planes, column_entries, from_planes,
+    BlockDiagonalF3, Echelon, Planes, block_columns, column_entries,
+    from_planes,
 )
 from cotor.relations import _canonical_rows
 
@@ -483,7 +484,9 @@ def test_columns_by_label_read_back_every_entry(engine):
     for n in range(61):
         d = engine.d_matrix(n)
         cols, rows = engine.basis(n).keys, engine.basis(n + 1).keys
-        by_label = d.columns(cols, rows)
+        by_label = {}
+        for block in d.blocks.values():
+            by_label.update(block_columns(block, cols, rows))
         read = {(rows.index(r), cols.index(c)): v
                 for c, column in by_label.items()
                 for r, v in column_entries(column, 1, 0).items()}

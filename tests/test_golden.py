@@ -9,10 +9,14 @@ the change why the report moved.
 import contextlib
 import hashlib
 import io
+import tempfile
 
 import pytest
 
 from cotor.cli import main
+
+# stands for a fresh temporary directory in an argv
+CACHE = "<cache-dir>"
 
 GOLDEN = (
     (("audit",), 0,
@@ -46,6 +50,12 @@ GOLDEN = (
      "b76a37aa9a61604b1c150418b22e2ad778201195f9e9d2e3c50ad3c9f10d9660"),
     (("ideal-check", "--max-degree", "40"), 0,
      "4239696dc009119d8f3a6757c6ddd703fa57c73a1116a8c771575ad357852eb2"),
+    # the benchmark's own ideal-check
+    (("ideal-check", "--max-degree", "80", "--format", "json"), 0,
+     "ac71af966878cb71f0c1389a97a8374f84cea6fb33a4b41400c44050fcd91a6c"),
+    # with a fresh cache directory: the same report as without one
+    (("verify", "--format", "json", "--cache-dir", CACHE), 0,
+     "5db4f9131a0ebf7829cedbf7ab358a4c1a5838cb5dc771a94bc806e46d941184"),
     (("poincare",), 0,
      "39bad7dd528eeb61fc8487995f1b2fe8dacff130d7f0fb336e81e2da2cc7ebe2"),
     (("diff", "--max-degree", "40"), 0,
@@ -54,11 +64,13 @@ GOLDEN = (
 
 
 def run(argv) -> tuple:
-    """(exit code, sha256 of stdout) of one in-process CLI call."""
+    """(exit code, sha256 of stdout) of one in-process CLI call, each
+    ``CACHE`` in argv a fresh temporary directory."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+            contextlib.redirect_stderr(io.StringIO()), \
+            tempfile.TemporaryDirectory() as cache:
+        code = main([cache if a == CACHE else a for a in argv])
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 

@@ -12,6 +12,7 @@ import cotor
 from conftest import SparseMatrixF3, class_element, solve_in_image
 from cotor import derivation, engine as engine_module, relations
 from cotor.dga import Element, encode, gen
+from cotor.differential import Differential
 from cotor.engine import Engine
 from cotor.formal import mono_text, monomial_degree, parse_poly, poly_text
 from cotor.derivation import (
@@ -116,31 +117,52 @@ def test_witness_matrix_route_sees_one_flipped_entry(engine, catalog,
                                                     monkeypatch):
     # d with one entry v -> 3 - v in a column the witness uses: the Leibniz
     # route still agrees, so only the matrix route can catch it; an exact
-    # and a signed witness
+    # and a signed witness.  The flip is planted in the blocks of d_{n-1}
+    # that the matrix route reads (``Engine.d_blocks``)
     signed = next(r for r in catalog.values() if r.lhs_text == "a9*a4")
     for rec in (catalog["ii.01"], signed):
         n = rec.degree
         assert 0 < n <= engine.max_degree
         assert verify_witness(rec, engine).ok
-        d = engine.d_matrix(n - 1)
         used = {engine.basis(n - 1).index[encode(m)]
                 for m in rec.witness.terms}
-        blocks = dict(d.blocks)
-        g, j = next((g, j) for g, (_, cols, pos, neg) in blocks.items()
-                    for j, c in enumerate(cols)
-                    if c in used and pos[j] | neg[j])
+        blocks = engine.d_blocks(n - 1, engine.blocks_of(rec.witness, n - 1))
+        g, j = next((g, j) for g, block in blocks.items() if block
+                    for j, (c, p, q) in enumerate(zip(*block[1:]))
+                    if c in used and p | q)
         rows, cols, pos, neg = blocks[g]
         low = (pos[j] | neg[j]) & -(pos[j] | neg[j])
         pos, neg = list(pos), list(neg)
         pos[j] ^= low
         neg[j] ^= low
-        blocks[g] = rows, cols, tuple(pos), tuple(neg)
-        flipped, real = d._replace(blocks=blocks), engine.d_matrix
+        flipped, real = (rows, cols, tuple(pos), tuple(neg)), engine.d_blocks
+
+        def planted(k, gradings):
+            out = real(k, gradings)
+            if k == n - 1 and g in out:
+                out[g] = flipped
+            return out
+
         with monkeypatch.context() as mp:
-            mp.setattr(engine, "d_matrix",
-                       lambda k: flipped if k == n - 1 else real(k))
+            mp.setattr(engine, "d_blocks", planted)
             v = verify_witness(rec, engine)
         assert (v.verdict, v.note) == ("FAIL", "matrix route disagrees")
+
+
+def test_verify_all_builds_a_few_columns_of_d(monkeypatch):
+    # the matrix route reads d_{n-1} at the witness's Z^4 degrees alone, so
+    # a whole verify_all builds those blocks and the lower blocks they are
+    # built from: a few hundred of d's columns, not all of d_0..d_78
+    columns, matrix = [], Differential.matrix
+
+    def counting(self, n, bn, bn1, lower, below, gradings=None):
+        columns.extend(len(bn.blocks[g]) for g in (
+            bn.blocks if gradings is None else gradings))
+        return matrix(self, n, bn, bn1, lower, below, gradings)
+
+    monkeypatch.setattr(Differential, "matrix", counting)
+    assert verify_all(Engine(convention="parity")).all_ok
+    assert 0 < sum(columns) <= 300
 
 
 def test_witness_matrix_route_survives_python_O():

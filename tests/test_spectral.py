@@ -9,6 +9,7 @@ from conftest import (
     reference_page_dim,
 )
 from cotor.cohomology import poincare_coeffs
+from cotor.dga import key_weight
 from cotor.engine import Engine
 from cotor.gf3 import BlockDiagonalF3, Echelon, from_planes, to_planes
 from cotor.spectral import (
@@ -23,6 +24,16 @@ N = 42      # unit-test bound; the acceptance suite runs the full 60
 def prepared(engine):
     engine.build_range(N + 1)
     return engine
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_basis_weights_by_word_run_match_each_key(engine, scheme):
+    # a word's weight plus the cached weights of the commutative monomials
+    # is the weight of every key, in basis order
+    ss = SpectralSequence(engine, scheme)
+    for n in range(121):
+        assert ss._weights(n) == [key_weight(k, scheme)
+                                  for k in engine.basis(n).keys], n
 
 
 def test_unknown_scheme_rejected(prepared):
