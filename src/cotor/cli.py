@@ -186,10 +186,9 @@ def cmd_diff(args) -> int:
     engine = _engine(args)
     n_max = _default_degree(args, 40)
     engine.build_range(n_max)
-    rows = [{"degree": n,
-             "shape": [engine.d_matrix(n).n_rows, engine.d_matrix(n).n_cols],
-             "nnz": engine.d_matrix(n).nnz,
-             "rank": engine.rank(n)} for n in range(n_max + 1)]
+    rows = [{"degree": n, "shape": [d.n_rows, d.n_cols], "nnz": d.nnz,
+             "rank": engine.rank(n)}
+            for n in range(n_max + 1) for d in [engine.d_matrix(n)]]
     _emit(args, rows, lambda: "\n".join(
         f"{r['degree']:4d} {r['shape'][0]:6d}x{r['shape'][1]:<6d}"
         f" nnz={r['nnz']:<8d} rank={r['rank']}" for r in rows),

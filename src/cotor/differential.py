@@ -78,8 +78,8 @@ class Differential:
     def copied_field(self) -> int:
         """The key field of a4's exponent if ``matrix`` builds a4-divisible
         columns as copies, which it does when the rule's sign on a4 alone
-        is +1, else 0.  No prefix that ``matrix`` reads from ``lower`` has
-        a bit in it."""
+        is +1, else 0.  No prefix that ``matrix`` reads a column of has a
+        bit in it."""
         a4 = self._eps(ONE_KEY + UNIT[0], COMM_DEGREES[0])
         return _A4_FIELD if a4 == 1 else 0
 
@@ -174,37 +174,36 @@ class Differential:
         return self(x) * y + (x * self(y)).scaled(self.eps(x))
 
     def matrix(self, n: int, bn: DegreeBasis, bn1: DegreeBasis,
-               lower, below, gradings=None) -> BlockDiagonalF3:
+               window, gradings=None) -> BlockDiagonalF3:
         """Blocks of the matrix of d from degree n, basis ``bn``, to degree
         n+1, basis ``bn1``: one per internal Z^4 degree in ``gradings``
         (default every grading of ``bn``, that is, all of d_n; d preserves
         it, and an image term outside its column's block is a RuntimeError).
 
         Block g reads only block g - g(f) of d_{n - deg f} for each
-        generator f (``STENCIL``), which the caller holds: the two routes
-        below.
+        generator f (``STENCIL``), which the caller holds: ``window(k)``
+        gives d_k's blocks (``block(h)``, None for a block with no rows),
+        the keys of its rows (``row_keys``, the basis of degree k+1), and,
+        as a dict, its nonzero columns by Z^4 degree, then by monomial key
+        (``gf3.block_columns``); it is asked once for each degree k the
+        routes below read, and a block it does not hold is a KeyError.
 
         a4 commutes with every generator and d(a4) = 0, so when the rule's
         sign on a4 alone is +1 (parity and plus, not minus), eps(a4*m) =
         eps(m) and the last-factor recursion gives d(a4*m) = a4*d(m).  Then
         each a4-divisible column of block g is a shifted copy of the column
-        of m/a4 in block g - g(a4) of d_{n-4}: ``below(k)`` gives d_k's
-        blocks by Z^4 degree (a block with no rows may be missing) and the
-        keys of its rows (the basis of degree k+1).  m -> m/a4 keeps the
-        order of the columns (a4 is the highest exponent field, so they are
-        a suffix of each word's run in the block), so the copies are that
+        of m/a4 in block g - g(a4) of d_{n-4}.  m -> m/a4 keeps the order
+        of the columns (a4 is the highest exponent field, so they are a
+        suffix of each word's run in the block), so the copies are that
         block's columns in turn, each moved to its rows' a4-multiples by
         ``_a4_pieces``.
 
         Every other column is built by ``_leibniz``: d of its prefix m/f is
-        a column of block g - g(f) of d_{n - deg f}, and ``lower(k)`` gives
-        d_k's nonzero columns by Z^4 degree, then by monomial key (``gf3.
-        block_columns``; ``Engine`` holds them), asked once for each degree
-        k such a prefix can have."""
+        a column of block g - g(f) of d_{n - deg f}."""
         copy = n >= COMM_DEGREES[0] and bool(self.copied_field)
         # prefix degree n - deg f -> (d of that degree's columns, g(f));
         # with copies no prefix is m/a4, so d_{n-4}'s columns are not read
-        sources = {n - deg: (lower(n - deg), dg) for deg, dg in
+        sources = {n - deg: (window(n - deg), dg) for deg, dg in
                    (STENCIL[1:] if copy else STENCIL) if deg <= n}
 
         def shifted(m: int, k: int, a: int, b: int) -> dict:
@@ -218,7 +217,8 @@ class Differential:
                                 "block")
 
         if copy:
-            d4, keys4 = below(n - COMM_DEGREES[0])
+            d4 = window(n - COMM_DEGREES[0])
+            keys4 = d4.row_keys
         row_keys, col_keys, blocks = bn1.keys, bn.keys, {}
         for g in bn.blocks if gradings is None else gradings:
             cols = bn.blocks[g]
@@ -232,7 +232,7 @@ class Differential:
                     (copies if col_keys[c] & _A4_FIELD else todo).append(j)
                 # no source block: it has no rows in degree n - 3, and the
                 # copies are 0
-                source = copies and d4.get(g - _A4_GRADING)
+                source = copies and d4.block(g - _A4_GRADING)
                 if source:
                     s_rows, _, s_pos, s_neg = source
                     to = [at.get(keys4[r] + UNIT[0]) for r in s_rows]

@@ -10,17 +10,18 @@ d preserves the internal Z^4 degree (``dga.grading``), and so does every
 class representative (checked when the classes of a degree are first
 grouped, also under -O).  So each grading is a finite complex of its
 own, and one block of d, (degree n, grading g), is the unit the engine
-builds and reads (``d_blocks``).  Block g of d_n reads only the blocks
-g - g(f) of d_{n - deg f}, one per generator f (``differential.
-STENCIL``), so a block is built after those, lowest degree first, and a
-reader of a few gradings builds a few blocks: ``apply_d`` (the matrix
-route of ``relations.verify_witness``), ``decompose`` and
-``check_additive_basis``.  rank d, and the matrix [class columns |
-d_{n-1}] behind the last two, are worked one block at a time too: one
-small elimination per block, built on first use.  A whole d_n
-(``d_matrix``: ranks, spectral pages, the cache) is assembled from the
-blocks built already plus the rest; only a whole d_n is stored in the
-cache, and a block of a degree the cache holds reads that file whole.
+builds, holds (one dict, degree -> grading -> block) and reads
+(``d_blocks``).  Block g of d_n reads only the blocks g - g(f) of
+d_{n - deg f}, one per generator f (``differential.STENCIL``), so a block
+is built after those, lowest degree first, and a reader of a few gradings
+builds a few blocks: ``apply_d`` (the matrix route of ``relations.
+verify_witness``), word-type ``relations.discover_relation``,
+``decompose`` and ``check_additive_basis``.  rank d, and the matrix
+[class columns | d_{n-1}] behind the last two, are worked one block at a
+time too.  A whole d_n (``d_matrix``: ranks, spectral pages, the cache)
+is its blocks in basis order; only a whole d_n is stored in the cache,
+and a degree the cache holds is read whole, into every grading, the
+first time any block of it is asked for.
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ class ClassDecomposition:
 class _Window(dict):
     """Z^4 degree -> the nonzero columns by key (``gf3.block_columns``) of
     that block of one d_k, made on first use from the block that
-    ``block(g)`` gives (None: no rows)."""
+    ``block(g)`` gives (None: no rows) over the rows ``row_keys``."""
 
     def __init__(self, block, col_keys, row_keys, skip: int):
         super().__init__()
-        self.block, self.labels = block, (col_keys, row_keys, skip)
+        self.block, self.row_keys = block, row_keys
+        self.labels = col_keys, row_keys, skip
 
     def __missing__(self, g: int) -> dict:
         block = self.block(g)
@@ -94,14 +96,13 @@ class Engine:
         self.d = Differential(convention)
         self.cache = MatrixCache(cache_dir, convention) if cache_dir else None
         self._bases: dict[int, DegreeBasis] = {}
-        self._matrices: dict[int, BlockDiagonalF3] = {}     # whole d_n
-        # degree -> Z^4 degree -> block of d (None: no rows), for the
-        # degrees built in part
-        self._blocks: dict[int, dict] = {}
+        # degree -> Z^4 degree -> block of d (None: no rows), one entry per
+        # block built or loaded (``_held``)
+        self._d: dict[int, dict] = {}
+        self._cached: set = set()       # degrees the cache holds
         # degree -> Z^4 degree -> that block of d's nonzero columns by key,
         # for the blocks builds read
-        self._columns: dict[int, dict] = {}
-        self._missed: set = set()       # degrees the cache does not hold
+        self._columns: dict[int, _Window] = {}
         self._ranks: dict[int, int] = {}
         self._additive_bases: dict[int, CotorBasis] = {}
         self._representatives: dict[BasisClass, Element] = {}
@@ -112,44 +113,40 @@ class Engine:
     # -- bases and matrices -------------------------------------------------
 
     def basis(self, n: int) -> DegreeBasis:
-        if n < 0:
-            return DegreeBasis(n, ())
         b = self._bases.get(n)
         if b is None:
-            b = self._bases[n] = enumerate_basis(n)
+            b = self._bases[n] = (enumerate_basis(n) if n >= 0 else
+                                  DegreeBasis(n, ()))
         return b
 
     def d_matrix(self, n: int) -> BlockDiagonalF3:
-        """d_n whole: loaded, or built, with the blocks built before, in the
-        order of ``basis(n).blocks``, and then stored."""
-        m = self._matrices.get(n)
-        if m is None:
-            m = self._load(n)
-        if m is None:
-            cols = self.basis(n)
-            built = self._blocks.pop(n, {})
-            blocks = self._build(n, [g for g in cols.blocks if g not in built])
-            if built:
-                blocks = {g: b for g in cols.blocks if (b := blocks.get(
-                    g, built.get(g))) is not None}
-            m = self._matrices[n] = BlockDiagonalF3(
-                len(self.basis(n + 1)), len(cols), blocks)
-            if self.cache is not None:
-                self.cache.store(n, m)
+        """d_n whole: its blocks (``d_blocks``) in the order of ``basis(n).
+        blocks``, stored in the cache the first time unless read from it."""
+        cols = self.basis(n).blocks
+        held = self._held(n, cols)
+        m = BlockDiagonalF3(len(self.basis(n + 1)), len(self.basis(n)), {
+            g: b for g in cols if (b := held[g]) is not None})
+        if self.cache is not None and n not in self._cached:
+            self._cached.add(n)
+            self.cache.store(n, m)
         return m
 
-    def _load(self, n: int) -> BlockDiagonalF3 | None:
-        """d_n whole from the cache, or None (no cache, or it does not
-        hold d_n: a refused file is rebuilt and rewritten by ``d_matrix``);
-        tried once per degree."""
-        if self.cache is None or n in self._missed:
-            return None
-        m = self.cache.load(n, self.basis(n + 1).blocks, self.basis(n).blocks)
-        if m is None:
-            self._missed.add(n)
-        else:
-            self._matrices[n] = m
-        return m
+    def _held(self, k: int, gradings=()) -> dict:
+        """The blocks of d_k held (``_d``), after those of ``gradings`` not
+        held are built (``_build``); on first ask every block where the
+        cache holds d_k, else none."""
+        held, have = self._d.get(k), self.basis(k).blocks
+        if held is None:
+            m = None if self.cache is None else self.cache.load(
+                k, self.basis(k + 1).blocks, have)
+            if m is not None:
+                self._cached.add(k)
+            held = self._d[k] = {} if m is None else (
+                dict.fromkeys(have) | m.blocks)
+        if len(held) < len(have):       # d_k is not whole
+            self._build(k, [g for g in gradings
+                            if g in have and g not in held])
+        return held
 
     def d_blocks(self, n: int, gradings) -> dict:
         """Z^4 degree -> that block ``(rows, cols, pos, neg)`` of d_n, for
@@ -157,88 +154,59 @@ class Engine:
         basis has no monomial of that grading).  A block not held is built,
         after the blocks of lower degree it reads (``_build``); d_n is read
         whole where the cache holds it (a degree built in part is not)."""
-        m = self._matrices.get(n)
-        if m is None:
-            m = self._load(n)
-        if m is not None:
-            return {g: m.blocks.get(g) for g in gradings}
-        have, built = self.basis(n).blocks, self._blocks.get(n, {})
-        todo = [g for g in gradings if g in have and g not in built]
-        if todo:
-            blocks = self._build(n, todo)
-            built = self._blocks.setdefault(n, built)
-            for g in todo:
-                built[g] = blocks.get(g)
-        return {g: built.get(g) for g in gradings}
+        held = self._held(n, gradings)
+        return {g: held.get(g) for g in gradings}
 
-    def _build(self, n: int, gradings: list) -> dict:
-        """The blocks ``gradings`` of d_n, none of them held, that have
-        rows, by Z^4 degree.  Block g of d_n reads block g - g(f) of
-        d_{n - deg f} for each generator f (``differential.STENCIL``), and
-        deg f > 0; so the blocks to build are found from degree n down,
-        each lower d_k read whole where the cache holds it, and built from
-        the lowest degree up, one ``Differential.matrix`` per degree, the
-        lower ones kept."""
+    def _build(self, n: int, gradings: list):
+        """Build the blocks ``gradings`` of d_n, none of them held.  Block g of
+        d_n reads block g - g(f) of d_{n - deg f} for each generator f
+        (``differential.STENCIL``), and deg f > 0; so the blocks to build are
+        found from degree n down, each lower d_k read whole where the cache
+        holds it, and built from the lowest degree up, one
+        ``Differential.matrix`` per degree."""
         if not gradings:
-            return {}
+            return
         plan = {n: gradings}
         for k in range(n, -1, -1):
             for deg, dg in STENCIL if plan.get(k) else ():
                 j = k - deg
-                if j < 0 or j in self._matrices:
+                have, held = self.basis(j).blocks, self._d.get(j, {})
+                if len(held) == len(have):      # d_j is whole, or j < 0
                     continue
-                have, built = self.basis(j).blocks, self._blocks.get(j, ())
                 need = {h for g in plan[k] if (h := g - dg) in have
-                        and h not in built}
-                if need and self._load(j) is None:
+                        and h not in held}
+                if need and len(self._held(j)) < len(have):
                     plan.setdefault(j, set()).update(need)
         for k in sorted(plan):
             want = (gradings if k == n else
                     [g for g in self.basis(k).blocks if g in plan[k]])
             blocks = self.d.matrix(k, self.basis(k), self.basis(k + 1),
-                                   self._prefix_columns, self._copy_source,
-                                   want).blocks
-            if k < n:
-                built = self._blocks.setdefault(k, {})
-                for g in want:
-                    built[g] = blocks.get(g)
+                                   self._window, want).blocks
+            self._d[k].update(dict.fromkeys(want) | blocks)
             # a build of degree above k reads no columns of degree
             # k - PREFIX_DEPTH or below
             for j in [j for j in self._columns if j <= k - PREFIX_DEPTH]:
                 del self._columns[j]
-        return blocks
 
-    def _block(self, k: int, g: int):
-        """Block g of d_k, which ``_build`` has built or loaded (None: no
-        rows, or no monomial of that grading; a KeyError if it has not)."""
-        m = self._matrices.get(k)
-        if m is not None:
-            return m.blocks.get(g)
-        return self._blocks[k][g] if g in self.basis(k).blocks else None
-
-    def _prefix_columns(self, k: int) -> "_Window":
-        """d_k's nonzero columns by Z^4 degree, then by monomial key, what
-        ``Differential.matrix`` reads prefixes from; kept while a build of
-        higher degree can read them."""
+    def _window(self, k: int) -> _Window:
+        """d_k's blocks held (a KeyError for one of its gradings that is
+        not), and its nonzero columns by Z^4 degree, then by monomial key:
+        what ``Differential.matrix`` copies and reads prefixes from; kept
+        while a build of higher degree can read them."""
         window = self._columns.get(k)
         if window is None:
+            have = self.basis(k).blocks
             window = self._columns[k] = _Window(
-                lambda g: self._block(k, g), self.basis(k).keys,
-                self.basis(k + 1).keys, self.d.copied_field)
+                lambda g: self._d[k][g] if g in have else None,
+                self.basis(k).keys, self.basis(k + 1).keys,
+                self.d.copied_field)
         return window
-
-    def _copy_source(self, k: int) -> tuple:
-        """d_k's blocks held, by Z^4 degree, and the keys of its rows, what
-        ``Differential.matrix`` copies a4-divisible columns from."""
-        m = self._matrices.get(k)
-        return (self._blocks.get(k, {}) if m is None else m.blocks,
-                self.basis(k + 1).keys)
 
     def build_range(self, n_max: int):
         """Materialize matrices for all degrees <= n_max, in ascending order
         (so the d_k each build reads its prefixes from are built already),
         then drop the columns kept for those builds: a later build of a
-        higher degree reads them again from the matrices."""
+        higher degree reads them again from the blocks held."""
         for n in range(n_max + 1):
             self.d_matrix(n)
         self._columns.clear()

@@ -85,14 +85,6 @@ class Planes(NamedTuple):
                    [q for _, q in columns])
 
 
-def hstack(a, b) -> Planes:
-    """The columns of a and then of b (matrices or `Planes`)."""
-    a, b = Planes.of(a), Planes.of(b)
-    if a.n_rows != b.n_rows:
-        raise ValueError(f"hstack: {a.n_rows} rows against {b.n_rows}")
-    return Planes(a.n_rows, a.n_cols + b.n_cols, a.pos + b.pos, a.neg + b.neg)
-
-
 class BlockDiagonalF3(NamedTuple):
     """A GF(3) matrix that is block diagonal once its rows and columns are
     grouped: ``blocks`` maps each block's name to ``(rows, cols, pos,

@@ -37,7 +37,7 @@ from .derivation import (
 )
 from .dga import Element, element_planes
 from .formal import mono_text, monomial_degree, parse_poly, poly_text
-from .gf3 import Echelon, Planes, combination, hstack, to_planes
+from .gf3 import Echelon, Planes, combination, to_planes
 
 GROUP_I = (
     "a4*y26 = -a8*y22 + a10*y20",
@@ -407,7 +407,7 @@ def discover_relation(support, degree, engine, paper_vector=None):
     Support monomials are formal products of named generators.  When every
     expansion is word-free the solve happens in S-coordinates (exactness
     there needs no differential); otherwise the coefficient matrix is
-    augmented with the im(d) columns at that degree.
+    augmented with the im(d) columns of the Z^4 blocks the support touches.
     """
     ev = engine.named_evaluator
     elements = [ev(s) if isinstance(s, str) else s for s in support]
@@ -419,18 +419,24 @@ def discover_relation(support, degree, engine, paper_vector=None):
     else:
         if degree > engine.max_degree:
             raise ValueError("degree beyond cap for word-type discovery")
-        basis = engine.basis(degree)
-        cols = Planes.from_columns(len(basis), (
-            element_planes(el, basis.index) for el in elements))
-        # im(d) columns first: only kernel vectors with a free support
-        # column can have a nonzero support part, and those span it
-        if degree >= 1:
-            d = engine.d_matrix(degree - 1)
-            cols, start = hstack(d, cols), d.n_cols
-        else:
-            start = 0
-        solutions = _canonical_rows(
-            [v[start:] for v in Echelon(cols).kernel(start=start)])
+        # d keeps the Z^4 degree, so the system is the blocks the support
+        # touches, stacked at row offsets ``at``; im(d) columns first: only
+        # kernel vectors with a free support column can have a nonzero
+        # support part, and those span it
+        blocks, parts = engine.basis(degree).blocks, [
+            engine.blocks_of(el, degree) for el in elements]
+        at, n_rows = {}, 0
+        for g in {g: None for part in parts for g in part}:
+            at[g], n_rows = n_rows, n_rows + len(blocks[g])
+        cols = [(p << at[g], q << at[g])
+                for g, block in engine.d_blocks(degree - 1, at).items()
+                if block is not None for p, q in zip(*block[2:])]
+        start = len(cols)
+        cols += [(sum(p << at[g] for g, (p, _) in part.items()),
+                  sum(q << at[g] for g, (_, q) in part.items()))
+                 for part in parts]
+        solutions = _canonical_rows([v[start:] for v in Echelon(
+            Planes.from_columns(n_rows, cols)).kernel(start=start)])
     return _matched(DiscoveryResult(tuple(str(s) for s in support), degree,
                                     solutions), paper_vector)
 

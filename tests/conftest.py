@@ -6,10 +6,12 @@ import pytest
 
 from cotor.dga import (
     COMM_NAMES, WEIGHT_SCHEMES, WORD_NAMES, Element, Monomial, decode,
+    element_planes,
 )
 from cotor.derivation import NAMED_DEGREES, family_identities
 from cotor.engine import Engine
-from cotor.gf3 import Echelon, from_planes, to_planes
+from cotor.gf3 import Echelon, Planes, from_planes, to_planes
+from cotor.relations import _canonical_rows
 
 # criterion index -> (label, passed); printed at the end of the run
 ACCEPTANCE_RESULTS = {}
@@ -229,6 +231,31 @@ def solve_in_image(m, v) -> SolveResult:
     """Solve m @ x = v, or report the residual left over the column space;
     a dimension mismatch is a ValueError, never a "not in image" verdict."""
     return echelon_solve(Echelon(m), v)
+
+
+def hstack(a, b) -> Planes:
+    """The columns of a and then of b (matrices or `Planes`)."""
+    a, b = Planes.of(a), Planes.of(b)
+    if a.n_rows != b.n_rows:
+        raise ValueError(f"hstack: {a.n_rows} rows against {b.n_rows}")
+    return Planes(a.n_rows, a.n_cols + b.n_cols, a.pos + b.pos, a.neg + b.neg)
+
+
+def whole_degree_relations(elements, degree: int, engine) -> tuple:
+    """The canonical combinations of the elements (of degree ``degree``)
+    inside im(d), solved over the whole degree: the columns of all of
+    d_{degree-1}, then the elements', over the whole basis.  The reference
+    for `discover_relation`'s word-type route, which reads the blocks the
+    support touches."""
+    basis = engine.basis(degree)
+    cols = Planes.from_columns(len(basis), (
+        element_planes(el, basis.index) for el in elements))
+    start = 0
+    if degree >= 1:
+        d = engine.d_matrix(degree - 1)
+        cols, start = hstack(d, cols), d.n_cols
+    return _canonical_rows(
+        [v[start:] for v in Echelon(cols).kernel(start=start)])
 
 
 def cols_ge(ss, q, m: int) -> int:

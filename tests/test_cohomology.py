@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import cotor
-from conftest import class_element, ring_monomials
+from conftest import class_element, hstack, ring_monomials
 from cotor.cohomology import (
     FAMILIES, _ring_monomials, additive_basis_classes, expand_rational,
     poincare_coeffs,
@@ -13,7 +13,7 @@ from cotor.cohomology import (
 from cotor.derivation import NAMED_DEGREES, NAMED_GENERATOR_NAMES
 from cotor.dga import Element, Monomial, decode, element_planes, gen
 from cotor.engine import Engine
-from cotor.gf3 import Echelon, Planes, bits, hstack
+from cotor.gf3 import Echelon, Planes, bits
 
 
 def test_series_first_coefficients():

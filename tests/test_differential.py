@@ -416,7 +416,7 @@ def test_construction_refuses_a_term_outside_its_block():
     b17, b20 = engine.basis(17), engine.basis(20)
     col, source, other = (encode(parse_monomial(t))
                           for t in ("a4 b16", "b16", "c17"))
-    d16 = engine._matrices[16].blocks
+    d16 = engine._d[16]
     rows, *rest = d16[grading(source)]
     assert rows == (b17.keys.index(encode(parse_monomial("a9 | a8"))),)
     d16[grading(source)] = ((b17.keys.index(other),), *rest)
@@ -659,6 +659,18 @@ def test_blocks_asked_in_any_order_equal_the_whole_matrices(convention):
             whole.d_matrix(n).serialize(), n
 
 
+def test_a_copy_source_the_plan_missed_is_a_key_error(monkeypatch):
+    # the a4 copies of a block read their source in d_{n-4} from the blocks
+    # held, as the Leibniz route reads its prefixes: with a4 dropped from
+    # the build plan's stencil, the widest block of d_40 finds its source
+    # unbuilt and refuses, where it would copy zeros
+    blocks = Engine(convention="parity").basis(40).blocks
+    g = max(blocks, key=lambda h: len(blocks[h]))
+    monkeypatch.setattr(cotor.engine, "STENCIL", differential.STENCIL[1:])
+    with pytest.raises(KeyError):
+        Engine(convention="parity").d_blocks(40, [g])
+
+
 def test_on_demand_blocks_keep_d_through_degree_120():
     # blocks first asked one at a time, high degrees first, and then the
     # whole matrices in turn: still the pinned bytes
@@ -667,7 +679,9 @@ def test_on_demand_blocks_keep_d_through_degree_120():
     for n in range(120, 40, -7):
         gradings = list(engine.basis(n).blocks)
         engine.d_blocks(n, rng.sample(gradings, min(5, len(gradings))))
-    assert engine._blocks and not engine._matrices
+    # held in part (degree 43 is filled by the blocks higher ones read)
+    assert all(len(engine._d[n]) < len(engine.basis(n).blocks)
+               for n in range(120, 49, -7))
     digest = hashlib.sha256()
     for n in range(121):
         digest.update(engine.d_matrix(n).serialize().encode())
@@ -681,8 +695,8 @@ def test_a_block_asked_where_the_cache_holds_d_is_loaded(tmp_path):
     engine = Engine(convention="parity", cache_dir=tmp_path)
     built = _built_degrees(engine)
     g = next(iter(engine.basis(40).blocks))
-    assert engine.d_blocks(40, [g]) == {g: engine._matrices[40].blocks.get(g)}
+    assert engine.d_blocks(40, [g]) == {g: engine.d_matrix(40).blocks.get(g)}
     assert built == []
     engine.d_blocks(44, list(engine.basis(44).blocks)[:3])
-    assert 44 in built and 44 not in engine._matrices
+    assert 44 in built and len(engine._d[44]) == 3
     assert sorted(os.listdir(engine.cache.dir)) == ["d_40.gf3mat"]

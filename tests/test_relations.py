@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import cotor
-from conftest import SparseMatrixF3, class_element, solve_in_image
+from conftest import (
+    SparseMatrixF3, class_element, solve_in_image, whole_degree_relations,
+)
 from cotor import derivation, engine as engine_module, relations
 from cotor.dga import Element, encode, gen
 from cotor.differential import Differential
@@ -155,10 +157,10 @@ def test_verify_all_builds_a_few_columns_of_d(monkeypatch):
     # built from: a few hundred of d's columns, not all of d_0..d_78
     columns, matrix = [], Differential.matrix
 
-    def counting(self, n, bn, bn1, lower, below, gradings=None):
+    def counting(self, n, bn, bn1, window, gradings=None):
         columns.extend(len(bn.blocks[g]) for g in (
             bn.blocks if gradings is None else gradings))
-        return matrix(self, n, bn, bn1, lower, below, gradings)
+        return matrix(self, n, bn, bn1, window, gradings)
 
     monkeypatch.setattr(Differential, "matrix", counting)
     assert verify_all(Engine(convention="parity")).all_ok
@@ -285,6 +287,30 @@ def test_discover_in_image_support(engine):
     # word-type support routed through the differential columns
     disc = discover_relation(["a9*a4"], 13, engine)
     assert disc.solutions == ((1,),)
+
+
+@pytest.mark.parametrize("degree", [13, 26, 35, 44, 61])
+def test_word_type_discovery_matches_the_whole_degree_solve(engine, degree):
+    # the word-type route solves over the Z^4 blocks its support touches:
+    # d preserves the grading, so these are the solutions over the whole
+    # degree.  The supports mix boundaries spread over several blocks,
+    # word-type monomials, a sum of the two, and the golden support
+    rng = random.Random(degree)
+    keys, lower = engine.basis(degree).keys, engine.basis(degree - 1).keys
+    words = [Element.from_keys({k: 1}) for k in keys
+             if not Element.from_keys({k: 1}).in_commutative_subalgebra()]
+    bounds = [engine.d(Element.from_keys(
+        {k: rng.randint(1, 2) for k in rng.sample(lower, min(3, len(lower)))}))
+        for _ in range(2)]
+    monos = rng.sample(words, min(3, len(words)))
+    support = [bounds[0], *monos, bounds[0] + monos[0], bounds[1]]
+    disc = discover_relation(support, degree, engine)
+    assert disc.solutions == whole_degree_relations(support, degree, engine)
+    assert len(disc.solutions) >= 2
+    if degree == 13:
+        elements = [engine.named_evaluator("a9*a4")]
+        assert discover_relation(["a9*a4"], 13, engine).solutions == \
+            whole_degree_relations(elements, 13, engine) == ((1,),)
 
 
 def test_discover_printed_vector_in_span(engine):

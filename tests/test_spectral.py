@@ -200,10 +200,11 @@ def _plant(engine, n: int, r: int, c: int):
     rows = {h: [x for x in members if x != r] for h, members in rows.items()}
     rows[g] = sorted(rows.get(g, []) + [r])
     d = engine.d_matrix(n)
-    engine._matrices[n] = BlockDiagonalF3.deserialize(gf3mat(
+    planted = BlockDiagonalF3.deserialize(gf3mat(
         SparseMatrixF3(d.n_rows, d.n_cols, {**d.entries, (r, c): 1})),
-        rows, cols)
-    return next(b for b in engine._matrices[n].blocks.values() if c in b[1])
+        rows, cols).blocks
+    engine._d[n] = {h: planted.get(h) for h in cols}
+    return planted[g]
 
 
 def test_filtration_check_reports_a_planted_weight_drop():
